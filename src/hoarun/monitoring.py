@@ -4,13 +4,15 @@ The one-step monitor classifies the current state against the smallest
 trap set containing it: a Fin/Inf atom becomes good, bad, ugly, or stays
 unknown; compound conditions fold elementary verdicts through sound
 combination tables. Good, bad, and ugly are final; unknown means "keep
-monitoring".
+monitoring". The trap set, and so the verdict, depends only on the
+state, so a :class:`Monitor` computes the verdict at every state once,
+in one pass over the condensation, and then only looks it up.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .automata import (
     AccAnd,
@@ -22,12 +24,15 @@ from .automata import (
     Inf,
     StateGraph,
     Top,
+    acc_set_refs,
     complete_by_stuttering,
     is_complete,
     is_deterministic,
     state_graph,
 )
-from .traps import TrapIndex, build_index, is_transient, min_trap_set_of
+from .traps import TrapIndex, build_index, is_transient, reach_masks
+# unused here, but perfbench/child.py wraps it under this module's name
+from .traps import min_trap_set_of  # noqa: F401
 
 
 class Verdict(Enum):
@@ -83,35 +88,67 @@ def combine_or(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def verdict_inf(
-    index: TrapIndex, graph: StateGraph, state: int, acc_states: Iterable[int]
-) -> Verdict:
-    """One-step verdict for "visit ``acc_states`` infinitely often".
+def component_verdicts(
+    index: TrapIndex,
+    graph: StateGraph,
+    cond: AcceptanceCond,
+    acc_sets: Sequence[frozenset[int]],
+) -> list[Verdict]:
+    """Verdict of ``cond`` at every component of ``index``, by component number.
 
-    With T the smallest trap set containing the current state: T inside
-    the set is good, T disjoint from it is bad; when T is a single bottom
-    SCC the remainder decides between good (transient) and ugly.
+    A Fin/Inf atom is judged against the smallest trap set T of the
+    component, read from :func:`reach_masks`: T inside the set is good for
+    Inf, T disjoint from it is bad; when T is a single bottom SCC the
+    remainder decides between good (transient) and ugly. Fin is the
+    good/bad swap of Inf. Compound conditions fold their children through
+    :func:`combine_and` and :func:`combine_or`. Raises ``ValueError`` if
+    the condition references an empty acceptance set.
     """
-    acc = frozenset(acc_states)
-    if not acc:
+    refs = acc_set_refs(cond)
+    if any(not acc_sets[k] for k in refs):
         raise ValueError("acceptance set must be non-empty")
-    trap = min_trap_set_of(index, state)
-    if trap.states <= acc:
+    every, some = reach_masks(index, acc_sets)
+    verdicts = []
+    for c, comp in enumerate(index.components):
+        bottom = not index.comp_succ[c]
+        transient = 0
+        if bottom:
+            for k in refs:
+                bit = 1 << k
+                partial = some[c] & bit and not every[c] & bit
+                if partial and is_transient(graph, comp - acc_sets[k]):
+                    transient |= bit
+        verdicts.append(_fold(cond, every[c], some[c], bottom, transient))
+    return verdicts
+
+
+def _fold(cond: AcceptanceCond, every: int, some: int, bottom: bool, transient: int) -> Verdict:
+    if isinstance(cond, Top):
         return Verdict.GOOD
-    if not trap.states & acc:
+    if isinstance(cond, Bot):
         return Verdict.BAD
-    if trap.minimal:
-        if is_transient(graph, trap.states - acc):
-            return Verdict.GOOD
-        return Verdict.UGLY
-    return Verdict.UNKNOWN
-
-
-def verdict_fin(
-    index: TrapIndex, graph: StateGraph, state: int, acc_states: Iterable[int]
-) -> Verdict:
-    """One-step verdict for "eventually avoid ``acc_states`` forever"."""
-    return swap_good_bad(verdict_inf(index, graph, state, acc_states))
+    if isinstance(cond, (Inf, Fin)):
+        bit = 1 << cond.set_index
+        if every & bit:
+            verdict = Verdict.GOOD
+        elif not some & bit:
+            verdict = Verdict.BAD
+        elif bottom:
+            verdict = Verdict.GOOD if transient & bit else Verdict.UGLY
+        else:
+            verdict = Verdict.UNKNOWN
+        return verdict if isinstance(cond, Inf) else swap_good_bad(verdict)
+    if isinstance(cond, AccAnd):
+        out = Verdict.GOOD
+        for child in cond.children:
+            out = combine_and(out, _fold(child, every, some, bottom, transient))
+        return out
+    if isinstance(cond, AccOr):
+        out = Verdict.BAD
+        for child in cond.children:
+            out = combine_or(out, _fold(child, every, some, bottom, transient))
+        return out
+    raise TypeError(f"not an acceptance condition: {cond!r}")
 
 
 def condition_verdict(
@@ -121,26 +158,28 @@ def condition_verdict(
     acc_sets: tuple[frozenset[int], ...],
     state: int,
 ) -> Verdict:
-    """Fold a full acceptance condition into one verdict at ``state``."""
-    if isinstance(cond, Top):
-        return Verdict.GOOD
-    if isinstance(cond, Bot):
-        return Verdict.BAD
-    if isinstance(cond, Fin):
-        return verdict_fin(index, graph, state, acc_sets[cond.set_index])
-    if isinstance(cond, Inf):
-        return verdict_inf(index, graph, state, acc_sets[cond.set_index])
-    if isinstance(cond, AccAnd):
-        out = Verdict.GOOD
-        for child in cond.children:
-            out = combine_and(out, condition_verdict(index, graph, child, acc_sets, state))
-        return out
-    if isinstance(cond, AccOr):
-        out = Verdict.BAD
-        for child in cond.children:
-            out = combine_or(out, condition_verdict(index, graph, child, acc_sets, state))
-        return out
-    raise TypeError(f"not an acceptance condition: {cond!r}")
+    """Fold a full acceptance condition into one verdict at ``state``.
+
+    Builds the whole :func:`component_verdicts` table for one answer; a
+    :class:`Monitor` keeps that table instead of asking per state.
+    """
+    if not 0 <= state < graph.num_states:
+        raise ValueError(f"unknown state {state}")
+    return component_verdicts(index, graph, cond, acc_sets)[index.state_to_comp[state]]
+
+
+def verdict_inf(
+    index: TrapIndex, graph: StateGraph, state: int, acc_states: Iterable[int]
+) -> Verdict:
+    """One-step verdict for "visit ``acc_states`` infinitely often"."""
+    return condition_verdict(index, graph, Inf(0), (frozenset(acc_states),), state)
+
+
+def verdict_fin(
+    index: TrapIndex, graph: StateGraph, state: int, acc_states: Iterable[int]
+) -> Verdict:
+    """One-step verdict for "eventually avoid ``acc_states`` forever"."""
+    return condition_verdict(index, graph, Fin(0), (frozenset(acc_states),), state)
 
 
 class MonitorAttachError(Exception):
@@ -150,48 +189,38 @@ class MonitorAttachError(Exception):
 class Monitor:
     """Stepwise monitor over one automaton's run.
 
-    Per-state verdicts are a pure function of the automaton, so they are
-    memoized across steps and survive resets; the conclusive-verdict
-    latch is per run segment and is what a reset clears.
+    Per-state verdicts are a pure function of the automaton, so
+    ``verdicts[q]`` holds the verdict at every state q, computed once
+    when the monitor is built; observing a state is a lookup. The
+    conclusive-verdict latch is per run segment and is what a reset
+    clears. Raises ``ValueError`` if the condition references an empty
+    acceptance set.
     """
 
-    def __init__(self, automaton: Automaton, *, use_cache: bool = True) -> None:
+    def __init__(self, automaton: Automaton) -> None:
         self.automaton = automaton
-        self.graph = state_graph(automaton)
-        self.index = build_index(self.graph, automaton.initial)
-        self.use_cache = use_cache
+        graph = state_graph(automaton)
+        index = build_index(graph, automaton.initial)
+        by_comp = component_verdicts(index, graph, automaton.condition, automaton.acc_sets)
+        self.verdicts = tuple(by_comp[c] for c in index.state_to_comp)
         self.current_verdict = Verdict.UNKNOWN
-        self._cache: dict[int, Verdict] = {}
-
-    def state_verdict(self, state: int) -> Verdict:
-        """Verdict of the acceptance condition at ``state``, latch-free."""
-        if self.use_cache:
-            cached = self._cache.get(state)
-            if cached is not None:
-                return cached
-        verdict = condition_verdict(
-            self.index, self.graph, self.automaton.condition, self.automaton.acc_sets, state
-        )
-        if self.use_cache:
-            self._cache[state] = verdict
-        return verdict
 
     def observe(self, state: int) -> Verdict:
         """Account for a transition into ``state``; conclusive verdicts latch."""
         if self.current_verdict.conclusive:
             return self.current_verdict
-        verdict = self.state_verdict(state)
+        verdict = self.verdicts[state]
         if verdict.conclusive:
             self.current_verdict = verdict
         return verdict
 
     def reset(self) -> None:
-        """Clear the latch for a fresh run segment; keeps the state cache."""
+        """Clear the latch for a fresh run segment; the verdict table stays."""
         self.current_verdict = Verdict.UNKNOWN
 
 
 def attach_monitor(
-    automaton: Automaton, *, complete: bool = False, use_cache: bool = True
+    automaton: Automaton, *, complete: bool = False
 ) -> tuple[Automaton, Monitor]:
     """Validate and monitor an automaton; optionally complete it first.
 
@@ -208,7 +237,7 @@ def attach_monitor(
                 "automaton is incomplete; enable stuttering completion to monitor it"
             )
         automaton = complete_by_stuttering(automaton)
-    return automaton, Monitor(automaton, use_cache=use_cache)
+    return automaton, Monitor(automaton)
 
 
 class VerdictOracle:

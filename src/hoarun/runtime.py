@@ -780,6 +780,13 @@ def prepare_runners(
                     f"hook {hook.ident}: state {target} does not exist in "
                     f"automaton {label}"
                 )
+            if isinstance(hook.trigger, CondTrigger):
+                unbound = [n for n in hook.trigger.ap_names if n not in positions]
+                if unbound:
+                    raise ConfigError(
+                        f"hook {hook.ident}: condition references unbound "
+                        f"proposition {unbound[0]!r}"
+                    )
         runner.hooks = matching
         runners.append(runner)
     return runners

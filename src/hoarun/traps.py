@@ -9,9 +9,8 @@ SCC.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .automata import StateGraph
 
@@ -32,22 +31,16 @@ class TrapSet:
 
 
 class TrapIndex:
-    """SCC decomposition of a state graph, ready for trap-set queries.
+    """SCC decomposition of a state graph and its condensation.
 
-    Components are numbered by their smallest member state. The memo of
-    per-component reachability is filled lazily and guarded by a lock so
-    concurrent queries stay observably pure.
+    Components are numbered by their smallest member state. ``order``
+    lists the component numbers sinks first, as Tarjan's algorithm emits
+    them: every component comes after all of its successors, so one pass
+    in that order can fold a property of everything a component reaches.
+    The index is immutable once built.
     """
 
-    __slots__ = (
-        "graph",
-        "components",
-        "state_to_comp",
-        "comp_succ",
-        "initial",
-        "_reach",
-        "_lock",
-    )
+    __slots__ = ("graph", "components", "state_to_comp", "comp_succ", "order", "initial")
 
     def __init__(
         self,
@@ -55,22 +48,18 @@ class TrapIndex:
         components: tuple[frozenset[int], ...],
         state_to_comp: tuple[int, ...],
         comp_succ: tuple[tuple[int, ...], ...],
+        order: tuple[int, ...],
         initial: frozenset[int],
     ) -> None:
         self.graph = graph
         self.components = components
         self.state_to_comp = state_to_comp
         self.comp_succ = comp_succ
+        self.order = order
         self.initial = initial
-        self._reach: dict[int, frozenset[int]] = {}
-        self._lock = threading.Lock()
 
     def reachable_comps(self, comp: int) -> frozenset[int]:
         """Component indices reachable from ``comp`` in the condensation, inclusive."""
-        with self._lock:
-            cached = self._reach.get(comp)
-        if cached is not None:
-            return cached
         seen = {comp}
         stack = [comp]
         while stack:
@@ -79,10 +68,7 @@ class TrapIndex:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        result = frozenset(seen)
-        with self._lock:
-            self._reach[comp] = result
-        return result
+        return frozenset(seen)
 
 
 def _scc_iterative(graph: StateGraph) -> list[list[int]]:
@@ -144,8 +130,12 @@ def build_index(graph: StateGraph, initial: Iterable[int] = ()) -> TrapIndex:
     """
     if graph.num_states == 0:
         raise ValueError("cannot index an empty graph")
-    comps = sorted(_scc_iterative(graph), key=min)
-    components = tuple(frozenset(c) for c in comps)
+    emitted = _scc_iterative(graph)
+    ranked = sorted(range(len(emitted)), key=lambda i: min(emitted[i]))
+    components = tuple(frozenset(emitted[i]) for i in ranked)
+    order = [0] * len(emitted)  # order[i]: number of the i-th component emitted
+    for ci, i in enumerate(ranked):
+        order[i] = ci
     state_to_comp = [0] * graph.num_states
     for ci, comp in enumerate(components):
         for q in comp:
@@ -158,7 +148,9 @@ def build_index(graph: StateGraph, initial: Iterable[int] = ()) -> TrapIndex:
             if cq != ct:
                 edges[cq].add(ct)
     comp_succ = tuple(tuple(sorted(e)) for e in edges)
-    return TrapIndex(graph, components, tuple(state_to_comp), comp_succ, frozenset(initial))
+    return TrapIndex(
+        graph, components, tuple(state_to_comp), comp_succ, tuple(order), frozenset(initial)
+    )
 
 
 def min_trap_set_of(index: TrapIndex, state: int) -> TrapSet:
@@ -174,6 +166,37 @@ def min_trap_set_of(index: TrapIndex, state: int) -> TrapSet:
         minimal=len(components) == 1,
         trivial=bool(states & index.initial),
     )
+
+
+def reach_masks(
+    index: TrapIndex, acc_sets: Sequence[Iterable[int]]
+) -> tuple[list[int], list[int]]:
+    """Per component, what its smallest trap set shares with ``acc_sets``.
+
+    Returns ``(every, some)``: bit k of ``every[c]`` is set iff every
+    state reachable from component c lies in ``acc_sets[k]``, and bit k of
+    ``some[c]`` iff at least one does. One pass over the condensation,
+    sinks first, so the whole table costs time linear in states plus
+    condensation edges.
+    """
+    member = [0] * index.graph.num_states
+    for k, states in enumerate(acc_sets):
+        for q in states:
+            member[q] |= 1 << k
+    every = [0] * len(index.components)
+    some = [0] * len(index.components)
+    full = (1 << len(acc_sets)) - 1
+    for c in index.order:
+        all_in, any_in = full, 0
+        for q in index.components[c]:
+            all_in &= member[q]
+            any_in |= member[q]
+        for d in index.comp_succ[c]:
+            all_in &= every[d]
+            any_in |= some[d]
+        every[c] = all_in
+        some[c] = any_in
+    return every, some
 
 
 def bsccs(index: TrapIndex) -> list[frozenset[int]]:

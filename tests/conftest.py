@@ -9,7 +9,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # The suite runs the package from its source tree, without an install. The
 # absolute path of `src` keeps `hoarun` importable whatever the working
 # directory: in this process, and in every child process the tests start
-# (`python -m hoarun`, `scripts/lock_bench.py`), which inherits PYTHONPATH and
+# (`python -m hoarun`, `perfbench/child.py`), which inherits PYTHONPATH and
 # may run in a temporary directory. Nothing else in the child environment is
 # set, so each child still draws its own hash seed.
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -55,6 +55,67 @@ def brute_least_trap_containing(graph: StateGraph, state: int) -> frozenset[int]
     return least
 
 
+def brute_has_cycle(graph: StateGraph, members: frozenset[int]) -> bool:
+    """True iff some member reaches itself without leaving ``members``."""
+    for start in members:
+        seen: set[int] = set()
+        frontier = [t for t in graph.succ[start] if t in members]
+        while frontier:
+            node = frontier.pop()
+            if node == start:
+                return True
+            if node not in seen:
+                seen.add(node)
+                frontier.extend(t for t in graph.succ[node] if t in members)
+    return False
+
+
+def brute_trap_verdict(
+    graph: StateGraph,
+    cond: AcceptanceCond,
+    acc_sets: tuple[frozenset[int], ...],
+    state: int,
+):
+    """One-step verdict at ``state``, straight from the trap-set definition.
+
+    With T the least trap set containing ``state`` (found by subset scan):
+    Inf(k) is good if T lies inside set k, bad if T misses it, and when T
+    is a minimal trap set, good if T minus set k is acyclic and ugly
+    otherwise; anything else is unknown. Fin(k) swaps good and bad, and
+    compound conditions fold through the package's combination tables.
+    """
+    from hoarun.monitoring import Verdict, combine_and, combine_or, swap_good_bad
+
+    trap = brute_least_trap_containing(graph, state)
+    minimal = trap in brute_minimal_traps(graph)
+
+    def inf(acc: frozenset[int]) -> Verdict:
+        if trap <= acc:
+            return Verdict.GOOD
+        if not trap & acc:
+            return Verdict.BAD
+        if minimal:
+            return Verdict.UGLY if brute_has_cycle(graph, trap - acc) else Verdict.GOOD
+        return Verdict.UNKNOWN
+
+    def fold(node: AcceptanceCond) -> Verdict:
+        if isinstance(node, Top):
+            return Verdict.GOOD
+        if isinstance(node, Bot):
+            return Verdict.BAD
+        if isinstance(node, Inf):
+            return inf(acc_sets[node.set_index])
+        if isinstance(node, Fin):
+            return swap_good_bad(inf(acc_sets[node.set_index]))
+        out = Verdict.GOOD if isinstance(node, AccAnd) else Verdict.BAD
+        combine = combine_and if isinstance(node, AccAnd) else combine_or
+        for child in node.children:
+            out = combine(out, fold(child))
+        return out
+
+    return fold(cond)
+
+
 # ---------------------------------------------------------------------------
 # Independent SCC reference (Kosaraju, recursive-free)
 

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,21 @@ max_steps = 50
     assert code == 5
 
 
+def test_run_cond_trigger_on_unknown_proposition_fails_at_load(tmp_path):
+    # a header-only trace never evaluates the trigger, so only a check
+    # made before the run can catch the unknown name
+    config = write(tmp_path, "run.cfg", "[hooks.watch]\ntrigger = cond: q\naction = log:q\n")
+    trace = write(tmp_path, "t.trace", "p\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "hoarun", "run", "--config", config, "--trace", trace, MINIMAL],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "'q'" in result.stderr
+
+
 def test_run_missing_driver_binding_is_config_error(capsys):
     assert main(["run", "--steps", "1", MINIMAL]) == 1
     assert "no driver" in capsys.readouterr().err
@@ -334,18 +350,29 @@ def test_stdout_bytes_identical_across_runs(tmp_path):
     assert first.stdout  # non-empty
 
 
-def test_lock_bench_script_smoke(tmp_path):
-    script = Path(__file__).parent.parent / "scripts" / "lock_bench.py"
-    result = subprocess.run(
-        [
-            sys.executable, str(script),
-            "--sizes", "2", "--lengths", "400", "--violations", "2",
-            "--repetitions", "1",
-        ],
-        capture_output=True,
-        text=True,
+def test_perfbench_tracer_smoke(tmp_path):
+    # the benchmark's per-layer mode wraps these names in hoarun.cli,
+    # hoarun.monitoring and hoarun.runtime; a renamed one breaks it
+    wrapped = {
+        "hoa.parse", "monitoring.attach", "runtime.prepare_runners",
+        "runtime.resolve_bindings", "automata.is_deterministic",
+        "automata.is_complete", "traps.build_index", "traps.min_trap_set_of",
+        "traps.is_transient", "monitoring.condition_verdict",
+        "runtime.collect_valuation", "runtime.step", "monitoring.observe",
+        "cli.on_event", "runtime.run_loop",
+    }
+    trace, monitors = str(tmp_path / "l.trace"), str(tmp_path / "l.hoa")
+    assert main(["gen-locks", "--n", "2", "--len", "200", "--violations", "1",
+                 "--out-trace", trace, "--out-monitors", monitors]) == 0
+    args = ["run", "--trace", trace, "--monitor", "--negated", monitors]
+    plain = subprocess.run([sys.executable, "-m", "hoarun", *args], capture_output=True)
+    child = Path(__file__).parent.parent / "perfbench" / "child.py"
+    out = tmp_path / "out"
+    traced = subprocess.run(
+        [sys.executable, str(child), "trace", str(out), *args], capture_output=True
     )
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.strip().splitlines()
-    assert len(lines) == 2
-    assert lines[1].split()[:4] == ["2", "400", "8", "2"]
+    assert traced.returncode == plain.returncode, traced.stderr
+    assert traced.stdout == plain.stdout
+    aggregates = json.loads((tmp_path / "out.json").read_text())["aggregates"]
+    assert wrapped <= set(aggregates)
+    assert aggregates["monitoring.observe"]["calls"] > 0

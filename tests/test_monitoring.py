@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_det_complete_automaton, reachable_from
+from helpers import brute_trap_verdict, random_det_complete_automaton, reachable_from
 from hoarun.automata import (
     Automaton,
     Fin,
@@ -217,14 +217,29 @@ def test_monitor_latching_and_reset():
     assert monitor.observe(1) is Verdict.BAD
 
 
-def test_cache_coherence():
-    rng = Random(77)
-    for _ in range(30):
-        aut = random_det_complete_automaton(rng, max_states=6, max_aps=2)
-        cached = Monitor(aut, use_cache=True)
-        uncached = Monitor(aut, use_cache=False)
-        for q in range(aut.num_states):
-            assert cached.state_verdict(q) is uncached.state_verdict(q)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_verdict_table_matches_trap_set_definition(seed):
+    # every entry, unknown ones included: soundness alone (criterion 3)
+    # would also accept a table that never commits to a verdict
+    aut = random_det_complete_automaton(Random(seed), max_states=7, max_aps=2, cond_depth=3)
+    graph = state_graph(aut)
+    expected = tuple(
+        brute_trap_verdict(graph, aut.condition, aut.acc_sets, q)
+        for q in range(aut.num_states)
+    )
+    assert Monitor(aut).verdicts == expected
+
+
+def test_empty_acceptance_set_fails_when_monitor_is_built():
+    referenced = uv_automaton(acc_and(Inf(0), Fin(1)), acc_sets=(frozenset({0}), frozenset()))
+    with pytest.raises(ValueError, match="non-empty"):
+        Monitor(referenced)
+    with pytest.raises(ValueError, match="non-empty"):
+        attach_monitor(referenced)
+    # an empty set the condition does not mention is harmless
+    unreferenced = uv_automaton(Inf(0), acc_sets=(frozenset({0}), frozenset()))
+    assert attach_monitor(unreferenced)[1].verdicts == (Verdict.UGLY, Verdict.UGLY)
 
 
 def test_attach_monitor_refusals():

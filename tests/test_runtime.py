@@ -455,6 +455,16 @@ def test_goto_validation_against_scope():
         prepare_runners([aut], build_universe([aut]), hooks)
 
 
+def test_cond_trigger_validation_against_universe():
+    aut = pq_automaton("m")
+    unbound = (HookSpec("watch", CondTrigger(Ap(0), ("q",)), LogAction("q seen")),)
+    with pytest.raises(ConfigError, match="'q'"):
+        prepare_runners([aut], build_universe([aut]), unbound)
+    bound = (HookSpec("watch", CondTrigger(Ap(0), ("p",)), LogAction("p seen")),)
+    (runner,) = prepare_runners([aut], build_universe([aut]), bound)
+    assert runner.hooks == bound
+
+
 def test_resolve_bindings_requires_default():
     aut = pq_automaton()
     with pytest.raises(ConfigError):

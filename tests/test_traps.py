@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    brute_has_cycle,
     brute_least_trap_containing,
     brute_minimal_traps,
     brute_trap_sets,
@@ -93,6 +94,11 @@ def test_sccs_match_kosaraju(seed):
     graph = random_graph(Random(seed), max_states=9)
     index = build_index(graph)
     assert set(index.components) == kosaraju_sccs(graph)
+    # sinks first: every component comes after each of its successors
+    position = {c: i for i, c in enumerate(index.order)}
+    assert sorted(position) == list(range(len(index.components)))
+    for c, succ in enumerate(index.comp_succ):
+        assert all(position[d] < position[c] for d in succ)
 
 
 @settings(max_examples=80, deadline=None)
@@ -131,22 +137,8 @@ def test_transient_iff_induced_acyclic(seed):
     rng = Random(seed)
     graph = random_graph(rng, max_states=7)
     n = graph.num_states
-    members = {q for q in range(n) if rng.random() < 0.5}
-    # brute force: a cycle exists iff some member reaches itself inside members
-    def reaches_itself(start):
-        frontier = [t for t in graph.succ[start] if t in members]
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            if node == start:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(t for t in graph.succ[node] if t in members)
-        return False
-
-    has_cycle = any(reaches_itself(q) for q in members)
+    members = frozenset(q for q in range(n) if rng.random() < 0.5)
+    has_cycle = brute_has_cycle(graph, members)
     assert is_transient(graph, members) == (not has_cycle)
 
 
