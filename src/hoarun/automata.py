@@ -10,18 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .labels import (
-    DEFAULT_ENUM_CAP,
-    TRUE,
-    LabelExpr,
-    Not,
-    Valuation,
-    are_disjoint,
-    covers_all,
-    evaluate,
-    lor,
-    occurring_aps,
-)
+from .labels import TRUE, LabelExpr, Not, are_disjoint, covers_all, lor, occurring_aps
 
 
 class AcceptanceCond:
@@ -159,9 +148,6 @@ class Automaton:
     def display_id(self, state: int) -> int:
         return state if self.display_ids is None else self.display_ids[state]
 
-    def outgoing(self, state: int) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.src == state)
-
 
 @dataclass(frozen=True, slots=True)
 class StateGraph:
@@ -189,19 +175,6 @@ def state_graph(automaton: Automaton) -> StateGraph:
     )
 
 
-def successors(automaton: Automaton, state: int, valuation: Valuation) -> frozenset[int]:
-    """States reachable from ``state`` in one step under ``valuation``.
-
-    An empty result is a deadlock under that input; more than one element
-    means the step is nondeterministic. Both are data, not errors.
-    """
-    return frozenset(
-        t.dst
-        for t in automaton.transitions
-        if t.src == state and evaluate(t.label, valuation)
-    )
-
-
 def _labels_by_state(automaton: Automaton) -> list[list[LabelExpr]]:
     out: list[list[LabelExpr]] = [[] for _ in range(automaton.num_states)]
     for t in automaton.transitions:
@@ -209,71 +182,40 @@ def _labels_by_state(automaton: Automaton) -> list[list[LabelExpr]]:
     return out
 
 
-def is_deterministic(
-    automaton: Automaton, *, max_enum_aps: int = DEFAULT_ENUM_CAP
-) -> bool:
-    """Single initial state and pairwise-disjoint outgoing labels everywhere."""
+def is_deterministic(automaton: Automaton) -> bool:
+    """Single initial state and pairwise-disjoint labels leaving every state."""
     if len(automaton.initial) != 1:
         return False
     ap_count = len(automaton.aps)
     for labels in _labels_by_state(automaton):
         for i in range(len(labels)):
             for j in range(i + 1, len(labels)):
-                if not are_disjoint(
-                    labels[i], labels[j], ap_count, max_enum_aps=max_enum_aps
-                ):
+                if not are_disjoint(labels[i], labels[j], ap_count):
                     return False
     return True
 
 
-def is_complete(automaton: Automaton, *, max_enum_aps: int = DEFAULT_ENUM_CAP) -> bool:
-    """Every state's outgoing labels jointly cover every valuation."""
+def is_complete(automaton: Automaton) -> bool:
+    """The labels leaving each state jointly cover every valuation."""
     ap_count = len(automaton.aps)
-    return all(
-        covers_all(labels, ap_count, max_enum_aps=max_enum_aps)
-        for labels in _labels_by_state(automaton)
-    )
+    return all(covers_all(labels, ap_count) for labels in _labels_by_state(automaton))
 
 
-def complete_by_stuttering(
-    automaton: Automaton, *, max_enum_aps: int = DEFAULT_ENUM_CAP
-) -> Automaton:
+def complete_by_stuttering(automaton: Automaton) -> Automaton:
     """Add a self-loop on the uncovered inputs of each incomplete state.
 
-    The loop label is the complement of the disjunction of the state's
-    outgoing labels (plain ``t`` when there are none), so the result is
+    The loop label is the complement of the disjunction of the labels
+    leaving the state (plain ``t`` when there are none), so the result is
     complete and determinism is preserved. Returns the input unchanged
     when it is already complete.
     """
     ap_count = len(automaton.aps)
     added: list[Transition] = []
     for state, labels in enumerate(_labels_by_state(automaton)):
-        if covers_all(labels, ap_count, max_enum_aps=max_enum_aps):
+        if covers_all(labels, ap_count):
             continue
         label = TRUE if not labels else Not(lor(*labels))
         added.append(Transition(state, label, state))
     if not added:
         return automaton
     return replace(automaton, transitions=automaton.transitions + tuple(added))
-
-
-def run_accepts(
-    inf_set: Iterable[int],
-    cond: AcceptanceCond,
-    acc_sets: tuple[frozenset[int], ...],
-) -> bool:
-    """Whether a run visiting exactly ``inf_set`` infinitely often is accepting."""
-    visited = frozenset(inf_set)
-    if isinstance(cond, Top):
-        return True
-    if isinstance(cond, Bot):
-        return False
-    if isinstance(cond, Fin):
-        return not visited & acc_sets[cond.set_index]
-    if isinstance(cond, Inf):
-        return bool(visited & acc_sets[cond.set_index])
-    if isinstance(cond, AccAnd):
-        return all(run_accepts(visited, c, acc_sets) for c in cond.children)
-    if isinstance(cond, AccOr):
-        return any(run_accepts(visited, c, acc_sets) for c in cond.children)
-    raise TypeError(f"not an acceptance condition: {cond!r}")

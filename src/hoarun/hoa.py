@@ -4,7 +4,7 @@ Supported subset: `HOA: v1`, `States:`, repeated `Start:` lines, `AP:`,
 `Acceptance:`, `Alias:`, plus `name:`, `tool:`, `acc-name:` and
 `properties:` (stored for round-tripping, never trusted). Bodies may use
 explicit bracketed labels, implicit valuation-ordered edge lists, or
-state labels shared by all outgoing edges. Acceptance marks must sit on
+state labels shared by all edges leaving a state. Acceptance marks must sit on
 states; marks on edges, negated set references `Fin(!k)`/`Inf(!k)`, and
 universal branching are rejected with positioned diagnostics.
 """

@@ -5,12 +5,15 @@ proposition index. Semantic checks (disjointness, covering) enumerate
 assignments of the propositions that actually occur in the formulas
 under test: unreferenced propositions cannot affect the result, so the
 checks stay exact while touching at most 2**k cases for k occurring
-propositions. A hard cap keeps that enumeration predictable.
+propositions. A hard cap keeps that enumeration predictable. The checks
+and the runtime evaluate formulas through :func:`compile_label`;
+:func:`evaluate` is the tree-walking reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 DEFAULT_ENUM_CAP = 16
@@ -162,58 +165,45 @@ def occurring_aps(*exprs: LabelExpr) -> frozenset[int]:
     return frozenset(found)
 
 
-def _occurring_or_raise(
-    exprs: Iterable[LabelExpr], ap_count: int, cap: int
-) -> tuple[int, ...]:
-    occ = sorted(occurring_aps(*exprs))
-    if occ and occ[-1] >= ap_count:
+def _occurring_or_raise(exprs: Iterable[LabelExpr], ap_count: int) -> int:
+    """Bit mask of the propositions occurring in ``exprs``, within the cap."""
+    occ = occurring_aps(*exprs)
+    if occ and max(occ) >= ap_count:
         raise ValueError(
-            f"formula references proposition {occ[-1]} but only {ap_count} declared"
+            f"formula references proposition {max(occ)} but only {ap_count} declared"
         )
-    if len(occ) > cap:
+    if len(occ) > DEFAULT_ENUM_CAP:
         raise CapacityError(
-            f"check would enumerate {len(occ)} propositions (cap {cap})"
+            f"check would enumerate {len(occ)} propositions (cap {DEFAULT_ENUM_CAP})"
         )
-    return tuple(occ)
+    return sum(1 << index for index in occ)
 
 
-def _assignments(occ: tuple[int, ...], width: int) -> Iterator[Valuation]:
-    for mask in range(1 << len(occ)):
-        bits = 0
-        for pos, index in enumerate(occ):
-            if mask >> pos & 1:
-                bits |= 1 << index
-        yield Valuation(bits, width)
+def _assignments(mask: int) -> Iterator[int]:
+    """Every valuation whose true propositions lie within ``mask``."""
+    bits = 0
+    while True:
+        yield bits
+        if bits == mask:
+            return
+        bits = (bits - mask) & mask  # next subset of mask, in increasing order
 
 
-def are_disjoint(
-    a: LabelExpr,
-    b: LabelExpr,
-    ap_count: int,
-    *,
-    max_enum_aps: int = DEFAULT_ENUM_CAP,
-) -> bool:
+def are_disjoint(a: LabelExpr, b: LabelExpr, ap_count: int) -> bool:
     """True iff no valuation satisfies both formulas."""
-    occ = _occurring_or_raise((a, b), ap_count, max_enum_aps)
-    for valuation in _assignments(occ, ap_count):
-        if evaluate(a, valuation) and evaluate(b, valuation):
-            return False
-    return True
+    mask = _occurring_or_raise((a, b), ap_count)
+    holds_a, holds_b = compile_label(a), compile_label(b)
+    return not any(holds_a(bits) and holds_b(bits) for bits in _assignments(mask))
 
 
-def covers_all(
-    labels: Iterable[LabelExpr],
-    ap_count: int,
-    *,
-    max_enum_aps: int = DEFAULT_ENUM_CAP,
-) -> bool:
+def covers_all(labels: Iterable[LabelExpr], ap_count: int) -> bool:
     """True iff every valuation satisfies at least one of the labels."""
     labels = tuple(labels)
-    occ = _occurring_or_raise(labels, ap_count, max_enum_aps)
-    for valuation in _assignments(occ, ap_count):
-        if not any(evaluate(label, valuation) for label in labels):
-            return False
-    return True
+    mask = _occurring_or_raise(labels, ap_count)
+    predicates = [compile_label(label) for label in labels]
+    return all(
+        any(holds(bits) for holds in predicates) for bits in _assignments(mask)
+    )
 
 
 def minterm(index: int, ap_count: int) -> LabelExpr:
@@ -224,30 +214,48 @@ def minterm(index: int, ap_count: int) -> LabelExpr:
     return land(*literals)
 
 
-def compile_label(expr: LabelExpr) -> Callable[[int], object]:
+@cache
+def compile_label(
+    expr: LabelExpr, positions: tuple[int, ...] | None = None
+) -> Callable[[int], object]:
     """Compile a formula into one code object over the valuation bits.
 
     The result is truthy iff the formula holds; equivalent to
-    :func:`evaluate` but without width checks, for the stepping hot path.
+    :func:`evaluate` but without width checks. ``Ap(i)`` reads bit
+    ``positions[i]`` of the valuation, or bit ``i`` when ``positions`` is
+    None, so a formula over an automaton's own propositions runs directly
+    on a valuation over a wider, differently ordered proposition list.
+    Each distinct (formula, positions) pair is compiled once per process
+    and the code object is shared; the memo holds one entry per pair
+    asked for, so it is bounded by the labels and conditions loaded.
     """
-    return eval(f"lambda b: {_py_source(expr)}", {"__builtins__": {}})
+    return eval(f"lambda b: {_py_source(expr, positions)}", {"__builtins__": {}})
 
 
-def _py_source(expr: LabelExpr) -> str:
+def _py_source(expr: LabelExpr, positions: tuple[int, ...] | None) -> str:
+    # parenthesised only where precedence needs it (`not` binds tighter
+    # than `and`, `and` than `or`): the parser allows 200 nested
+    # parentheses, and chains of negations through aliases run deeper
     if isinstance(expr, Ap):
-        return f"(b >> {expr.index} & 1)"
+        bit = expr.index if positions is None else positions[expr.index]
+        return f"b >> {bit} & 1"
     if isinstance(expr, TrueLabel):
         return "True"
     if isinstance(expr, FalseLabel):
         return "False"
     if isinstance(expr, Not):
-        return f"(not {_py_source(expr.child)})"
+        child = _py_source(expr.child, positions)
+        return f"not ({child})" if isinstance(expr.child, (And, Or)) else f"not {child}"
     if isinstance(expr, And):
         if not expr.children:
             return "True"
-        return "(" + " and ".join(_py_source(c) for c in expr.children) + ")"
+        terms = []
+        for c in expr.children:
+            term = _py_source(c, positions)
+            terms.append(f"({term})" if isinstance(c, Or) else term)
+        return " and ".join(terms)
     if isinstance(expr, Or):
         if not expr.children:
             return "False"
-        return "(" + " or ".join(_py_source(c) for c in expr.children) + ")"
+        return " or ".join(_py_source(c, positions) for c in expr.children)
     raise TypeError(f"not a label expression: {expr!r}")

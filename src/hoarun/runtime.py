@@ -2,9 +2,11 @@
 hooks react to nondeterminism, deadlock, verdict changes and user conditions.
 
 Atomic propositions are shared across automata by name: every step one
-global valuation is collected, and each runner projects it through its
-own proposition list. All randomness flows from per-purpose streams
-derived from the global seed, so identical inputs replay identically.
+global valuation is collected, and every transition label and ``cond:``
+formula is compiled once against the global positions of the names it
+uses, so each runner reads that valuation directly. All randomness flows
+from per-purpose streams derived from the global seed, so identical
+inputs replay identically.
 """
 
 from __future__ import annotations
@@ -17,19 +19,7 @@ from random import Random
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .automata import Automaton
-from .labels import (
-    FALSE,
-    TRUE,
-    And,
-    Ap,
-    LabelExpr,
-    Not,
-    Or,
-    Valuation,
-    compile_label,
-    land,
-    lor,
-)
+from .labels import FALSE, TRUE, Ap, LabelExpr, Not, Valuation, compile_label, land, lor
 from .monitoring import Monitor, Verdict
 
 
@@ -542,28 +532,16 @@ def load_config(path: str) -> Config:
 # Runners and the loop
 
 
-@dataclass(frozen=True, slots=True)
-class Advanced:
-    state: int
-
-
-@dataclass(frozen=True, slots=True)
-class Deadlock:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Nondeterministic:
-    candidates: tuple[int, ...]
-
-
-StepOutcome = Advanced | Deadlock | Nondeterministic
-
-
 class Runner:
-    """Tracks one automaton's current state through the execution loop."""
+    """Tracks one automaton's current state through the execution loop.
 
-    def __init__(self, automaton: Automaton, label: str, index: int):
+    ``projection[i]`` is the bit of the global valuation that holds the
+    automaton's proposition i.
+    """
+
+    def __init__(
+        self, automaton: Automaton, label: str, index: int, projection: tuple[int, ...]
+    ):
         self.automaton = automaton
         self.label = label
         self.index = index
@@ -572,48 +550,33 @@ class Runner:
         self.step_count = 0
         self.monitor: Monitor | None = None
         self.hooks: tuple[HookSpec, ...] = ()
-        self.projection: tuple[int, ...] = ()
-        self._identity_projection = True
-        # per-state compiled (predicate, target) pairs for the hot path
-        out: list[list[tuple[Callable[[int], object], int]]] = [
+        # (predicate over the global valuation bits, hook) per cond: hook
+        self.conditions: tuple[tuple[Callable[[int], object], HookSpec], ...] = ()
+        # per-state (predicate over the global valuation bits, target) pairs
+        self.table: list[list[tuple[Callable[[int], object], int]]] = [
             [] for _ in range(automaton.num_states)
         ]
         for t in automaton.transitions:
-            out[t.src].append((compile_label(t.label), t.dst))
-        self._compiled = out
-
-    def project(self, valuation: Valuation) -> int:
-        if self._identity_projection:
-            return valuation.bits
-        bits = 0
-        for local, global_pos in enumerate(self.projection):
-            if valuation.bits >> global_pos & 1:
-                bits |= 1 << local
-        return bits
-
-    def candidates(self, valuation: Valuation) -> tuple[int, ...]:
-        bits = self.project(valuation)
-        found: list[int] = []
-        for predicate, target in self._compiled[self.current_state]:
-            if predicate(bits) and target not in found:
-                found.append(target)
-        return tuple(sorted(found))
+            self.table[t.src].append((compile_label(t.label, projection), t.dst))
 
 
-def step(runner: Runner, valuation: Valuation) -> StepOutcome:
-    """Evaluate one input on a runner.
+def step(runner: Runner, valuation: Valuation) -> tuple[int, ...]:
+    """Evaluate one input on a runner; returns its candidate states, sorted.
 
-    Exactly one successor advances the runner (state, step count, and the
-    monitor's view); zero or several successors are reported as outcomes
-    and leave the runner untouched until hooks decide.
+    Exactly one candidate advances the runner (state, step count, and the
+    monitor's view); none (a deadlock) or several (nondeterminism) leave
+    the runner untouched until hooks decide.
     """
-    found = runner.candidates(valuation)
-    if not found:
-        return Deadlock()
-    if len(found) > 1:
-        return Nondeterministic(found)
-    _advance(runner, found[0])
-    return Advanced(found[0])
+    bits = valuation.bits
+    found: list[int] = []
+    for holds, target in runner.table[runner.current_state]:
+        if holds(bits) and target not in found:
+            found.append(target)
+    if len(found) == 1:
+        _advance(runner, found[0])
+    else:
+        found.sort()
+    return tuple(found)
 
 
 def _advance(runner: Runner, state: int) -> None:
@@ -754,21 +717,18 @@ def prepare_runners(
     universe: Sequence[str],
     hooks: Sequence[HookSpec] = (),
 ) -> list[Runner]:
-    """Create runners, resolve projections, and attach scoped hooks."""
+    """Create runners, compile their labels and ``cond:`` formulas against
+    the universe's positions, and attach scoped hooks."""
     runners = []
     positions = {name: i for i, name in enumerate(universe)}
     for index, automaton in enumerate(automata):
         label = automaton.name if automaton.name else str(index)
-        runner = Runner(automaton, label, index)
-        runner.projection = tuple(positions[name] for name in automaton.aps)
-        # prefix-identity projections can pass the global bits straight
-        # through; compiled labels never read past their own propositions
-        runner._identity_projection = runner.projection == tuple(
-            range(len(automaton.aps))
-        )
+        projection = tuple(positions[name] for name in automaton.aps)
+        runner = Runner(automaton, label, index, projection)
         matching = tuple(
             h for h in hooks if h.scope in ("*", runner.label, str(index))
         )
+        conditions = []
         for hook in matching:
             target = None
             if isinstance(hook.action, GotoAction):
@@ -787,7 +747,10 @@ def prepare_runners(
                         f"hook {hook.ident}: condition references unbound "
                         f"proposition {unbound[0]!r}"
                     )
+                cond_positions = tuple(positions[n] for n in hook.trigger.ap_names)
+                conditions.append((compile_label(hook.trigger.expr, cond_positions), hook))
         runner.hooks = matching
+        runner.conditions = tuple(conditions)
         runners.append(runner)
     return runners
 
@@ -801,11 +764,7 @@ class _LoopContext:
         self.outstream = interactive_out if interactive_out is not None else sys.stderr
         self.verdicts: list[VerdictEvent] = []
         self.step_index = 0
-        self.cond_cache: dict[int, Callable[[int], object]] = {}
         self.valuation: Valuation | None = None
-        self.universe_positions: dict[str, int] = {
-            name: i for i, (name, _) in enumerate(bindings)
-        }
 
 
 def run_loop(
@@ -875,16 +834,12 @@ def _latched(runner: Runner) -> Verdict | None:
 
 def _step_runner(runner: Runner, valuation: Valuation, ctx: _LoopContext) -> None:
     before = _latched(runner)
-    outcome = step(runner, valuation)
-    if isinstance(outcome, Advanced):
+    candidates = step(runner, valuation)
+    if len(candidates) == 1:
         _emit_verdict_change(runner, before, ctx)
         _fire_poststep_hooks(runner, ctx)
-    elif isinstance(outcome, Nondeterministic):
-        if not _fire_resolution_hooks(runner, outcome, ctx):
-            raise _Fatal("nondeterminism", runner.label)
-    else:
-        if not _fire_resolution_hooks(runner, outcome, ctx):
-            raise _Fatal("deadlock", runner.label)
+    elif not _fire_resolution_hooks(runner, candidates, ctx):
+        raise _Fatal("nondeterminism" if candidates else "deadlock", runner.label)
 
 
 def _emit_verdict_change(runner: Runner, before: Verdict | None, ctx: _LoopContext) -> None:
@@ -905,59 +860,26 @@ def _emit_verdict_change(runner: Runner, before: Verdict | None, ctx: _LoopConte
 def _fire_poststep_hooks(runner: Runner, ctx: _LoopContext) -> None:
     # the state check and the condition check are separate occurrences;
     # within each, the first matching hook wins
-    valuation = ctx.valuation
     for hook in runner.hooks:
         if isinstance(hook.trigger, StateTrigger) and runner.current_state == hook.trigger.state:
             _apply_action(runner, hook, (), ctx)
             break
+    bits = ctx.valuation.bits
+    for holds, hook in runner.conditions:
+        if holds(bits):
+            _apply_action(runner, hook, (), ctx)
+            break
+
+
+def _fire_resolution_hooks(
+    runner: Runner, candidates: tuple[int, ...], ctx: _LoopContext
+) -> bool:
+    """First matching hook resolves a deadlock (no candidates) or
+    nondeterminism (several); log actions observe and fall through.
+    Returns False when nothing resolved it."""
+    trigger = NondetTrigger if candidates else DeadlockTrigger
     for hook in runner.hooks:
-        if isinstance(hook.trigger, CondTrigger):
-            if valuation is not None and _cond_holds(hook.trigger, valuation, ctx):
-                _apply_action(runner, hook, (), ctx)
-                break
-
-
-def _cond_holds(trigger: CondTrigger, valuation: Valuation, ctx: _LoopContext) -> bool:
-    key = id(trigger)
-    predicate = ctx.cond_cache.get(key)
-    if predicate is None:
-        try:
-            mapping = tuple(
-                ctx.universe_positions[name] for name in trigger.ap_names
-            )
-        except KeyError as exc:
-            raise ConfigError(
-                f"condition references unbound proposition {exc.args[0]!r}"
-            ) from None
-        remapped = _remap(trigger.expr, mapping)
-        predicate = compile_label(remapped)
-        ctx.cond_cache[key] = predicate
-    return bool(predicate(valuation.bits))
-
-
-def _remap(expr: LabelExpr, mapping: tuple[int, ...]) -> LabelExpr:
-    if isinstance(expr, Ap):
-        return Ap(mapping[expr.index])
-    if isinstance(expr, Not):
-        return Not(_remap(expr.child, mapping))
-    if isinstance(expr, And):
-        return And(tuple(_remap(c, mapping) for c in expr.children))
-    if isinstance(expr, Or):
-        return Or(tuple(_remap(c, mapping) for c in expr.children))
-    return expr
-
-
-def _fire_resolution_hooks(runner: Runner, outcome: StepOutcome, ctx: _LoopContext) -> bool:
-    """First matching hook resolves the event; log actions observe and
-    fall through. Returns False when nothing resolved it."""
-    want_nondet = isinstance(outcome, Nondeterministic)
-    for hook in runner.hooks:
-        if want_nondet and not isinstance(hook.trigger, NondetTrigger):
-            continue
-        if not want_nondet and not isinstance(hook.trigger, DeadlockTrigger):
-            continue
-        candidates = outcome.candidates if want_nondet else ()
-        if _apply_action(runner, hook, candidates, ctx):
+        if isinstance(hook.trigger, trigger) and _apply_action(runner, hook, candidates, ctx):
             return True
     return False
 
@@ -970,15 +892,11 @@ def _apply_action(
 ) -> bool:
     """Apply one hook action; True iff it resolved the triggering event."""
     action = hook.action
-    if isinstance(action, RandomChoiceAction):
-        choice = candidates[ctx.hook_rng.randrange(len(candidates))]
-        before = _latched(runner)
-        _advance(runner, choice)
-        _emit_verdict_change(runner, before, ctx)
-        _fire_poststep_hooks(runner, ctx)
-        return True
-    if isinstance(action, PromptAction):
-        choice = _prompt_choice(runner, candidates, ctx)
+    if isinstance(action, (RandomChoiceAction, PromptAction)):
+        if isinstance(action, RandomChoiceAction):
+            choice = candidates[ctx.hook_rng.randrange(len(candidates))]
+        else:
+            choice = _prompt_choice(runner, candidates, ctx)
         before = _latched(runner)
         _advance(runner, choice)
         _emit_verdict_change(runner, before, ctx)

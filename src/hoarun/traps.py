@@ -35,8 +35,8 @@ class TrapIndex:
 
     Components are numbered by their smallest member state. ``order``
     lists the component numbers sinks first, as Tarjan's algorithm emits
-    them: every component comes after all of its successors, so one pass
-    in that order can fold a property of everything a component reaches.
+    them: each component comes after every other component it reaches, so
+    one pass in that order can fold a property of everything it reaches.
     The index is immutable once built.
     """
 
@@ -200,7 +200,7 @@ def reach_masks(
 
 
 def bsccs(index: TrapIndex) -> list[frozenset[int]]:
-    """Components with no outgoing condensation edges, in index order."""
+    """Components no condensation edge leaves, in index order."""
     return [
         index.components[c]
         for c in range(len(index.components))

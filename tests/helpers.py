@@ -21,7 +21,19 @@ from hoarun.automata import (
     Top,
     Transition,
 )
-from hoarun.labels import lor, minterm
+from hoarun.labels import (
+    FALSE,
+    TRUE,
+    And,
+    Ap,
+    LabelExpr,
+    Not,
+    Or,
+    Valuation,
+    evaluate,
+    lor,
+    minterm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +211,9 @@ def random_det_complete_automaton(
 ) -> Automaton:
     """Deterministic complete automaton built from a random successor table.
 
-    For every state the valuations mapping to the same successor are
-    merged into one edge labeled by the disjunction of their minterms, so
-    the outgoing labels partition the alphabet by construction.
+    For every state the valuations mapping to the same target are merged
+    into one edge labeled by the disjunction of their minterms, so the
+    labels leaving a state partition the alphabet by construction.
     """
     n = rng.randint(1, max_states)
     ap_count = rng.randint(0, max_aps)
@@ -229,6 +241,61 @@ def random_det_complete_automaton(
     )
 
 
+def random_label(rng: Random, ap_count: int, depth: int = 2) -> LabelExpr:
+    """Random formula over ``ap_count`` propositions.
+
+    Constants and contradictions such as ``p & !p`` occur, so a label may
+    be unsatisfiable or hold everywhere.
+    """
+    if depth == 0 or rng.random() < 0.3:
+        if ap_count == 0 or rng.random() < 0.15:
+            return rng.choice((TRUE, FALSE))
+        return Ap(rng.randrange(ap_count))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Not(random_label(rng, ap_count, depth - 1))
+    children = tuple(random_label(rng, ap_count, depth - 1) for _ in range(rng.randint(1, 3)))
+    return And(children) if kind == 1 else Or(children)
+
+
+def random_labelled_automaton(
+    rng: Random, aps: tuple[str, ...], max_states: int = 4
+) -> Automaton:
+    """Automaton with random labels and targets, zero to three edges a state.
+
+    Labels overlap (nondeterminism) and leave gaps (incompleteness), some
+    states have no edge at all, and now and then two states are initial.
+    """
+    n = rng.randint(1, max_states)
+    transitions = tuple(
+        Transition(state, random_label(rng, len(aps)), rng.randrange(n))
+        for state in range(n)
+        for _ in range(rng.randint(0, 3))
+    )
+    initial = frozenset(rng.sample(range(n), 2 if n > 1 and rng.random() < 0.2 else 1))
+    return Automaton(
+        aps=aps,
+        num_states=n,
+        initial=initial,
+        transitions=transitions,
+        acc_sets=(frozenset({0}),),
+        condition=Inf(0),
+    )
+
+
+def brute_successors(automaton: Automaton, state: int, valuation: Valuation) -> frozenset[int]:
+    """Targets of the transitions from ``state`` whose label holds under
+    ``valuation``, by the tree-walking :func:`evaluate`.
+
+    An empty result is a deadlock, more than one element nondeterminism.
+    """
+    return frozenset(
+        t.dst
+        for t in automaton.transitions
+        if t.src == state and evaluate(t.label, valuation)
+    )
+
+
 def reachable_from(graph: StateGraph, state: int) -> set[int]:
     seen = {state}
     frontier = [state]
@@ -242,7 +309,5 @@ def reachable_from(graph: StateGraph, state: int) -> set[int]:
 
 
 def all_valuations(ap_count: int):
-    from hoarun.labels import Valuation
-
     for bits in range(1 << ap_count):
         yield Valuation(bits, ap_count)

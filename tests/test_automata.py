@@ -5,25 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_valuations, random_det_complete_automaton
+from helpers import (
+    all_valuations,
+    brute_successors,
+    random_det_complete_automaton,
+    random_labelled_automaton,
+)
 from hoarun.automata import (
     Automaton,
-    Bot,
-    Fin,
     Inf,
     StateGraph,
     Top,
     Transition,
-    acc_and,
-    acc_or,
     complete_by_stuttering,
     is_complete,
     is_deterministic,
-    run_accepts,
     state_graph,
-    successors,
 )
-from hoarun.labels import TRUE, Ap, Not, Valuation, land
+from hoarun.labels import TRUE, Ap, Not, Valuation, evaluate, land
 
 
 def two_state(transitions, *, aps=("p",), initial=frozenset({0}), acc=(frozenset({0}),)):
@@ -40,13 +39,13 @@ def two_state(transitions, *, aps=("p",), initial=frozenset({0}), acc=(frozenset
 
 def test_successors_label_split():
     aut = two_state([Transition(0, Ap(0), 1), Transition(0, Not(Ap(0)), 0), Transition(1, TRUE, 1)])
-    assert successors(aut, 0, Valuation(1, 1)) == frozenset({1})
-    assert successors(aut, 0, Valuation(0, 1)) == frozenset({0})
+    assert brute_successors(aut, 0, Valuation(1, 1)) == frozenset({1})
+    assert brute_successors(aut, 0, Valuation(0, 1)) == frozenset({0})
 
 
 def test_successors_deadlock_is_empty_set():
     aut = two_state([Transition(0, Ap(0), 1)])
-    assert successors(aut, 1, Valuation(0, 1)) == frozenset()
+    assert brute_successors(aut, 1, Valuation(0, 1)) == frozenset()
 
 
 def test_is_deterministic_cases():
@@ -111,6 +110,35 @@ def test_stuttering_idempotent_and_preserves_determinism(seed):
         assert is_deterministic(once)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_checks_agree_with_brute_force_evaluate(seed):
+    # random labels overlap and leave gaps; the reference walks every
+    # valuation with the tree-walking evaluate
+    rng = Random(seed)
+    aut = random_labelled_automaton(rng, tuple(f"p{i}" for i in range(rng.randint(0, 3))))
+    valuations = list(all_valuations(len(aut.aps)))
+    leaving = [[t.label for t in aut.transitions if t.src == q] for q in range(aut.num_states)]
+    deterministic = len(aut.initial) == 1 and not any(
+        evaluate(a, v) and evaluate(b, v)
+        for labels in leaving
+        for i, a in enumerate(labels)
+        for b in labels[i + 1 :]
+        for v in valuations
+    )
+    complete = all(
+        any(evaluate(label, v) for label in labels) for labels in leaving for v in valuations
+    )
+    assert is_deterministic(aut) == deterministic
+    assert is_complete(aut) == complete
+    done = complete_by_stuttering(aut)
+    assert (done is aut) == complete
+    for state in range(aut.num_states):
+        for v in valuations:
+            taken = brute_successors(aut, state, v)
+            assert brute_successors(done, state, v) == (taken or frozenset({state}))
+
+
 def _random_partial_automaton(rng: Random) -> Automaton:
     n = rng.randint(1, 5)
     ap_count = rng.randint(0, 3)
@@ -137,17 +165,7 @@ def test_det_complete_has_unique_successor_everywhere(seed):
     aut = random_det_complete_automaton(Random(seed), max_states=6, max_aps=3)
     for state in range(aut.num_states):
         for valuation in all_valuations(len(aut.aps)):
-            assert len(successors(aut, state, valuation)) == 1
-
-
-def test_run_accepts_interpretation():
-    acc_sets = (frozenset({0}), frozenset({1}))
-    assert run_accepts({2}, Fin(0), acc_sets) is True
-    assert run_accepts({1}, Inf(1), acc_sets) is True
-    assert run_accepts({1}, acc_and(Fin(1), Top()), acc_sets) is False
-    assert run_accepts({0}, Top(), acc_sets) is True
-    assert run_accepts({0}, Bot(), acc_sets) is False
-    assert run_accepts({0}, acc_or(Inf(1), Inf(0)), acc_sets) is True
+            assert len(brute_successors(aut, state, valuation)) == 1
 
 
 def test_state_graph_erases_labels_and_dedupes():
@@ -214,5 +232,5 @@ def test_unsatisfiable_labels_stay_in_the_graph():
 
     aut = two_state([Transition(0, FALSE, 1), Transition(0, TRUE, 0), Transition(1, TRUE, 1)])
     assert state_graph(aut).succ == ((0, 1), (1,))
-    assert successors(aut, 0, Valuation(0, 1)) == frozenset({0})
-    assert successors(aut, 0, Valuation(1, 1)) == frozenset({0})
+    assert brute_successors(aut, 0, Valuation(0, 1)) == frozenset({0})
+    assert brute_successors(aut, 0, Valuation(1, 1)) == frozenset({0})

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hoarun.automata import Automaton, Inf, Transition, is_complete, is_deterministic
 from hoarun.labels import (
     FALSE,
     TRUE,
@@ -75,8 +76,19 @@ def test_capacity_cap():
         are_disjoint(wide, TRUE, 20)
     with pytest.raises(CapacityError):
         covers_all([wide], 20)
-    # an explicit higher cap unlocks the same query
-    assert are_disjoint(wide, Ap(0), 20, max_enum_aps=20) is False
+    # the automaton checks enumerate through the same cap
+    aut = Automaton(
+        aps=tuple(f"p{i}" for i in range(17)),
+        num_states=1,
+        initial=frozenset({0}),
+        transitions=(Transition(0, wide, 0), Transition(0, Not(wide), 0)),
+        acc_sets=(frozenset({0}),),
+        condition=Inf(0),
+    )
+    with pytest.raises(CapacityError):
+        is_deterministic(aut)
+    with pytest.raises(CapacityError):
+        is_complete(aut)
 
 
 def test_precondition_on_ap_count():
@@ -107,9 +119,28 @@ def test_covering_matches_enumeration(labels):
     assert covers_all(labels, 5) == expected
 
 
-@given(exprs(), valuations())
-def test_compiled_agrees_with_evaluate(expr, valuation):
-    assert bool(compile_label(expr)(valuation.bits)) == evaluate(expr, valuation)
+@given(exprs(), valuations(), st.permutations(range(8)), st.integers(0, 255))
+def test_compiled_agrees_with_evaluate(expr, valuation, order, noise):
+    expected = evaluate(expr, valuation)
+    assert bool(compile_label(expr)(valuation.bits)) == expected
+    # Ap(i) read from bit positions[i] of a wider vector whose other bits
+    # are noise
+    positions = tuple(order[:5])
+    wide = noise
+    for i, position in enumerate(positions):
+        wide &= ~(1 << position)
+        wide |= (valuation.bits >> i & 1) << position
+    assert bool(compile_label(expr, positions)(wide)) == expected
+
+
+def test_compiled_deep_negation_chain():
+    # 300 nested negations, as aliases can build: deeper than the 200
+    # parentheses Python's parser accepts
+    expr = Ap(0)
+    for _ in range(300):
+        expr = Not(expr)
+    assert bool(compile_label(expr)(1)) is True
+    assert bool(compile_label(Not(expr))(1)) is False
 
 
 def test_minterm_hits_exactly_one_valuation():

@@ -3,7 +3,8 @@ from random import Random
 import pytest
 
 from conftest import load_fixture
-from hoarun.automata import is_complete, is_deterministic, successors
+from helpers import brute_successors
+from hoarun.automata import is_complete, is_deterministic
 from hoarun.hoa import parse, serialize
 from hoarun.labels import Valuation
 from hoarun.locks import (
@@ -179,8 +180,8 @@ def _language_equivalent(first, second) -> bool:
             return False
         for bits in range(1 << ap_count):
             valuation = Valuation(bits, ap_count)
-            (pn,) = successors(first, p, valuation)
-            (qn,) = successors(second, q, valuation)
+            (pn,) = brute_successors(first, p, valuation)
+            (qn,) = brute_successors(second, q, valuation)
             if (pn, qn) not in seen:
                 seen.add((pn, qn))
                 frontier.append((pn, qn))

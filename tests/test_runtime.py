@@ -1,16 +1,18 @@
 import io
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import brute_successors, random_labelled_automaton
 from hoarun.automata import Automaton, Inf, Transition
 from hoarun.labels import TRUE, Ap, Not, Valuation
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
-    Advanced,
     Config,
     ConfigError,
     CondTrigger,
-    Deadlock,
     DeadlockTrigger,
     FileDriver,
     FileSpec,
@@ -22,7 +24,6 @@ from hoarun.runtime import (
     LogAction,
     LogEvent,
     NondetTrigger,
-    Nondeterministic,
     PromptAction,
     RandomChoiceAction,
     RandomDriver,
@@ -264,9 +265,9 @@ def test_step_outcomes():
     aut = pq_automaton()
     universe = build_universe([aut])
     (runner,) = prepare_runners([aut], universe)
-    assert step(runner, Valuation(0, 1)) == Advanced(0)
+    assert step(runner, Valuation(0, 1)) == (0,)
     assert runner.step_count == 1
-    assert step(runner, Valuation(1, 1)) == Advanced(1)
+    assert step(runner, Valuation(1, 1)) == (1,)
     assert runner.current_state == 1
 
     nd = Automaton(
@@ -278,8 +279,7 @@ def test_step_outcomes():
         condition=Inf(0),
     )
     (runner,) = prepare_runners([nd], build_universe([nd]))
-    outcome = step(runner, Valuation(0, 1))
-    assert outcome == Nondeterministic((0, 1))
+    assert step(runner, Valuation(0, 1)) == (0, 1)
     assert runner.current_state == 0 and runner.step_count == 0
 
     dead = Automaton(
@@ -291,8 +291,40 @@ def test_step_outcomes():
         condition=Inf(0),
     )
     (runner,) = prepare_runners([dead], build_universe([dead]))
-    assert step(runner, Valuation(0, 1)) == Deadlock()
+    assert step(runner, Valuation(0, 1)) == ()
     assert runner.current_state == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_step_matches_brute_successors(seed):
+    # two random automata over the same propositions, the second usually
+    # in another order, so its labels read permuted global positions;
+    # labels overlap, leave gaps and may be unsatisfiable
+    rng = Random(seed)
+    names = ["p", "q", "r"]
+    first = random_labelled_automaton(rng, tuple(names))
+    rng.shuffle(names)
+    second = random_labelled_automaton(rng, tuple(names))
+    universe = build_universe([first, second])
+    runners = prepare_runners([first, second], universe)
+    for _ in range(30):
+        bits = rng.randrange(1 << len(universe))
+        for runner in runners:
+            aut = runner.automaton
+            local = sum(
+                1 << i for i, name in enumerate(aut.aps) if bits >> universe.index(name) & 1
+            )
+            state, count = runner.current_state, runner.step_count
+            expected = brute_successors(aut, state, Valuation(local, len(aut.aps)))
+            found = step(runner, Valuation(bits, len(universe)))
+            assert found == tuple(sorted(expected))
+            if len(found) == 1:
+                assert (runner.current_state, runner.step_count) == (found[0], count + 1)
+            else:
+                assert (runner.current_state, runner.step_count) == (state, count)
+                # carry on from some state, as a goto hook would
+                runner.current_state = rng.randrange(aut.num_states)
 
 
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
@@ -553,6 +585,11 @@ def test_projection_matches_propositions_by_name():
     assert [r.current_state for r in runners] == [1, 1]
     report2, _, runners2 = _run_with_trace([takes_q, takes_q_flipped], "p q\n1 0\n")
     assert [r.current_state for r in runners2] == [0, 0]
+    # a cond: formula naming q before p reads each name's own column:
+    # false on (p=1,q=0), true on (p=0,q=1)
+    hooks = (HookSpec("q-only", CondTrigger(*parse_condition("q & !p")), HaltAction(3)),)
+    report3, _, _ = _run_with_trace([takes_q, takes_q_flipped], trace, hooks=hooks)
+    assert (report3.reason, report3.halt_code, report3.steps) == ("halt", 3, 1)
 
 
 def test_reports_are_reproducible_and_comparable():

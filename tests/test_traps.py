@@ -9,12 +9,13 @@ from helpers import (
     brute_has_cycle,
     brute_least_trap_containing,
     brute_minimal_traps,
+    brute_successors,
     brute_trap_sets,
     kosaraju_sccs,
     random_det_complete_automaton,
     random_graph,
 )
-from hoarun.automata import StateGraph, state_graph, successors
+from hoarun.automata import StateGraph, state_graph
 from hoarun.labels import Valuation
 from hoarun.traps import build_index, bsccs, is_transient, min_trap_set_of
 
@@ -94,7 +95,7 @@ def test_sccs_match_kosaraju(seed):
     graph = random_graph(Random(seed), max_states=9)
     index = build_index(graph)
     assert set(index.components) == kosaraju_sccs(graph)
-    # sinks first: every component comes after each of its successors
+    # sinks first: every component comes after each component it reaches
     position = {c: i for i, c in enumerate(index.order)}
     assert sorted(position) == list(range(len(index.components)))
     for c, succ in enumerate(index.comp_succ):
@@ -154,7 +155,7 @@ def test_run_never_leaves_minimal_trap():
         trap = min_trap_set_of(index, state).states
         for _ in range(10_000 // 20):
             bits = rng.randrange(1 << len(aut.aps))
-            (state,) = successors(aut, state, Valuation(bits, len(aut.aps)))
+            (state,) = brute_successors(aut, state, Valuation(bits, len(aut.aps)))
             assert state in trap
             trap = min_trap_set_of(index, state).states
 
