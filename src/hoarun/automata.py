@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .labels import TRUE, LabelExpr, Not, are_disjoint, covers_all, lor, occurring_aps
+from .labels import TRUE, LabelExpr, Not, covers_all, lor, occurring_aps, pairwise_disjoint
 
 
 class AcceptanceCond:
@@ -187,12 +187,9 @@ def is_deterministic(automaton: Automaton) -> bool:
     if len(automaton.initial) != 1:
         return False
     ap_count = len(automaton.aps)
-    for labels in _labels_by_state(automaton):
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                if not are_disjoint(labels[i], labels[j], ap_count):
-                    return False
-    return True
+    return all(
+        pairwise_disjoint(labels, ap_count) for labels in _labels_by_state(automaton)
+    )
 
 
 def is_complete(automaton: Automaton) -> bool:

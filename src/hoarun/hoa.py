@@ -231,6 +231,7 @@ class _Parser:
         self.tok = self._tz.next_token()
         self.allow_empty_acc_sets = allow_empty_acc_sets
         self.warnings: list[ParseDiagnostic] = []
+        self._labels: dict[tuple, LabelExpr] = {}
 
     def _advance(self) -> _Token:
         tok = self.tok
@@ -477,14 +478,27 @@ class _Parser:
         while self.tok.kind == "|":
             self._advance()
             terms.append(self._parse_label_and(aliases, depth))
-        return terms[0] if len(terms) == 1 else Or(tuple(terms))
+        return terms[0] if len(terms) == 1 else self._shared(Or, tuple(terms))
 
     def _parse_label_and(self, aliases, depth) -> LabelExpr:
         terms = [self._parse_label_atom(aliases, depth)]
         while self.tok.kind == "&":
             self._advance()
             terms.append(self._parse_label_atom(aliases, depth))
-        return terms[0] if len(terms) == 1 else And(tuple(terms))
+        return terms[0] if len(terms) == 1 else self._shared(And, tuple(terms))
+
+    def _shared(self, cls: type, arg) -> LabelExpr:
+        """The document's one node ``cls(arg)``, so that equal labels are
+        one object and compile once; children are shared already, so
+        their identities make the key."""
+        if cls is Ap:
+            key = (cls, arg)
+        else:
+            key = (cls, id(arg)) if cls is Not else (cls, *map(id, arg))
+        node = self._labels.get(key)
+        if node is None:
+            node = self._labels[key] = cls(arg)
+        return node
 
     def _parse_label_atom(self, aliases, depth) -> LabelExpr:
         if depth > _MAX_NESTING:
@@ -492,7 +506,7 @@ class _Parser:
         tok = self.tok
         if tok.kind == "!":
             self._advance()
-            return Not(self._parse_label_atom(aliases, depth + 1))
+            return self._shared(Not, self._parse_label_atom(aliases, depth + 1))
         if tok.kind == "(":
             self._advance()
             inner = self._parse_label_or(aliases, depth + 1)
@@ -500,7 +514,7 @@ class _Parser:
             return inner
         if tok.kind == "int":
             self._advance()
-            return Ap(int(tok.value))
+            return self._shared(Ap, int(tok.value))
         if tok.kind == "aname":
             self._advance()
             expr = aliases.get(tok.value)

@@ -13,7 +13,6 @@ and the runtime evaluate formulas through :func:`compile_label`;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Iterable, Iterator
 
 DEFAULT_ENUM_CAP = 16
@@ -165,18 +164,23 @@ def occurring_aps(*exprs: LabelExpr) -> frozenset[int]:
     return frozenset(found)
 
 
-def _occurring_or_raise(exprs: Iterable[LabelExpr], ap_count: int) -> int:
-    """Bit mask of the propositions occurring in ``exprs``, within the cap."""
-    occ = occurring_aps(*exprs)
-    if occ and max(occ) >= ap_count:
+def _ap_mask(exprs: Iterable[LabelExpr]) -> int:
+    """Bit mask of the propositions occurring in ``exprs``."""
+    return sum(1 << index for index in occurring_aps(*exprs))
+
+
+def _check_mask(mask: int, ap_count: int) -> None:
+    """Refuse an enumeration over ``mask``: out of range or over the cap."""
+    if mask.bit_length() > ap_count:
         raise ValueError(
-            f"formula references proposition {max(occ)} but only {ap_count} declared"
+            f"formula references proposition {mask.bit_length() - 1} "
+            f"but only {ap_count} declared"
         )
-    if len(occ) > DEFAULT_ENUM_CAP:
+    if mask.bit_count() > DEFAULT_ENUM_CAP:
         raise CapacityError(
-            f"check would enumerate {len(occ)} propositions (cap {DEFAULT_ENUM_CAP})"
+            f"check would enumerate {mask.bit_count()} propositions "
+            f"(cap {DEFAULT_ENUM_CAP})"
         )
-    return sum(1 << index for index in occ)
 
 
 def _assignments(mask: int) -> Iterator[int]:
@@ -189,17 +193,32 @@ def _assignments(mask: int) -> Iterator[int]:
         bits = (bits - mask) & mask  # next subset of mask, in increasing order
 
 
+def pairwise_disjoint(labels: Iterable[LabelExpr], ap_count: int) -> bool:
+    """True iff no valuation satisfies two of the labels.
+
+    Each label's proposition mask and predicate are computed once; every
+    pair enumerates the union of its two masks, under the cap, in order.
+    """
+    compiled = [(_ap_mask((label,)), compile_label(label)) for label in labels]
+    for i, (mask_a, holds_a) in enumerate(compiled):
+        for mask_b, holds_b in compiled[i + 1 :]:
+            mask = mask_a | mask_b
+            _check_mask(mask, ap_count)
+            if any(holds_a(bits) and holds_b(bits) for bits in _assignments(mask)):
+                return False
+    return True
+
+
 def are_disjoint(a: LabelExpr, b: LabelExpr, ap_count: int) -> bool:
     """True iff no valuation satisfies both formulas."""
-    mask = _occurring_or_raise((a, b), ap_count)
-    holds_a, holds_b = compile_label(a), compile_label(b)
-    return not any(holds_a(bits) and holds_b(bits) for bits in _assignments(mask))
+    return pairwise_disjoint((a, b), ap_count)
 
 
 def covers_all(labels: Iterable[LabelExpr], ap_count: int) -> bool:
     """True iff every valuation satisfies at least one of the labels."""
     labels = tuple(labels)
-    mask = _occurring_or_raise(labels, ap_count)
+    mask = _ap_mask(labels)
+    _check_mask(mask, ap_count)
     predicates = [compile_label(label) for label in labels]
     return all(
         any(holds(bits) for holds in predicates) for bits in _assignments(mask)
@@ -214,7 +233,17 @@ def minterm(index: int, ap_count: int) -> LabelExpr:
     return land(*literals)
 
 
-@cache
+# compiled predicates, by (id(formula), positions) next to the formula,
+# which the entry keeps alive so that its id is not reused; and by
+# generated source, so that equal formulas share one code object
+_BY_LABEL: dict[tuple[int, tuple[int, ...] | None], tuple[LabelExpr, Callable[[int], object]]] = {}
+_BY_SOURCE: dict[str, Callable[[int], object]] = {}
+
+# operator nesting at which a subformula is compiled as its own helper:
+# Python's parser gives up on expressions a few hundred levels deep
+_HELPER_DEPTH = 50
+
+
 def compile_label(
     expr: LabelExpr, positions: tuple[int, ...] | None = None
 ) -> Callable[[int], object]:
@@ -225,37 +254,88 @@ def compile_label(
     ``positions[i]`` of the valuation, or bit ``i`` when ``positions`` is
     None, so a formula over an automaton's own propositions runs directly
     on a valuation over a wider, differently ordered proposition list.
-    Each distinct (formula, positions) pair is compiled once per process
-    and the code object is shared; the memo holds one entry per pair
-    asked for, so it is bounded by the labels and conditions loaded.
+    Memoised by the formula object and by the generated source, so no
+    formula is hashed or compared node by node and one of any depth
+    compiles; equal formulas share one code object (the parser gives
+    equal labels one object, so they compile once). The memo holds the
+    formulas and conditions compiled, with their predicates.
     """
-    return eval(f"lambda b: {_py_source(expr, positions)}", {"__builtins__": {}})
+    key = (id(expr), positions)
+    entry = _BY_LABEL.get(key)
+    if entry is None:
+        source = _py_source(expr, positions)
+        holds = _BY_SOURCE.get(source)
+        if holds is None:
+            namespace: dict[str, object] = {"__builtins__": {}}
+            exec(source, namespace)
+            holds = _BY_SOURCE[source] = namespace["holds"]
+        entry = _BY_LABEL[key] = (expr, holds)
+    return entry[1]
 
 
 def _py_source(expr: LabelExpr, positions: tuple[int, ...] | None) -> str:
-    # parenthesised only where precedence needs it (`not` binds tighter
-    # than `and`, `and` than `or`): the parser allows 200 nested
-    # parentheses, and chains of negations through aliases run deeper
-    if isinstance(expr, Ap):
-        bit = expr.index if positions is None else positions[expr.index]
-        return f"b >> {bit} & 1"
-    if isinstance(expr, TrueLabel):
-        return "True"
-    if isinstance(expr, FalseLabel):
-        return "False"
-    if isinstance(expr, Not):
-        child = _py_source(expr.child, positions)
-        return f"not ({child})" if isinstance(expr.child, (And, Or)) else f"not {child}"
-    if isinstance(expr, And):
-        if not expr.children:
-            return "True"
-        terms = []
-        for c in expr.children:
-            term = _py_source(c, positions)
-            terms.append(f"({term})" if isinstance(c, Or) else term)
-        return " and ".join(terms)
-    if isinstance(expr, Or):
-        if not expr.children:
-            return "False"
-        return " or ".join(_py_source(c, positions) for c in expr.children)
-    raise TypeError(f"not a label expression: {expr!r}")
+    """Source that binds ``holds`` to the formula's predicate.
+
+    Built bottom-up from an explicit stack. Parenthesised only where
+    precedence needs it (`not` binds tighter than `and`, `and` than
+    `or`). A subformula nested ``_HELPER_DEPTH`` operators deep becomes a
+    helper function of its own, defined on an earlier line and called by
+    name, so no line nests deeper than that.
+    """
+    helpers: list[str] = []
+    # id(node) -> (source, operator nesting, loosest operator at its top)
+    done: dict[int, tuple[str, int, type | None]] = {}
+    stack: list[LabelExpr] = [expr]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        children = _children(node)
+        pending = [c for c in children if id(c) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        entry = _node_source(node, positions, [done[id(c)] for c in children])
+        if entry[1] >= _HELPER_DEPTH:
+            helpers.append(f"h{len(helpers)} = lambda b: {entry[0]}")
+            entry = (f"h{len(helpers) - 1}(b)", 0, None)
+        done[id(node)] = entry
+    return "\n".join(helpers + [f"holds = lambda b: {done[id(expr)][0]}"])
+
+
+def _children(node: LabelExpr) -> tuple[LabelExpr, ...]:
+    if isinstance(node, Not):
+        return (node.child,)
+    if isinstance(node, (And, Or)):
+        return node.children
+    return ()
+
+
+def _node_source(
+    node: LabelExpr,
+    positions: tuple[int, ...] | None,
+    children: list[tuple[str, int, type | None]],
+) -> tuple[str, int, type | None]:
+    """Source, operator nesting and top operator of one node, given its
+    children's."""
+    if isinstance(node, Ap):
+        bit = node.index if positions is None else positions[node.index]
+        return f"b >> {bit} & 1", 0, None
+    if isinstance(node, TrueLabel):
+        return "True", 0, None
+    if isinstance(node, FalseLabel):
+        return "False", 0, None
+    if not isinstance(node, (Not, And, Or)):
+        raise TypeError(f"not a label expression: {node!r}")
+    if not children:
+        return ("True" if isinstance(node, And) else "False"), 0, None
+    depth = max(d for _, d, _ in children) + 1
+    if isinstance(node, Not):
+        ((child, _, top),) = children
+        return (f"not ({child})" if top in (And, Or) else f"not {child}"), depth, Not
+    if isinstance(node, And):
+        terms = (f"({t})" if top is Or else t for t, _, top in children)
+        return " and ".join(terms), depth, And
+    return " or ".join(t for t, _, _ in children), depth, Or

@@ -46,6 +46,8 @@ class Verdict(Enum):
         return self is not Verdict.UNKNOWN
 
 
+_UNKNOWN = Verdict.UNKNOWN  # compared by identity on the per-step path
+
 _SWAP = {
     Verdict.GOOD: Verdict.BAD,
     Verdict.BAD: Verdict.GOOD,
@@ -207,10 +209,11 @@ class Monitor:
 
     def observe(self, state: int) -> Verdict:
         """Account for a transition into ``state``; conclusive verdicts latch."""
-        if self.current_verdict.conclusive:
-            return self.current_verdict
+        latched = self.current_verdict
+        if latched is not _UNKNOWN:
+            return latched
         verdict = self.verdicts[state]
-        if verdict.conclusive:
+        if verdict is not _UNKNOWN:
             self.current_verdict = verdict
         return verdict
 

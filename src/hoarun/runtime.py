@@ -4,9 +4,13 @@ hooks react to nondeterminism, deadlock, verdict changes and user conditions.
 Atomic propositions are shared across automata by name: every step one
 global valuation is collected, and every transition label and ``cond:``
 formula is compiled once against the global positions of the names it
-uses, so each runner reads that valuation directly. All randomness flows
-from per-purpose streams derived from the global seed, so identical
-inputs replay identically.
+uses, so each runner reads that valuation directly. A trace record is
+decoded once, straight to those bits. Each runner memoises its
+candidate states per (state, input restricted to its own propositions),
+so after the first visit of such a pair a step is a dictionary lookup;
+the memo holds at most 2**|AP| entries per state of the automaton,
+however long the run. All randomness flows from per-purpose streams
+derived from the global seed, so identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import configparser
 import re
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from random import Random
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -49,7 +54,11 @@ class TraceReader:
     Format: '#' lines are comments, the first significant line names the
     propositions, every following significant line holds one 0/1 token
     per name. One record is consumed per step regardless of how many
-    propositions read from it.
+    propositions read from it. Each record is checked and decoded once,
+    to one int; :meth:`bind` fixes which bit of the global valuation
+    each column feeds, and :meth:`bits_for_step` returns the record in
+    that order. Columns no proposition is bound to are checked but
+    otherwise ignored.
     """
 
     def __init__(self, path: str, text: str | None = None):
@@ -65,7 +74,11 @@ class TraceReader:
         self.header: tuple[str, ...] = tuple(header_line.split())
         self._columns = {name: i for i, name in enumerate(self.header)}
         self._step = -1
-        self._row: tuple[bool, ...] | None = None
+        # the record read at _step, column i at bit len(header) - 1 - i
+        self._record: int | None = None
+        # (low, table): table[record >> low & 255] holds those eight
+        # columns' bits at their global positions
+        self._tables: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def _next_significant(self) -> tuple[int, str] | None:
         for number, line in self._lines:
@@ -74,13 +87,13 @@ class TraceReader:
                 return number, stripped
         return None
 
-    def row_for_step(self, step: int) -> tuple[bool, ...] | None:
+    def _read(self, step: int) -> int | None:
         """Record for ``step``, advancing at most once; None at end of input."""
         if step == self._step:
-            return self._row
+            return self._record
         entry = self._next_significant()
         if entry is None:
-            self._row = None
+            self._record = None
             self._step = step
             return None
         number, line = entry
@@ -89,19 +102,47 @@ class TraceReader:
             raise TraceError(
                 f"expected {len(self.header)} columns, found {len(tokens)}", number
             )
-        values = []
-        for token in tokens:
-            if token not in ("0", "1"):
-                raise TraceError(f"expected 0 or 1, found {token!r}", number)
-            values.append(token == "1")
-        self._row = tuple(values)
+        row = "".join(tokens)
+        # every token is one character, and each of them is 0 or 1
+        if len(row) != len(tokens) or row.strip("01"):
+            bad = next(token for token in tokens if token not in ("0", "1"))
+            raise TraceError(f"expected 0 or 1, found {bad!r}", number)
+        self._record = int(row, 2)
         self._step = step
-        return self._row
+        return self._record
 
-    def value(self, ap_name: str) -> bool:
-        if self._row is None:
-            raise TraceError("no current record")
-        return self._row[self._columns[ap_name]]
+    def row_for_step(self, step: int) -> tuple[bool, ...] | None:
+        """Record for ``step`` as one bool per column; None at end of input."""
+        record = self._read(step)
+        if record is None:
+            return None
+        last = len(self.header) - 1
+        return tuple(bool(record >> (last - i) & 1) for i in range(last + 1))
+
+    def bind(self, positions: dict[str, int]) -> None:
+        """Feed the column named ``name`` to bit ``positions[name]``."""
+        last = len(self.header) - 1
+        feeds = {last - self._columns[name]: bit for name, bit in positions.items()}
+        tables = []
+        for low in range(0, last + 1, 8):
+            table = tuple(
+                sum(1 << feeds[low + j] for j in range(8) if chunk >> j & 1 and low + j in feeds)
+                for chunk in range(256)
+            )
+            if any(table):
+                tables.append((low, table))
+        self._tables = tuple(tables)
+
+    def bits_for_step(self, step: int) -> int | None:
+        """The bound columns of ``step``'s record at their global positions,
+        advancing at most once; None at end of input."""
+        record = self._read(step)
+        if record is None:
+            return None
+        bits = 0
+        for low, table in self._tables:
+            bits |= table[record >> low & 255]
+        return bits
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +217,10 @@ class RandomDriver:
 
 
 class FileDriver:
+    """A proposition read from a trace column; see :func:`collect_valuation`."""
+
     def __init__(self, reader: TraceReader):
         self.reader = reader
-
-    def value(self, ap_name: str, step: int) -> bool:
-        return self.reader.value(ap_name)
 
 
 class InteractiveDriver:
@@ -208,23 +248,52 @@ class InteractiveDriver:
 Driver = RandomDriver | FileDriver | InteractiveDriver
 
 
+ValuationSources = tuple[
+    tuple[TraceReader, ...], tuple[tuple[int, str, RandomDriver | InteractiveDriver], ...]
+]
+
+
+def valuation_sources(bindings: Sequence[tuple[str, Driver]]) -> ValuationSources:
+    """Group bindings for :func:`collect_valuation`.
+
+    Returns each distinct trace reader, in first-bound order, bound to
+    the positions of the propositions it feeds, and every other driver
+    with its position, in binding order.
+    """
+    fed: dict[int, tuple[TraceReader, dict[str, int]]] = {}
+    others = []
+    for position, (ap_name, driver) in enumerate(bindings):
+        if isinstance(driver, FileDriver):
+            fed.setdefault(id(driver.reader), (driver.reader, {}))[1][ap_name] = position
+        else:
+            others.append((position, ap_name, driver))
+    for reader, positions in fed.values():
+        reader.bind(positions)
+    return tuple(reader for reader, _ in fed.values()), tuple(others)
+
+
 def collect_valuation(
-    bindings: Sequence[tuple[str, Driver]], step: int
+    bindings: Sequence[tuple[str, Driver]],
+    step: int,
+    sources: ValuationSources | None = None,
 ) -> Valuation | None:
     """One bit per bound proposition, in binding order; None at end of input.
 
-    All shared trace readers advance to the step's record first, so a
-    finished trace is detected before any random or interactive driver
-    is consulted.
+    Every trace reader decodes the step's record first, once however
+    many propositions it feeds, so a finished trace is detected before
+    any random or interactive driver is consulted; those are then asked
+    one proposition at a time, in binding order. ``sources`` is
+    ``valuation_sources(bindings)``, which :func:`run_loop` works out
+    once; it is worked out here when not given.
     """
-    seen: set[int] = set()
-    for _, driver in bindings:
-        if isinstance(driver, FileDriver) and id(driver.reader) not in seen:
-            seen.add(id(driver.reader))
-            if driver.reader.row_for_step(step) is None:
-                return None
+    readers, others = valuation_sources(bindings) if sources is None else sources
     bits = 0
-    for position, (ap_name, driver) in enumerate(bindings):
+    for reader in readers:
+        record = reader.bits_for_step(step)
+        if record is None:
+            return None
+        bits |= record
+    for position, ap_name, driver in others:
         if driver.value(ap_name, step):
             bits |= 1 << position
     return Valuation(bits, len(bindings))
@@ -536,7 +605,12 @@ class Runner:
     """Tracks one automaton's current state through the execution loop.
 
     ``projection[i]`` is the bit of the global valuation that holds the
-    automaton's proposition i.
+    automaton's proposition i, and ``mask`` has those bits set. ``memo``
+    is the successor memo: ``memo[q]`` maps an input, as the global
+    valuation bits within ``mask``, to the sorted candidate states for
+    it at state q. An entry is filled from ``table`` the first time its
+    (state, input) pair is stepped, so the memo holds at most
+    2**len(projection) entries per state however long the run.
     """
 
     def __init__(
@@ -549,15 +623,25 @@ class Runner:
         self.current_state = self.start_state
         self.step_count = 0
         self.monitor: Monitor | None = None
+        # the hooks in scope, then the same split by trigger kind
         self.hooks: tuple[HookSpec, ...] = ()
+        self.triggered: dict[type, list[HookSpec]] = {}
         # (predicate over the global valuation bits, hook) per cond: hook
         self.conditions: tuple[tuple[Callable[[int], object], HookSpec], ...] = ()
+        # whether any state or cond: hook has to be checked after a move
+        self.poststep = False
         # per-state (predicate over the global valuation bits, target) pairs
         self.table: list[list[tuple[Callable[[int], object], int]]] = [
             [] for _ in range(automaton.num_states)
         ]
         for t in automaton.transitions:
             self.table[t.src].append((compile_label(t.label, projection), t.dst))
+        self.mask = sum(1 << position for position in projection)
+        self.memo: list[dict[int, tuple[int, ...]]] = [
+            {} for _ in range(automaton.num_states)
+        ]
+        # one shared tuple per state for a unique candidate
+        self.unique = tuple((q,) for q in range(automaton.num_states))
 
 
 def step(runner: Runner, valuation: Valuation) -> tuple[int, ...]:
@@ -567,16 +651,17 @@ def step(runner: Runner, valuation: Valuation) -> tuple[int, ...]:
     monitor's view); none (a deadlock) or several (nondeterminism) leave
     the runner untouched until hooks decide.
     """
-    bits = valuation.bits
-    found: list[int] = []
-    for holds, target in runner.table[runner.current_state]:
-        if holds(bits) and target not in found:
-            found.append(target)
+    state = runner.current_state
+    memo = runner.memo[state]
+    bits = valuation.bits & runner.mask
+    found = memo.get(bits)
+    if found is None:
+        targets = sorted({target for holds, target in runner.table[state] if holds(bits)})
+        found = runner.unique[targets[0]] if len(targets) == 1 else tuple(targets)
+        memo[bits] = found
     if len(found) == 1:
         _advance(runner, found[0])
-    else:
-        found.sort()
-    return tuple(found)
+    return found
 
 
 def _advance(runner: Runner, state: int) -> None:
@@ -600,11 +685,36 @@ class LogEvent:
     message: str
 
 
-@dataclass(frozen=True, slots=True)
 class StepEvent:
-    step: int
-    bits: str
-    states: tuple[tuple[str, int], ...]
+    """The end of one step: its input and every runner's state after it.
+
+    The loop stores the valuation and the runners' current states as
+    they are; ``bits`` and ``states`` are worked out when read.
+    """
+
+    __slots__ = ("step", "valuation", "_runners", "_states")
+
+    def __init__(
+        self,
+        step: int,
+        valuation: Valuation,
+        runners: Sequence[Runner],
+        states: tuple[int, ...],
+    ):
+        self.step = step
+        self.valuation = valuation
+        self._runners = runners
+        self._states = states
+
+    @property
+    def bits(self) -> str:
+        return self.valuation.bit_string()
+
+    @property
+    def states(self) -> tuple[tuple[str, int], ...]:
+        return tuple(
+            (r.label, r.automaton.display_id(q)) for r, q in zip(self._runners, self._states)
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -750,7 +860,10 @@ def prepare_runners(
                 cond_positions = tuple(positions[n] for n in hook.trigger.ap_names)
                 conditions.append((compile_label(hook.trigger.expr, cond_positions), hook))
         runner.hooks = matching
+        for hook in matching:
+            runner.triggered.setdefault(type(hook.trigger), []).append(hook)
         runner.conditions = tuple(conditions)
+        runner.poststep = bool(conditions) or StateTrigger in runner.triggered
         runners.append(runner)
     return runners
 
@@ -783,9 +896,12 @@ def run_loop(
     reason = "steps-exhausted"
     halt_code: int | None = None
     fatal_runner: str | None = None
+    runners = tuple(runners)
+    sources = valuation_sources(bindings)
+    current_states = attrgetter("current_state")
     try:
         while max_steps is None or ctx.step_index < max_steps:
-            valuation = collect_valuation(bindings, ctx.step_index)
+            valuation = collect_valuation(bindings, ctx.step_index, sources)
             if valuation is None:
                 reason = "end-of-input"
                 break
@@ -794,12 +910,7 @@ def run_loop(
                 _step_runner(runner, valuation, ctx)
             ctx.on_event(
                 StepEvent(
-                    ctx.step_index,
-                    valuation.bit_string(),
-                    tuple(
-                        (r.label, r.automaton.display_id(r.current_state))
-                        for r in runners
-                    ),
+                    ctx.step_index, valuation, runners, tuple(map(current_states, runners))
                 )
             )
             ctx.step_index += 1
@@ -833,26 +944,27 @@ def _latched(runner: Runner) -> Verdict | None:
 
 
 def _step_runner(runner: Runner, valuation: Valuation, ctx: _LoopContext) -> None:
-    before = _latched(runner)
+    monitor = runner.monitor
+    before = monitor.current_verdict if monitor is not None else None
     candidates = step(runner, valuation)
     if len(candidates) == 1:
-        _emit_verdict_change(runner, before, ctx)
-        _fire_poststep_hooks(runner, ctx)
+        if monitor is not None and monitor.current_verdict is not before:
+            _emit_verdict_change(runner, ctx)
+        if runner.poststep:
+            _fire_poststep_hooks(runner, ctx)
     elif not _fire_resolution_hooks(runner, candidates, ctx):
         raise _Fatal("nondeterminism" if candidates else "deadlock", runner.label)
 
 
-def _emit_verdict_change(runner: Runner, before: Verdict | None, ctx: _LoopContext) -> None:
-    monitor = runner.monitor
-    if monitor is None:
-        return
-    now = monitor.current_verdict
-    if now is not before and now.conclusive:
+def _emit_verdict_change(runner: Runner, ctx: _LoopContext) -> None:
+    """Report the runner's latch, which has just moved, if it is conclusive."""
+    now = runner.monitor.current_verdict
+    if now.conclusive:
         event = VerdictEvent(ctx.step_index, runner.label, now)
         ctx.verdicts.append(event)
         ctx.on_event(event)
-        for hook in runner.hooks:
-            if isinstance(hook.trigger, VerdictTrigger) and hook.trigger.matches(now):
+        for hook in runner.triggered.get(VerdictTrigger, ()):
+            if hook.trigger.matches(now):
                 _apply_action(runner, hook, (), ctx)
                 break
 
@@ -860,8 +972,8 @@ def _emit_verdict_change(runner: Runner, before: Verdict | None, ctx: _LoopConte
 def _fire_poststep_hooks(runner: Runner, ctx: _LoopContext) -> None:
     # the state check and the condition check are separate occurrences;
     # within each, the first matching hook wins
-    for hook in runner.hooks:
-        if isinstance(hook.trigger, StateTrigger) and runner.current_state == hook.trigger.state:
+    for hook in runner.triggered.get(StateTrigger, ()):
+        if runner.current_state == hook.trigger.state:
             _apply_action(runner, hook, (), ctx)
             break
     bits = ctx.valuation.bits
@@ -878,8 +990,8 @@ def _fire_resolution_hooks(
     nondeterminism (several); log actions observe and fall through.
     Returns False when nothing resolved it."""
     trigger = NondetTrigger if candidates else DeadlockTrigger
-    for hook in runner.hooks:
-        if isinstance(hook.trigger, trigger) and _apply_action(runner, hook, candidates, ctx):
+    for hook in runner.triggered.get(trigger, ()):
+        if _apply_action(runner, hook, candidates, ctx):
             return True
     return False
 
@@ -899,8 +1011,10 @@ def _apply_action(
             choice = _prompt_choice(runner, candidates, ctx)
         before = _latched(runner)
         _advance(runner, choice)
-        _emit_verdict_change(runner, before, ctx)
-        _fire_poststep_hooks(runner, ctx)
+        if _latched(runner) is not before:
+            _emit_verdict_change(runner, ctx)
+        if runner.poststep:
+            _fire_poststep_hooks(runner, ctx)
         return True
     if isinstance(action, ResetAction):
         runner.current_state = runner.start_state
@@ -912,7 +1026,8 @@ def _apply_action(
         runner.current_state = action.state
         if runner.monitor is not None:
             runner.monitor.observe(action.state)
-        _emit_verdict_change(runner, before, ctx)
+        if _latched(runner) is not before:
+            _emit_verdict_change(runner, ctx)
         return True
     if isinstance(action, LogAction):
         context = {

@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hoarun.automata import Automaton, Inf, Transition, is_complete, is_deterministic
+from hoarun.cli import main
+from hoarun.hoa import parse
 from hoarun.labels import (
     FALSE,
     TRUE,
@@ -141,6 +143,40 @@ def test_compiled_deep_negation_chain():
         expr = Not(expr)
     assert bool(compile_label(expr)(1)) is True
     assert bool(compile_label(Not(expr))(1)) is False
+
+
+def test_compiled_deep_alternation_through_aliases(tmp_path, capsys):
+    # `0 & (1 | (0 & ...))` 190 levels deep in each of two stacked aliases
+    # and in the label: 570 levels, too deep for Python's parser as one
+    # expression and for hashing the tree by recursion
+    def chain(inner):
+        for level in range(190):
+            inner = f"0 & ({inner})" if level % 2 == 0 else f"1 | ({inner})"
+        return inner
+
+    label = chain("@b")
+    text = (
+        'HOA: v1\nStates: 1\nStart: 0\nAP: 2 "p" "q"\n'
+        f"Alias: @a {chain('0')}\nAlias: @b {chain('@a')}\n"
+        f"Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {{0}}\n[{label}] 0\n[!({label})] 0\n--END--\n"
+    )
+    (automaton,) = parse(text).automata
+    holds = compile_label(automaton.transitions[0].label)
+    for bits in range(4):
+        p, q = bits & 1, bits >> 1 & 1
+        expected = p
+        for _ in range(3):
+            for level in range(190):
+                expected = (p and expected) if level % 2 == 0 else (q or expected)
+        assert bool(holds(bits)) == bool(expected)
+    hoa = tmp_path / "deep.hoa"
+    hoa.write_text(text)
+    trace = tmp_path / "deep.trace"
+    trace.write_text("p q\n0 1\n1 1\n")
+    assert main(["check", str(hoa)]) == 0
+    assert "deterministic=yes complete=yes" in capsys.readouterr().out
+    assert main(["run", str(hoa), "--monitor", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "VERDICT 0 good @0\n"
 
 
 def test_minterm_hits_exactly_one_valuation():

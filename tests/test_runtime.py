@@ -121,6 +121,23 @@ def test_trace_reader_bad_rows():
         reader.row_for_step(0)
     with pytest.raises(TraceError):
         TraceReader("inline", text="")
+    # line numbers count comments and blank lines; a column that no
+    # proposition reads is checked all the same
+    text = "# c\nx a\n\n1 0\n# c\n1 10\n0\n2 1\n"
+    for read in (
+        lambda reader, step: reader.row_for_step(step),
+        lambda reader, step: collect_valuation([("a", FileDriver(reader))], step),
+    ):
+        reader = TraceReader("inline", text=text)
+        read(reader, 0)
+        for step, line, message in (
+            (1, 6, "expected 0 or 1, found '10'"),
+            (2, 7, "expected 2 columns, found 1"),
+            (3, 8, "expected 0 or 1, found '2'"),
+        ):
+            with pytest.raises(TraceError) as err:
+                read(reader, step)
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 def test_collect_valuation_from_shared_file():
@@ -131,6 +148,24 @@ def test_collect_valuation_from_shared_file():
     assert collect_valuation(bindings, 1) == Valuation(0b10, 2)
     assert collect_valuation(bindings, 2) == Valuation(0b11, 2)
     assert collect_valuation(bindings, 3) is None
+    # a header in another order than the bindings, with a column that
+    # no proposition reads
+    reader = TraceReader("inline", text="x b a\n1 1 0\n0 0 1\n")
+    bindings = [("a", FileDriver(reader)), ("b", FileDriver(reader))]
+    assert collect_valuation(bindings, 0) == Valuation(0b10, 2)
+    assert collect_valuation(bindings, 1) == Valuation(0b01, 2)
+    assert collect_valuation(bindings, 2) is None
+    # file and random() bindings mixed, as a configuration gives them:
+    # each proposition keeps its position in the universe
+    config = parse_config(
+        "[drivers]\na = file:t\nr = random(bias=1)\nb = file:t\ns = random(bias=0)\n"
+    )
+    bindings = resolve_bindings(
+        ("a", "r", "b", "s"), config, seed=0, trace_text="x b a\n1 1 0\n0 0 1\n"
+    )
+    assert collect_valuation(bindings, 0) == Valuation(0b0110, 4)
+    assert collect_valuation(bindings, 1) == Valuation(0b0011, 4)
+    assert collect_valuation(bindings, 2) is None
 
 
 def test_random_driver_biases():
@@ -295,6 +330,12 @@ def test_step_outcomes():
     assert runner.current_state == 0
 
 
+def _local_valuation(aut, universe, bits):
+    """The automaton's own view of global valuation bits over ``universe``."""
+    local = sum(1 << i for i, name in enumerate(aut.aps) if bits >> universe.index(name) & 1)
+    return Valuation(local, len(aut.aps))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10**9))
 def test_step_matches_brute_successors(seed):
@@ -312,11 +353,8 @@ def test_step_matches_brute_successors(seed):
         bits = rng.randrange(1 << len(universe))
         for runner in runners:
             aut = runner.automaton
-            local = sum(
-                1 << i for i, name in enumerate(aut.aps) if bits >> universe.index(name) & 1
-            )
             state, count = runner.current_state, runner.step_count
-            expected = brute_successors(aut, state, Valuation(local, len(aut.aps)))
+            expected = brute_successors(aut, state, _local_valuation(aut, universe, bits))
             found = step(runner, Valuation(bits, len(universe)))
             assert found == tuple(sorted(expected))
             if len(found) == 1:
@@ -325,6 +363,72 @@ def test_step_matches_brute_successors(seed):
                 assert (runner.current_state, runner.step_count) == (state, count)
                 # carry on from some state, as a goto hook would
                 runner.current_state = rng.randrange(aut.num_states)
+    # one runner along a longer random word: (state, input) pairs repeat,
+    # so most steps are answered by the successor memo, and a unique
+    # candidate comes back as the state's one shared tuple
+    runner = runners[1]
+    aut = runner.automaton
+    for _ in range(200):
+        bits = rng.randrange(1 << len(universe))
+        expected = brute_successors(aut, runner.current_state, _local_valuation(aut, universe, bits))
+        found = step(runner, Valuation(bits, len(universe)))
+        assert found == tuple(sorted(expected))
+        if len(found) == 1:
+            assert found is runner.unique[found[0]]
+        else:
+            runner.current_state = rng.randrange(aut.num_states)
+    assert sum(map(len, runner.memo)) <= aut.num_states << len(aut.aps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_run_loop_matches_brute_stepping_under_hooks(seed):
+    # random automata, some steps nondeterministic or deadlocked, run by
+    # run_loop with random-choice, reset and goto hooks, against the
+    # loop's semantics replayed with evaluate-based successors
+    rng = Random(seed)
+    automata = [
+        random_labelled_automaton(rng, ("p", "q")),
+        random_labelled_automaton(rng, ("q", "p")),
+    ]
+    universe = build_universe(automata)
+    hooks = [
+        HookSpec("pick", NondetTrigger(), RandomChoiceAction()),
+        HookSpec("back", DeadlockTrigger(), ResetAction()),
+    ]
+    jumps = []
+    for index, aut in enumerate(automata):
+        jump = (rng.randrange(aut.num_states), rng.randrange(aut.num_states))
+        jumps.append(jump)
+        hooks.append(
+            HookSpec(f"jump{index}", StateTrigger(jump[0]), GotoAction(jump[1]), str(index))
+        )
+    word = [rng.randrange(4) for _ in range(60)]
+    trace = "p q\n" + "".join(f"{bits & 1} {bits >> 1}\n" for bits in word)
+    report, events, runners = _run_with_trace(automata, trace, hooks=tuple(hooks), seed=seed)
+
+    hook_rng = Random(f"{seed}:hooks")
+    states = [min(aut.initial) for aut in automata]
+    counts = [0] * len(automata)
+    expected = []
+    for bits in word:
+        for i, aut in enumerate(automata):
+            found = sorted(
+                brute_successors(aut, states[i], _local_valuation(aut, universe, bits))
+            )
+            if not found:
+                states[i] = min(aut.initial)
+                continue
+            states[i] = found[hook_rng.randrange(len(found))] if len(found) > 1 else found[0]
+            counts[i] += 1
+            if states[i] == jumps[i][0]:
+                states[i] = jumps[i][1]
+        expected.append(tuple(states))
+    assert report.reason == "end-of-input"
+    steps = [e for e in events if isinstance(e, StepEvent)]
+    assert [tuple(state for _, state in e.states) for e in steps] == expected
+    assert [e.bits for e in steps] == [f"{bits & 1}{bits >> 1}" for bits in word]
+    assert [r.step_count for r in runners] == counts
 
 
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
