@@ -12,6 +12,7 @@ and the runtime evaluate formulas through :func:`compile_label`;
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -37,7 +38,8 @@ class ValuationWidthError(LabelError):
 class LabelExpr:
     """Base class for formula nodes. Instances are immutable and shareable."""
 
-    __slots__ = ()
+    # weakly referenced by compile_label's memo, which forgets a formula with it
+    __slots__ = ("__weakref__",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,10 +235,12 @@ def minterm(index: int, ap_count: int) -> LabelExpr:
     return land(*literals)
 
 
-# compiled predicates, by (id(formula), positions) next to the formula,
-# which the entry keeps alive so that its id is not reused; and by
+_Key = tuple[int, tuple[int, ...] | None]
+
+# compiled predicates, by (id(formula), positions) next to a weak
+# reference to the formula, for as long as the formula lives; and by
 # generated source, so that equal formulas share one code object
-_BY_LABEL: dict[tuple[int, tuple[int, ...] | None], tuple[LabelExpr, Callable[[int], object]]] = {}
+_BY_LABEL: dict[_Key, tuple[weakref.ref, Callable[[int], object]]] = {}
 _BY_SOURCE: dict[str, Callable[[int], object]] = {}
 
 # operator nesting at which a subformula is compiled as its own helper:
@@ -254,23 +258,34 @@ def compile_label(
     ``positions[i]`` of the valuation, or bit ``i`` when ``positions`` is
     None, so a formula over an automaton's own propositions runs directly
     on a valuation over a wider, differently ordered proposition list.
-    Memoised by the formula object and by the generated source, so no
-    formula is hashed or compared node by node and one of any depth
-    compiles; equal formulas share one code object (the parser gives
-    equal labels one object, so they compile once). The memo holds the
-    formulas and conditions compiled, with their predicates.
+    Memoised by the formula object while it lives and by the generated
+    source, so no formula is hashed or compared node by node and one of
+    any depth compiles; equal formulas share one code object (the parser
+    gives equal labels one object, so they compile once). The memo keeps
+    one entry per live formula and positions, and one code object per
+    distinct source.
     """
     key = (id(expr), positions)
     entry = _BY_LABEL.get(key)
-    if entry is None:
+    if entry is None or entry[0]() is not expr:
         source = _py_source(expr, positions)
         holds = _BY_SOURCE.get(source)
         if holds is None:
             namespace: dict[str, object] = {"__builtins__": {}}
             exec(source, namespace)
             holds = _BY_SOURCE[source] = namespace["holds"]
-        entry = _BY_LABEL[key] = (expr, holds)
+        entry = _BY_LABEL[key] = (weakref.ref(expr, _forget(key)), holds)
     return entry[1]
+
+
+def _forget(key: _Key) -> Callable[[weakref.ref], None]:
+    """Callback that drops the memo entry ``key`` when its formula dies."""
+
+    def forget(ref: weakref.ref) -> None:
+        if _BY_LABEL.get(key, (None,))[0] is ref:
+            del _BY_LABEL[key]
+
+    return forget
 
 
 def _py_source(expr: LabelExpr, positions: tuple[int, ...] | None) -> str:

@@ -8,9 +8,10 @@ uses, so each runner reads that valuation directly. A trace record is
 decoded once, straight to those bits. Each runner memoises its
 candidate states per (state, input restricted to its own propositions),
 so after the first visit of such a pair a step is a dictionary lookup;
-the memo holds at most 2**|AP| entries per state of the automaton,
-however long the run. All randomness flows from per-purpose streams
-derived from the global seed, so identical inputs replay identically.
+a memo that reaches ``MEMO_CAP`` entries is emptied, so it never holds
+more, however long the run and however many propositions the automaton
+has. All randomness flows from per-purpose streams derived from the
+global seed, so identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ class TraceReader:
     propositions, every following significant line holds one 0/1 token
     per name. One record is consumed per step regardless of how many
     propositions read from it. Each record is checked and decoded once,
-    to one int; :meth:`bind` fixes which bit of the global valuation
-    each column feeds, and :meth:`bits_for_step` returns the record in
-    that order. Columns no proposition is bound to are checked but
-    otherwise ignored.
+    to one int (:meth:`record_for_step`). Columns no proposition is
+    bound to are checked but otherwise ignored.
     """
 
     def __init__(self, path: str, text: str | None = None):
@@ -72,13 +71,8 @@ class TraceReader:
             raise TraceError("trace has no header line")
         _, header_line = header
         self.header: tuple[str, ...] = tuple(header_line.split())
-        self._columns = {name: i for i, name in enumerate(self.header)}
         self._step = -1
-        # the record read at _step, column i at bit len(header) - 1 - i
         self._record: int | None = None
-        # (low, table): table[record >> low & 255] holds those eight
-        # columns' bits at their global positions
-        self._tables: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
     def _next_significant(self) -> tuple[int, str] | None:
         for number, line in self._lines:
@@ -87,8 +81,9 @@ class TraceReader:
                 return number, stripped
         return None
 
-    def _read(self, step: int) -> int | None:
-        """Record for ``step``, advancing at most once; None at end of input."""
+    def record_for_step(self, step: int) -> int | None:
+        """Record for ``step``, column i at bit ``len(header) - 1 - i``,
+        advancing at most once; None at end of input."""
         if step == self._step:
             return self._record
         entry = self._next_significant()
@@ -113,36 +108,11 @@ class TraceReader:
 
     def row_for_step(self, step: int) -> tuple[bool, ...] | None:
         """Record for ``step`` as one bool per column; None at end of input."""
-        record = self._read(step)
+        record = self.record_for_step(step)
         if record is None:
             return None
         last = len(self.header) - 1
         return tuple(bool(record >> (last - i) & 1) for i in range(last + 1))
-
-    def bind(self, positions: dict[str, int]) -> None:
-        """Feed the column named ``name`` to bit ``positions[name]``."""
-        last = len(self.header) - 1
-        feeds = {last - self._columns[name]: bit for name, bit in positions.items()}
-        tables = []
-        for low in range(0, last + 1, 8):
-            table = tuple(
-                sum(1 << feeds[low + j] for j in range(8) if chunk >> j & 1 and low + j in feeds)
-                for chunk in range(256)
-            )
-            if any(table):
-                tables.append((low, table))
-        self._tables = tuple(tables)
-
-    def bits_for_step(self, step: int) -> int | None:
-        """The bound columns of ``step``'s record at their global positions,
-        advancing at most once; None at end of input."""
-        record = self._read(step)
-        if record is None:
-            return None
-        bits = 0
-        for low, table in self._tables:
-            bits |= table[record >> low & 255]
-        return bits
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +218,25 @@ class InteractiveDriver:
 Driver = RandomDriver | FileDriver | InteractiveDriver
 
 
+# (low, table): table[record >> low & 255] holds those eight columns'
+# bits at their global positions
+ColumnTables = tuple[tuple[int, tuple[int, ...]], ...]
+
+# (width, each trace reader with its column tables, every other driver
+# with its position and proposition)
 ValuationSources = tuple[
-    tuple[TraceReader, ...], tuple[tuple[int, str, RandomDriver | InteractiveDriver], ...]
+    int,
+    tuple[tuple[TraceReader, ColumnTables], ...],
+    tuple[tuple[int, str, RandomDriver | InteractiveDriver], ...],
 ]
 
 
 def valuation_sources(bindings: Sequence[tuple[str, Driver]]) -> ValuationSources:
-    """Group bindings for :func:`collect_valuation`.
+    """Group bindings once for :func:`collect_valuation`.
 
-    Returns each distinct trace reader, in first-bound order, bound to
-    the positions of the propositions it feeds, and every other driver
-    with its position, in binding order.
+    Each distinct trace reader, in first-bound order, gets tables that
+    move the columns it feeds to their positions in ``bindings``; every
+    other driver keeps its position, in binding order.
     """
     fed: dict[int, tuple[TraceReader, dict[str, int]]] = {}
     others = []
@@ -267,36 +245,49 @@ def valuation_sources(bindings: Sequence[tuple[str, Driver]]) -> ValuationSource
             fed.setdefault(id(driver.reader), (driver.reader, {}))[1][ap_name] = position
         else:
             others.append((position, ap_name, driver))
-    for reader, positions in fed.values():
-        reader.bind(positions)
-    return tuple(reader for reader, _ in fed.values()), tuple(others)
+    readers = tuple(
+        (reader, _column_tables(reader.header, positions)) for reader, positions in fed.values()
+    )
+    return len(bindings), readers, tuple(others)
 
 
-def collect_valuation(
-    bindings: Sequence[tuple[str, Driver]],
-    step: int,
-    sources: ValuationSources | None = None,
-) -> Valuation | None:
+def _column_tables(header: Sequence[str], positions: dict[str, int]) -> ColumnTables:
+    """Tables feeding the column named ``name`` to bit ``positions[name]``."""
+    last = len(header) - 1
+    columns = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    feeds = {last - columns[name]: bit for name, bit in positions.items()}
+    tables = []
+    for low in range(0, last + 1, 8):
+        table = tuple(
+            sum(1 << feeds[low + j] for j in range(8) if chunk >> j & 1 and low + j in feeds)
+            for chunk in range(256)
+        )
+        if any(table):
+            tables.append((low, table))
+    return tuple(tables)
+
+
+def collect_valuation(sources: ValuationSources, step: int) -> Valuation | None:
     """One bit per bound proposition, in binding order; None at end of input.
 
-    Every trace reader decodes the step's record first, once however
-    many propositions it feeds, so a finished trace is detected before
-    any random or interactive driver is consulted; those are then asked
-    one proposition at a time, in binding order. ``sources`` is
-    ``valuation_sources(bindings)``, which :func:`run_loop` works out
-    once; it is worked out here when not given.
+    ``sources`` is ``valuation_sources(bindings)``. Every trace reader
+    decodes the step's record first, once however many propositions it
+    feeds, so a finished trace is detected before any random or
+    interactive driver is consulted; those are then asked one
+    proposition at a time, in binding order.
     """
-    readers, others = valuation_sources(bindings) if sources is None else sources
+    width, readers, others = sources
     bits = 0
-    for reader in readers:
-        record = reader.bits_for_step(step)
+    for reader, tables in readers:
+        record = reader.record_for_step(step)
         if record is None:
             return None
-        bits |= record
+        for low, table in tables:
+            bits |= table[record >> low & 255]
     for position, ap_name, driver in others:
         if driver.value(ap_name, step):
             bits |= 1 << position
-    return Valuation(bits, len(bindings))
+    return Valuation(bits, width)
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +592,21 @@ def load_config(path: str) -> Config:
 # Runners and the loop
 
 
+# entries a runner's successor memo holds before it is emptied: about
+# 1 MB, more than the (state, input) pairs of the benchmark workloads
+MEMO_CAP = 1 << 14
+
+
 class Runner:
     """Tracks one automaton's current state through the execution loop.
 
     ``projection[i]`` is the bit of the global valuation that holds the
     automaton's proposition i, and ``mask`` has those bits set. ``memo``
-    is the successor memo: ``memo[q]`` maps an input, as the global
-    valuation bits within ``mask``, to the sorted candidate states for
-    it at state q. An entry is filled from ``table`` the first time its
-    (state, input) pair is stepped, so the memo holds at most
-    2**len(projection) entries per state however long the run.
+    is the successor memo: it maps ``q << shift | bits``, for a state q
+    and an input given as the global valuation bits within ``mask``, to
+    the sorted candidate states for that input at q. An entry is filled
+    from ``table`` the first time its (state, input) pair is stepped;
+    the memo is emptied when it reaches ``MEMO_CAP`` entries.
     """
 
     def __init__(
@@ -623,8 +619,7 @@ class Runner:
         self.current_state = self.start_state
         self.step_count = 0
         self.monitor: Monitor | None = None
-        # the hooks in scope, then the same split by trigger kind
-        self.hooks: tuple[HookSpec, ...] = ()
+        # the hooks in scope, by trigger class, in configuration order
         self.triggered: dict[type, list[HookSpec]] = {}
         # (predicate over the global valuation bits, hook) per cond: hook
         self.conditions: tuple[tuple[Callable[[int], object], HookSpec], ...] = ()
@@ -637,9 +632,8 @@ class Runner:
         for t in automaton.transitions:
             self.table[t.src].append((compile_label(t.label, projection), t.dst))
         self.mask = sum(1 << position for position in projection)
-        self.memo: list[dict[int, tuple[int, ...]]] = [
-            {} for _ in range(automaton.num_states)
-        ]
+        self.shift = self.mask.bit_length()
+        self.memo: dict[int, tuple[int, ...]] = {}
         # one shared tuple per state for a unique candidate
         self.unique = tuple((q,) for q in range(automaton.num_states))
 
@@ -652,13 +646,16 @@ def step(runner: Runner, valuation: Valuation) -> tuple[int, ...]:
     the runner untouched until hooks decide.
     """
     state = runner.current_state
-    memo = runner.memo[state]
     bits = valuation.bits & runner.mask
-    found = memo.get(bits)
+    memo = runner.memo
+    key = state << runner.shift | bits
+    found = memo.get(key)
     if found is None:
         targets = sorted({target for holds, target in runner.table[state] if holds(bits)})
         found = runner.unique[targets[0]] if len(targets) == 1 else tuple(targets)
-        memo[bits] = found
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[key] = found
     if len(found) == 1:
         _advance(runner, found[0])
     return found
@@ -859,7 +856,6 @@ def prepare_runners(
                     )
                 cond_positions = tuple(positions[n] for n in hook.trigger.ap_names)
                 conditions.append((compile_label(hook.trigger.expr, cond_positions), hook))
-        runner.hooks = matching
         for hook in matching:
             runner.triggered.setdefault(type(hook.trigger), []).append(hook)
         runner.conditions = tuple(conditions)
@@ -901,7 +897,7 @@ def run_loop(
     current_states = attrgetter("current_state")
     try:
         while max_steps is None or ctx.step_index < max_steps:
-            valuation = collect_valuation(bindings, ctx.step_index, sources)
+            valuation = collect_valuation(sources, ctx.step_index)
             if valuation is None:
                 reason = "end-of-input"
                 break

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,8 @@ from hoarun.labels import (
     minterm,
     occurring_aps,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def exprs(max_aps: int = 5):
@@ -177,6 +181,29 @@ def test_compiled_deep_alternation_through_aliases(tmp_path, capsys):
     assert "deterministic=yes complete=yes" in capsys.readouterr().out
     assert main(["run", str(hoa), "--monitor", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out == "VERDICT 0 good @0\n"
+
+
+def test_compile_memo_forgets_dropped_formulas():
+    # parsing, checking and running one document again and again leaves
+    # the memo as it was after the first time: entries go with their
+    # formulas, and the code objects are one per distinct source
+    from hoarun.labels import _BY_LABEL, _BY_SOURCE
+    from hoarun.runtime import build_universe, prepare_runners
+
+    text = (FIXTURES / "aliases.hoa").read_text() + (FIXTURES / "multi.hoa").read_text()
+
+    def use_once():
+        automata = parse(text).automata
+        for automaton in automata:
+            is_deterministic(automaton)
+            is_complete(automaton)
+        prepare_runners(automata, build_universe(automata))
+
+    use_once()
+    sizes = (len(_BY_LABEL), len(_BY_SOURCE))
+    for _ in range(20):
+        use_once()
+    assert (len(_BY_LABEL), len(_BY_SOURCE)) == sizes
 
 
 def test_minterm_hits_exactly_one_valuation():

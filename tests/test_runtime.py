@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from helpers import brute_successors, random_labelled_automaton
 from hoarun.automata import Automaton, Inf, Transition
-from hoarun.labels import TRUE, Ap, Not, Valuation
+from hoarun.labels import TRUE, Ap, Not, Valuation, land
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
+    MEMO_CAP,
     Config,
     ConfigError,
     CondTrigger,
@@ -44,6 +45,7 @@ from hoarun.runtime import (
     resolve_bindings,
     run_loop,
     step,
+    valuation_sources,
 )
 
 TRACE = """\
@@ -126,7 +128,9 @@ def test_trace_reader_bad_rows():
     text = "# c\nx a\n\n1 0\n# c\n1 10\n0\n2 1\n"
     for read in (
         lambda reader, step: reader.row_for_step(step),
-        lambda reader, step: collect_valuation([("a", FileDriver(reader))], step),
+        lambda reader, step: collect_valuation(
+            valuation_sources([("a", FileDriver(reader))]), step
+        ),
     ):
         reader = TraceReader("inline", text=text)
         read(reader, 0)
@@ -142,19 +146,29 @@ def test_trace_reader_bad_rows():
 
 def test_collect_valuation_from_shared_file():
     reader = TraceReader("inline", text=TRACE)
-    bindings = [("a", FileDriver(reader)), ("b", FileDriver(reader))]
-    valuation = collect_valuation(bindings, 0)
+    sources = valuation_sources([("a", FileDriver(reader)), ("b", FileDriver(reader))])
+    valuation = collect_valuation(sources, 0)
     assert valuation == Valuation(0b01, 2)
-    assert collect_valuation(bindings, 1) == Valuation(0b10, 2)
-    assert collect_valuation(bindings, 2) == Valuation(0b11, 2)
-    assert collect_valuation(bindings, 3) is None
+    assert collect_valuation(sources, 1) == Valuation(0b10, 2)
+    assert collect_valuation(sources, 2) == Valuation(0b11, 2)
+    assert collect_valuation(sources, 3) is None
     # a header in another order than the bindings, with a column that
-    # no proposition reads
+    # no proposition reads; a second grouping over the same reader keeps
+    # its own column order
     reader = TraceReader("inline", text="x b a\n1 1 0\n0 0 1\n")
-    bindings = [("a", FileDriver(reader)), ("b", FileDriver(reader))]
-    assert collect_valuation(bindings, 0) == Valuation(0b10, 2)
-    assert collect_valuation(bindings, 1) == Valuation(0b01, 2)
-    assert collect_valuation(bindings, 2) is None
+    sources = valuation_sources([("a", FileDriver(reader)), ("b", FileDriver(reader))])
+    only_x = valuation_sources([("x", FileDriver(reader))])
+    assert collect_valuation(sources, 0) == Valuation(0b10, 2)
+    assert collect_valuation(only_x, 0) == Valuation(0b1, 1)
+    assert collect_valuation(sources, 1) == Valuation(0b01, 2)
+    assert collect_valuation(only_x, 1) == Valuation(0b0, 1)
+    assert collect_valuation(sources, 2) is None
+    # more than eight columns, read eight at a time
+    header = [f"c{i}" for i in range(11)]
+    reader = TraceReader("inline", text=" ".join(header) + "\n1 0 0 0 0 0 0 0 0 1 1\n")
+    names = ("c10", "c0", "c8", "c9")
+    sources = valuation_sources([(name, FileDriver(reader)) for name in names])
+    assert collect_valuation(sources, 0) == Valuation(0b1011, 4)
     # file and random() bindings mixed, as a configuration gives them:
     # each proposition keeps its position in the universe
     config = parse_config(
@@ -163,9 +177,10 @@ def test_collect_valuation_from_shared_file():
     bindings = resolve_bindings(
         ("a", "r", "b", "s"), config, seed=0, trace_text="x b a\n1 1 0\n0 0 1\n"
     )
-    assert collect_valuation(bindings, 0) == Valuation(0b0110, 4)
-    assert collect_valuation(bindings, 1) == Valuation(0b0011, 4)
-    assert collect_valuation(bindings, 2) is None
+    sources = valuation_sources(bindings)
+    assert collect_valuation(sources, 0) == Valuation(0b0110, 4)
+    assert collect_valuation(sources, 1) == Valuation(0b0011, 4)
+    assert collect_valuation(sources, 2) is None
 
 
 def test_random_driver_biases():
@@ -377,7 +392,38 @@ def test_step_matches_brute_successors(seed):
             assert found is runner.unique[found[0]]
         else:
             runner.current_state = rng.randrange(aut.num_states)
-    assert sum(map(len, runner.memo)) <= aut.num_states << len(aut.aps)
+    assert len(runner.memo) <= aut.num_states << len(aut.aps)
+
+
+def test_memo_stays_under_cap_on_wide_inputs():
+    # 20 propositions under random drivers: nearly every step is a new
+    # (state, input) pair, so the memo fills and is emptied; stepping
+    # stays exact across that
+    names = tuple(f"p{i}" for i in range(20))
+    move = land(Ap(0), Ap(19))
+    aut = Automaton(
+        aps=names,
+        num_states=3,
+        initial=frozenset({0}),
+        transitions=tuple(
+            t
+            for q in range(3)
+            for t in (Transition(q, move, (q + 1) % 3), Transition(q, Not(move), q))
+        ),
+        acc_sets=(frozenset({0}),),
+        condition=Inf(0),
+    )
+    (runner,) = prepare_runners([aut], names)
+    bindings = resolve_bindings(names, parse_config("[drivers]\ndefault = random()\n"), seed=5)
+    events = []
+    steps = MEMO_CAP + 2_000
+    report = run_loop([runner], bindings, seed=5, max_steps=steps, on_event=events.append)
+    assert report.steps == steps
+    assert len(runner.memo) <= steps - MEMO_CAP  # emptied once, refilled since
+    state = 0
+    for event in events:
+        (state,) = brute_successors(aut, state, event.valuation)
+        assert event.states == (("0", state),)
 
 
 @settings(max_examples=100, deadline=None)
@@ -598,7 +644,8 @@ def test_cond_trigger_validation_against_universe():
         prepare_runners([aut], build_universe([aut]), unbound)
     bound = (HookSpec("watch", CondTrigger(Ap(0), ("p",)), LogAction("p seen")),)
     (runner,) = prepare_runners([aut], build_universe([aut]), bound)
-    assert runner.hooks == bound
+    assert runner.triggered == {CondTrigger: list(bound)}
+    assert [hook for _, hook in runner.conditions] == list(bound)
 
 
 def test_resolve_bindings_requires_default():
