@@ -130,6 +130,82 @@ def test_diagnostics_carry_positions():
     assert diag.severity == "error"
 
 
+def _diagnostic_lines(text):
+    try:
+        return [str(d) for d in parse(text).warnings]
+    except HoaParseError as err:
+        return [str(d) for d in err.diagnostics]
+
+
+BAD_FIXTURE_DIAGNOSTICS = {
+    "alternating.hoa": "8:6: error: universal branching is not supported",
+    "bad-version.hoa": "1:6: error: unsupported format version 'v2'",
+    "dup-header.hoa": "3:1: error: duplicate header States:",
+    "edge-marks.hoa": "8:7: error: transition-based acceptance unsupported "
+    "(edge of state 0 to 0)",
+    "empty-accset.hoa": "5:1: error: acceptance set 0 is referenced but empty "
+    "(no state belongs to it)",
+    "mixed-labels.hoa": "7:1: error: state 0 mixes labeled and unlabeled edges",
+    "negated-accset.hoa": "5:19: error: negated acceptance-set references are not supported",
+    "no-end.hoa": "9:1: error: missing --END--",
+    "no-start.hoa": "1:1: error: at least one initial state is required (Start: missing)",
+    "out-of-range.hoa": "6:1: error: state id 5 out of declared range 0..1",
+    "undefined-alias.hoa": "8:2: error: undefined alias @nope",
+    "unknown-upper.hoa": "4:1: error: unsupported header Mystery:",
+}
+
+
+@pytest.mark.parametrize("name", BAD_FIXTURES)
+def test_bad_fixture_diagnostics_are_pinned(name):
+    assert _diagnostic_lines(load_fixture(f"bad/{name}")) == [BAD_FIXTURE_DIAGNOSTICS[name]]
+
+
+_HEAD = 'HOA: v1\nStates: 1\nStart: 0\nAP: 1 "p"\nAcceptance: 1 Inf(0)\n'
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # an unterminated comment is reported where it opens
+        (_HEAD + "/* open /* nested */\n--BODY--\n", ["6:1: error: unterminated comment"]),
+        # an unterminated string, also one ending in a backslash: its opening quote
+        ('HOA: v1\nname:  "abc', ["2:8: error: unterminated string"]),
+        ('HOA: v1\nname: "abc\\', ["2:7: error: unterminated string"]),
+        (_HEAD + "Alias: @ 0\n--BODY--\n", ["6:8: error: malformed alias name"]),
+        # only \n starts a line; \r and a tab each count as one column
+        ("HOA: v1\r\nStates: 1\r\r$", ["2:12: error: unexpected character '$'"]),
+        ("HOA: v1\n\t\t$", ["2:3: error: unexpected character '$'"]),
+        # after a multi-line nested comment, and after a string spanning lines
+        (
+            "HOA: v1 /* a\n/* b\n*/ c */ States: x",
+            ["3:17: error: expected state count, found 'x'"],
+        ),
+        ('HOA: v1\nname: "a\nb" $', ["3:4: error: unexpected character '$'"]),
+        # the end of input, after trailing blank lines
+        ("HOA: v1\nStates:   \n\n", ["4:1: error: expected state count, found ''"]),
+        # warnings come before the error that ends the parse
+        (
+            _HEAD + 'fancy: 1 "x" @a\n--BODY--\nState: 0 "zero" {0}\n[0] 0\n[!0] 0\n'
+            "State: 0\n--END--\n",
+            [
+                "6:1: warning: ignoring unknown header fancy:",
+                "8:10: warning: state display names are ignored",
+                "11:1: error: state 0 defined twice",
+            ],
+        ),
+        (
+            _HEAD + 'note:\n--BODY--\nState: 0 "zero" {0}\n[t] 0\n--END--\n',
+            [
+                "6:1: warning: ignoring unknown header note:",
+                "8:10: warning: state display names are ignored",
+            ],
+        ),
+    ],
+)
+def test_diagnostic_positions_are_pinned(text, expected):
+    assert _diagnostic_lines(text) == expected
+
+
 def test_multiple_automata_per_stream():
     doc = parse(load_fixture("multi.hoa"))
     assert [a.name for a in doc.automata] == ["first", "second"]
