@@ -23,6 +23,7 @@ from .runtime import (
     LogEvent,
     StepEvent,
     TraceError,
+    TraceReader,
     VerdictEvent,
     build_universe,
     load_config,
@@ -158,9 +159,8 @@ def _cmd_run(args) -> int:
         if args.monitor:
             for runner, (_, monitor) in zip(runners, monitored):
                 runner.monitor = monitor
-        bindings = resolve_bindings(
-            universe, config, seed=seed, trace_path=args.trace
-        )
+        trace = TraceReader(args.trace) if args.trace is not None else None
+        bindings = resolve_bindings(universe, config, seed=seed, trace=trace)
     except (ConfigError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -181,7 +181,7 @@ def _cmd_run(args) -> int:
 
     try:
         report = run_loop(
-            runners, bindings, seed=seed, max_steps=max_steps, on_event=on_event
+            runners, bindings, seed=seed, max_steps=max_steps, on_event=on_event, trace=trace
         )
     except (TraceError, ConfigError, InputClosedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,8 @@ universal branching are rejected with positioned diagnostics.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .automata import (
@@ -70,20 +72,39 @@ class HoaDocument:
 
 # ---------------------------------------------------------------------------
 # Tokenizer
+#
+# One regex, matched at the current offset, skips blanks and reads one token.
+# Tokens carry their offset; a diagnostic turns it into a 1-based line and
+# column, where only "\n" ends a line and every other character, "\r" and
+# tab included, is one column.
 
 
 @dataclass(slots=True)
 class _Token:
     kind: str
     value: str
-    line: int
-    col: int
+    offset: int
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_DIGITS = set("0123456789")
-_IDENT_CONT = _IDENT_START | _DIGITS | {"-"}
-_PUNCT = set("[]{}()!&|")
+# the last group that matches names the token's kind and holds its value;
+# "at" marks where the token begins
+_TOKEN_RE = re.compile(
+    r"""[ \t\r\n]*(?P<at>)(?:
+        (?P<header>[A-Za-z_][A-Za-z0-9_-]*):
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
+      | (?P<int>[0-9]+)
+      | (?P<punct>[][{}()!&|])
+      | "(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"
+      | (?P<body>--BODY--) | (?P<end>--END--) | (?P<abort>--ABORT--)
+      | @(?P<aname>[A-Za-z0-9_-]*)
+      | (?P<comment>/\*)
+      | (?P<eof>\Z)
+      | (?P<other>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_COMMENT_DELIM_RE = re.compile(r"/\*|\*/")
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 class _Abort(Exception):
@@ -96,115 +117,45 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self._newlines: list[int] | None = None
 
-    def _fail(self, message: str, line: int | None = None, col: int | None = None):
-        raise _Abort(
-            ParseDiagnostic(
-                line if line is not None else self.line,
-                col if col is not None else self.col,
-                message,
-            )
-        )
+    def diagnostic(self, offset: int, message: str, severity: str = "error") -> ParseDiagnostic:
+        if self._newlines is None:
+            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self._newlines, offset)
+        column = offset - self._newlines[line - 1] if line else offset + 1
+        return ParseDiagnostic(line + 1, column, message, severity)
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif text.startswith("/*", self.pos):
-                start_line, start_col = self.line, self.col
-                depth = 0
-                while self.pos < len(text):
-                    if text.startswith("/*", self.pos):
-                        depth += 1
-                        self._advance(2)
-                    elif text.startswith("*/", self.pos):
-                        depth -= 1
-                        self._advance(2)
-                        if depth == 0:
-                            break
-                    else:
-                        self._advance()
-                else:
-                    self._fail("unterminated comment", start_line, start_col)
-            else:
-                return
+    def _fail(self, message: str, offset: int):
+        raise _Abort(self.diagnostic(offset, message))
 
     def next_token(self) -> _Token:
-        self._skip_trivia()
         text = self.text
-        if self.pos >= len(text):
-            return _Token("eof", "", self.line, self.col)
-        line, col = self.line, self.col
-        ch = text[self.pos]
-        if text.startswith("--BODY--", self.pos):
-            self._advance(8)
-            return _Token("body", "--BODY--", line, col)
-        if text.startswith("--END--", self.pos):
-            self._advance(7)
-            return _Token("end", "--END--", line, col)
-        if text.startswith("--ABORT--", self.pos):
-            self._advance(9)
-            return _Token("abort", "--ABORT--", line, col)
-        if ch in _DIGITS:
-            start = self.pos
-            while self.pos < len(text) and text[self.pos] in _DIGITS:
-                self._advance()
-            return _Token("int", text[start : self.pos], line, col)
-        if ch in _PUNCT:
-            self._advance()
-            return _Token(ch, ch, line, col)
-        if ch == '"':
-            self._advance()
-            chars: list[str] = []
-            while True:
-                if self.pos >= len(text):
-                    self._fail("unterminated string", line, col)
-                c = text[self.pos]
-                if c == "\\":
-                    if self.pos + 1 >= len(text):
-                        self._fail("unterminated string", line, col)
-                    nxt = text[self.pos + 1]
-                    chars.append(nxt if nxt in ('"', "\\") else "\\" + nxt)
-                    self._advance(2)
-                elif c == '"':
-                    self._advance()
+        m = _TOKEN_RE.match(text, self.pos)
+        while m.lastgroup == "comment":
+            # comments nest: go on after the "*/" that closes this one
+            depth = 0
+            for delim in _COMMENT_DELIM_RE.finditer(text, m.start("at")):
+                depth += 1 if delim.group() == "/*" else -1
+                if depth == 0:
                     break
-                else:
-                    chars.append(c)
-                    self._advance()
-            return _Token("string", "".join(chars), line, col)
-        if ch == "@":
-            self._advance()
-            start = self.pos
-            while self.pos < len(text) and text[self.pos] in _IDENT_CONT:
-                self._advance()
-            if start == self.pos:
-                self._fail("malformed alias name", line, col)
-            return _Token("aname", text[start : self.pos], line, col)
-        if ch in _IDENT_START:
-            start = self.pos
-            while self.pos < len(text) and text[self.pos] in _IDENT_CONT:
-                self._advance()
-            word = text[start : self.pos]
-            if self.pos < len(text) and text[self.pos] == ":":
-                self._advance()
-                return _Token("header", word, line, col)
-            return _Token("ident", word, line, col)
-        self._fail(f"unexpected character {ch!r}")
-        raise AssertionError  # unreachable
+            else:
+                self._fail("unterminated comment", m.start("at"))
+            m = _TOKEN_RE.match(text, delim.end())
+        self.pos = m.end()
+        kind = m.lastgroup
+        value = m.group(kind)
+        if kind == "punct":
+            kind = value
+        elif kind == "string":
+            value = _ESCAPE_RE.sub(r"\1", value)
+        elif kind == "aname" and not value:
+            self._fail("malformed alias name", m.start("at"))
+        elif kind == "other":
+            if value == '"':
+                self._fail("unterminated string", m.start("at"))
+            self._fail(f"unexpected character {value!r}", m.start("at"))
+        return _Token(kind, value, m.start("at"))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +190,10 @@ class _Parser:
         return tok
 
     def _fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.tok
-        raise _Abort(ParseDiagnostic(tok.line, tok.col, message))
+        raise _Abort(self._tz.diagnostic((tok or self.tok).offset, message))
 
     def _warn(self, message: str, tok: _Token) -> None:
-        self.warnings.append(ParseDiagnostic(tok.line, tok.col, message, "warning"))
+        self.warnings.append(self._tz.diagnostic(tok.offset, message, "warning"))
 
     def _expect(self, kind: str, what: str) -> _Token:
         if self.tok.kind != kind:
@@ -668,7 +618,7 @@ class _Parser:
                 display_ids=display,
             )
         except ValueError as exc:
-            raise _Abort(ParseDiagnostic(head.line, head.col, str(exc))) from exc
+            self._fail(str(exc), head)
 
 
 def _drop_empty_sets(cond: AcceptanceCond, empty: frozenset[int]) -> AcceptanceCond:

@@ -17,12 +17,13 @@ global seed, so identical inputs replay identically.
 from __future__ import annotations
 
 import configparser
+import io
 import re
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from random import Random
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .automata import Automaton
 from .labels import FALSE, TRUE, Ap, LabelExpr, Not, Valuation, compile_label, land, lor
@@ -57,16 +58,15 @@ class TraceReader:
     per name. One record is consumed per step regardless of how many
     propositions read from it. Each record is checked and decoded once,
     to one int (:meth:`record_for_step`). Columns no proposition is
-    bound to are checked but otherwise ignored.
+    bound to are checked but otherwise ignored. The file is read one line
+    at a time, so memory does not grow with its length.
     """
 
     def __init__(self, path: str, text: str | None = None):
         self.path = path
-        if text is None:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        self._lines = iter(enumerate(text.splitlines(), start=1))
-        header = self._next_significant()
+        source = open(path, encoding="utf-8") if text is None else io.StringIO(text, newline=None)
+        self._lines = self._significant_lines(source)
+        header = next(self._lines, None)
         if header is None:
             raise TraceError("trace has no header line")
         _, header_line = header
@@ -74,19 +74,24 @@ class TraceReader:
         self._step = -1
         self._record: int | None = None
 
-    def _next_significant(self) -> tuple[int, str] | None:
-        for number, line in self._lines:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                return number, stripped
-        return None
+    def _significant_lines(self, source: TextIO) -> Iterator[tuple[int, str]]:
+        """Number and text of each line that is not blank or a comment,
+        read one at a time; ``source`` is closed at its end."""
+        with source:
+            try:
+                for number, line in enumerate(source, start=1):
+                    stripped = line.strip()
+                    if stripped and not stripped.startswith("#"):
+                        yield number, stripped
+            except UnicodeDecodeError as exc:
+                raise TraceError(f"trace {self.path!r} is not valid UTF-8 ({exc.reason})") from None
 
     def record_for_step(self, step: int) -> int | None:
         """Record for ``step``, column i at bit ``len(header) - 1 - i``,
         advancing at most once; None at end of input."""
         if step == self._step:
             return self._record
-        entry = self._next_significant()
+        entry = next(self._lines, None)
         if entry is None:
             self._record = None
             self._step = step
@@ -231,14 +236,19 @@ ValuationSources = tuple[
 ]
 
 
-def valuation_sources(bindings: Sequence[tuple[str, Driver]]) -> ValuationSources:
+def valuation_sources(
+    bindings: Sequence[tuple[str, Driver]], trace: TraceReader | None = None
+) -> ValuationSources:
     """Group bindings once for :func:`collect_valuation`.
 
     Each distinct trace reader, in first-bound order, gets tables that
     move the columns it feeds to their positions in ``bindings``; every
-    other driver keeps its position, in binding order.
+    other driver keeps its position, in binding order. ``trace`` comes
+    first and is read even when it feeds no proposition.
     """
     fed: dict[int, tuple[TraceReader, dict[str, int]]] = {}
+    if trace is not None:
+        fed[id(trace)] = (trace, {})
     others = []
     for position, (ap_name, driver) in enumerate(bindings):
         if isinstance(driver, FileDriver):
@@ -766,20 +776,23 @@ def resolve_bindings(
     config: Config,
     *,
     seed: int,
-    trace_path: str | None = None,
+    trace: TraceReader | None = None,
     trace_text: str | None = None,
     interactive_in: TextIO | None = None,
     interactive_out: TextIO | None = None,
 ) -> list[tuple[str, Driver]]:
     """Instantiate one driver per proposition.
 
-    ``trace_path`` short-circuits the config and binds every proposition
-    to a single shared trace reader. Random streams are seeded from the
-    global seed and the binding position unless the spec pins a seed.
+    ``trace`` short-circuits the config and binds every proposition to
+    that one reader; ``trace_text`` is the text of every ``file:`` driver
+    of the config. Random streams are seeded from the global seed and the
+    binding position unless the spec pins a seed.
     """
     specs: list[tuple[str, DriverSpec]] = []
-    if trace_path is not None:
-        spec = FileSpec(trace_path)
+    readers: dict[str, TraceReader] = {}
+    if trace is not None:
+        readers[trace.path] = trace
+        spec = FileSpec(trace.path)
         specs = [(name, spec) for name in universe]
     else:
         by_name = dict(config.drivers)
@@ -796,7 +809,6 @@ def resolve_bindings(
                 )
             specs.append((name, spec))
 
-    readers: dict[str, TraceReader] = {}
     bindings: list[tuple[str, Driver]] = []
     for position, (name, spec) in enumerate(specs):
         if isinstance(spec, FileSpec):
@@ -885,15 +897,19 @@ def run_loop(
     on_event: Callable[[object], None] | None = None,
     interactive_in: TextIO | None = None,
     interactive_out: TextIO | None = None,
+    trace: TraceReader | None = None,
 ) -> ExitReport:
     """Drive all runners in lockstep until input ends, steps run out, or a
-    hook halts; unresolved nondeterminism or deadlock stops the run."""
+    hook halts; unresolved nondeterminism or deadlock stops the run.
+
+    ``trace`` gives one record per step and ends the run at its end, also
+    when no proposition reads it."""
     ctx = _LoopContext(bindings, seed, on_event, interactive_in, interactive_out)
     reason = "steps-exhausted"
     halt_code: int | None = None
     fatal_runner: str | None = None
     runners = tuple(runners)
-    sources = valuation_sources(bindings)
+    sources = valuation_sources(bindings, trace)
     current_states = attrgetter("current_state")
     try:
         while max_steps is None or ctx.step_index < max_steps:

@@ -65,6 +65,34 @@ def test_run_steps_zero_with_valid_trace(tmp_path, capsys):
     assert "STEP" not in out
 
 
+def test_run_trace_paces_automata_without_propositions(tmp_path, capsys):
+    # one record per step, and the run ends where the trace ends
+    trace = write(tmp_path, "t.trace", "x y\n0 1\n1 1\n# c\n0 0\n")
+    noap = str(FIXTURES / "noapfile.hoa")
+    assert main(["run", "--trace", trace, "--steps", "10", "--verbose", noap]) == 0
+    assert capsys.readouterr().out == "STEP 0  | 0:0\nSTEP 1  | 0:0\nSTEP 2  | 0:0\n"
+
+
+def test_run_bad_trace_without_propositions_is_an_error(tmp_path, capsys):
+    noap = str(FIXTURES / "noapfile.hoa")
+    for trace in (str(tmp_path / "missing.trace"), write(tmp_path, "h.trace", "# none\n")):
+        assert main(["run", "--trace", trace, "--steps", "10", noap]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_run_trace_not_utf8_is_an_error(tmp_path, capsys):
+    # the bad byte sits in the header, or far enough in to be read mid-run
+    for records in (0, 5000):
+        path = tmp_path / f"bad{records}.trace"
+        path.write_bytes(b"p\n" + b"1\n" * records + b"\xff\n")
+        assert main(["run", "--trace", str(path), MINIMAL]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "UTF-8" in err
+
+
 def test_run_trace_to_bad_verdict(tmp_path, capsys):
     trace = write(tmp_path, "t.trace", "p\n1\n0\n1\n")
     code = main(["run", "--trace", trace, "--monitor", BADTRAP])

@@ -1,4 +1,6 @@
 import io
+import itertools
+import tracemalloc
 from random import Random
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import brute_successors, random_labelled_automaton
 from hoarun.automata import Automaton, Inf, Transition
 from hoarun.labels import TRUE, Ap, Not, Valuation, land
+from hoarun import runtime
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
     MEMO_CAP,
@@ -113,7 +116,7 @@ def test_trace_reader_crlf_and_comments():
     assert reader.row_for_step(0) == (False, True)
 
 
-def test_trace_reader_bad_rows():
+def test_trace_reader_bad_rows(tmp_path):
     reader = TraceReader("inline", text="a b\n1\n")
     with pytest.raises(TraceError) as err:
         reader.row_for_step(0)
@@ -125,14 +128,24 @@ def test_trace_reader_bad_rows():
         TraceReader("inline", text="")
     # line numbers count comments and blank lines; a column that no
     # proposition reads is checked all the same
+    # from a file or from text, whichever of \n, \r\n and \r ends a line
     text = "# c\nx a\n\n1 0\n# c\n1 10\n0\n2 1\n"
-    for read in (
-        lambda reader, step: reader.row_for_step(step),
-        lambda reader, step: collect_valuation(
-            valuation_sources([("a", FileDriver(reader))]), step
+    for newline, source, read in itertools.product(
+        ("\n", "\r\n", "\r"),
+        ("file", "text"),
+        (
+            lambda reader, step: reader.row_for_step(step),
+            lambda reader, step: collect_valuation(
+                valuation_sources([("a", FileDriver(reader))]), step
+            ),
         ),
     ):
-        reader = TraceReader("inline", text=text)
+        path = tmp_path / "t.trace"
+        path.write_bytes(text.replace("\n", newline).encode())
+        if source == "file":
+            reader = TraceReader(str(path))
+        else:
+            reader = TraceReader("inline", text=text.replace("\n", newline))
         read(reader, 0)
         for step, line, message in (
             (1, 6, "expected 0 or 1, found '10'"),
@@ -142,6 +155,35 @@ def test_trace_reader_bad_rows():
             with pytest.raises(TraceError) as err:
                 read(reader, step)
             assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+def test_trace_reader_memory_does_not_grow_with_length(tmp_path, monkeypatch):
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(runtime, "open", recording_open, raising=False)
+
+    def peak_bytes(records):
+        path = tmp_path / f"{records}.trace"
+        path.write_text("a b\n" + "0 1\n1 0\n" * (records // 2))
+        tracemalloc.start()
+        try:
+            reader = TraceReader(str(path))
+            step = 0
+            while reader.record_for_step(step) is not None:
+                step += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step == records
+        assert handles[-1].closed  # at the end of input
+        return peak
+
+    small, large = peak_bytes(30_000), peak_bytes(300_000)
+    assert large < 2 * small
 
 
 def test_collect_valuation_from_shared_file():
@@ -660,7 +702,7 @@ def test_resolve_bindings_checks_trace_columns(tmp_path):
     aut = pq_automaton()
     with pytest.raises(ConfigError):
         resolve_bindings(
-            build_universe([aut]), Config(), seed=0, trace_path=str(path)
+            build_universe([aut]), Config(), seed=0, trace=TraceReader(str(path))
         )
 
 
