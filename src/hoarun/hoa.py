@@ -86,8 +86,8 @@ class _Token:
     offset: int
 
 
-# the last group that matches names the token's kind and holds its value;
-# "at" marks where the token begins
+# m.lastgroup names the token's kind and its group holds the value; the
+# empty group "at" marks where the token begins, after blanks
 _TOKEN_RE = re.compile(
     r"""[ \t\r\n]*(?P<at>)(?:
         (?P<header>[A-Za-z_][A-Za-z0-9_-]*):

@@ -84,7 +84,8 @@ class TraceReader:
                     if stripped and not stripped.startswith("#"):
                         yield number, stripped
             except UnicodeDecodeError as exc:
-                raise TraceError(f"trace {self.path!r} is not valid UTF-8 ({exc.reason})") from None
+                message = f"trace {self.path!r} is not valid UTF-8 ({exc.reason})"
+                raise TraceError(message) from None
 
     def record_for_step(self, step: int) -> int | None:
         """Record for ``step``, column i at bit ``len(header) - 1 - i``,

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_successors, random_labelled_automaton
+from hoarun import runtime
 from hoarun.automata import Automaton, Inf, Transition
 from hoarun.labels import TRUE, Ap, Not, Valuation, land
-from hoarun import runtime
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
     MEMO_CAP,
@@ -140,9 +140,9 @@ def test_trace_reader_bad_rows(tmp_path):
             ),
         ),
     ):
-        path = tmp_path / "t.trace"
-        path.write_bytes(text.replace("\n", newline).encode())
         if source == "file":
+            path = tmp_path / "t.trace"
+            path.write_bytes(text.replace("\n", newline).encode())
             reader = TraceReader(str(path))
         else:
             reader = TraceReader("inline", text=text.replace("\n", newline))
