@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .automata import Automaton, is_complete, is_deterministic, state_graph
 from .hoa import HoaParseError, format_acceptance, parse, serialize
@@ -19,11 +20,11 @@ from .monitoring import MonitorAttachError, Verdict, attach_monitor
 from .runtime import (
     Config,
     ConfigError,
+    FileSpec,
     InputClosedError,
     LogEvent,
     StepEvent,
     TraceError,
-    TraceReader,
     VerdictEvent,
     build_universe,
     load_config,
@@ -135,6 +136,8 @@ def _cmd_run(args) -> int:
         except (ConfigError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
+    if args.trace is not None:
+        config = replace(config, drivers=(), default_driver=FileSpec(args.trace))
     seed = args.seed if args.seed is not None else (config.seed or 0)
     max_steps = args.steps if args.steps is not None else config.max_steps
 
@@ -159,8 +162,7 @@ def _cmd_run(args) -> int:
         if args.monitor:
             for runner, (_, monitor) in zip(runners, monitored):
                 runner.monitor = monitor
-        trace = TraceReader(args.trace) if args.trace is not None else None
-        bindings = resolve_bindings(universe, config, seed=seed, trace=trace)
+        sources = resolve_bindings(universe, config, seed=seed)
     except (ConfigError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -180,9 +182,7 @@ def _cmd_run(args) -> int:
             print(f"STEP {event.step} {event.bits} | {states}")
 
     try:
-        report = run_loop(
-            runners, bindings, seed=seed, max_steps=max_steps, on_event=on_event, trace=trace
-        )
+        report = run_loop(runners, sources, seed=seed, max_steps=max_steps, on_event=on_event)
     except (TraceError, ConfigError, InputClosedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

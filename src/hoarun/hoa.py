@@ -161,21 +161,6 @@ class _Tokenizer:
 # ---------------------------------------------------------------------------
 # Parser
 
-_KNOWN_HEADERS = {
-    "HOA",
-    "States",
-    "Start",
-    "AP",
-    "Acceptance",
-    "Alias",
-    "name",
-    "tool",
-    "acc-name",
-    "properties",
-    "State",
-}
-
-
 class _Parser:
     def __init__(self, text: str, allow_empty_acc_sets: bool):
         self._tz = _Tokenizer(text)

@@ -192,13 +192,6 @@ class RandomDriver:
         return self.stream.random() < self.bias
 
 
-class FileDriver:
-    """A proposition read from a trace column; see :func:`collect_valuation`."""
-
-    def __init__(self, reader: TraceReader):
-        self.reader = reader
-
-
 class InteractiveDriver:
     def __init__(self, instream: TextIO | None = None, outstream: TextIO | None = None):
         self.instream = instream if instream is not None else sys.stdin
@@ -221,9 +214,6 @@ class InteractiveDriver:
                 return False
 
 
-Driver = RandomDriver | FileDriver | InteractiveDriver
-
-
 # (low, table): table[record >> low & 255] holds those eight columns'
 # bits at their global positions
 ColumnTables = tuple[tuple[int, tuple[int, ...]], ...]
@@ -235,31 +225,6 @@ ValuationSources = tuple[
     tuple[tuple[TraceReader, ColumnTables], ...],
     tuple[tuple[int, str, RandomDriver | InteractiveDriver], ...],
 ]
-
-
-def valuation_sources(
-    bindings: Sequence[tuple[str, Driver]], trace: TraceReader | None = None
-) -> ValuationSources:
-    """Group bindings once for :func:`collect_valuation`.
-
-    Each distinct trace reader, in first-bound order, gets tables that
-    move the columns it feeds to their positions in ``bindings``; every
-    other driver keeps its position, in binding order. ``trace`` comes
-    first and is read even when it feeds no proposition.
-    """
-    fed: dict[int, tuple[TraceReader, dict[str, int]]] = {}
-    if trace is not None:
-        fed[id(trace)] = (trace, {})
-    others = []
-    for position, (ap_name, driver) in enumerate(bindings):
-        if isinstance(driver, FileDriver):
-            fed.setdefault(id(driver.reader), (driver.reader, {}))[1][ap_name] = position
-        else:
-            others.append((position, ap_name, driver))
-    readers = tuple(
-        (reader, _column_tables(reader.header, positions)) for reader, positions in fed.values()
-    )
-    return len(bindings), readers, tuple(others)
 
 
 def _column_tables(header: Sequence[str], positions: dict[str, int]) -> ColumnTables:
@@ -281,11 +246,12 @@ def _column_tables(header: Sequence[str], positions: dict[str, int]) -> ColumnTa
 def collect_valuation(sources: ValuationSources, step: int) -> Valuation | None:
     """One bit per bound proposition, in binding order; None at end of input.
 
-    ``sources`` is ``valuation_sources(bindings)``. Every trace reader
-    decodes the step's record first, once however many propositions it
-    feeds, so a finished trace is detected before any random or
-    interactive driver is consulted; those are then asked one
-    proposition at a time, in binding order.
+    ``sources`` is what :func:`resolve_bindings` returns. Every trace
+    reader decodes the step's record first, once however many
+    propositions it feeds and also when it feeds none, so a finished
+    trace is detected before any random or interactive driver is
+    consulted; those are then asked one proposition at a time, in binding
+    order.
     """
     width, readers, others = sources
     bits = 0
@@ -744,10 +710,6 @@ class ExitReport:
     halt_code: int | None = None
     fatal_runner: str | None = None
 
-    @property
-    def bad_count(self) -> int:
-        return sum(1 for e in self.verdict_events if e.verdict is Verdict.BAD)
-
 
 class _Halt(Exception):
     def __init__(self, code: int):
@@ -777,59 +739,64 @@ def resolve_bindings(
     config: Config,
     *,
     seed: int,
-    trace: TraceReader | None = None,
     trace_text: str | None = None,
     interactive_in: TextIO | None = None,
     interactive_out: TextIO | None = None,
-) -> list[tuple[str, Driver]]:
-    """Instantiate one driver per proposition.
+) -> ValuationSources:
+    """Make one driver per proposition, grouped for :func:`collect_valuation`.
 
-    ``trace`` short-circuits the config and binds every proposition to
-    that one reader; ``trace_text`` is the text of every ``file:`` driver
-    of the config. Random streams are seeded from the global seed and the
-    binding position unless the spec pins a seed.
+    Each ``file:`` path is opened once, as one reader shared by every
+    proposition bound to it; the default's path is opened also when no
+    proposition falls to it, so every trace the configuration names paces
+    the run. ``trace_text`` is the text of every ``file:`` driver. Random
+    streams are seeded from the global seed and the binding position
+    unless the spec pins a seed.
     """
-    specs: list[tuple[str, DriverSpec]] = []
-    readers: dict[str, TraceReader] = {}
-    if trace is not None:
-        readers[trace.path] = trace
-        spec = FileSpec(trace.path)
-        specs = [(name, spec) for name in universe]
-    else:
-        by_name = dict(config.drivers)
-        unknown = [name for name, _ in config.drivers if name not in universe]
-        if unknown:
+    unknown = [name for name, _ in config.drivers if name not in universe]
+    if unknown:
+        raise ConfigError(
+            f"driver bound to unknown proposition {unknown[0]!r}"
+        )
+    by_name = dict(config.drivers)
+    specs: list[DriverSpec] = []
+    for name in universe:
+        spec = by_name.get(name, config.default_driver)
+        if spec is None:
             raise ConfigError(
-                f"driver bound to unknown proposition {unknown[0]!r}"
+                f"proposition {name!r} has no driver and no default is set"
             )
-        for name in universe:
-            spec = by_name.get(name, config.default_driver)
-            if spec is None:
-                raise ConfigError(
-                    f"proposition {name!r} has no driver and no default is set"
-                )
-            specs.append((name, spec))
+        specs.append(spec)
 
-    bindings: list[tuple[str, Driver]] = []
-    for position, (name, spec) in enumerate(specs):
+    # path -> (its reader, the position of each proposition it feeds)
+    fed: dict[str, tuple[TraceReader, dict[str, int]]] = {}
+
+    def reader_for(path: str) -> tuple[TraceReader, dict[str, int]]:
+        if path not in fed:
+            fed[path] = (TraceReader(path, text=trace_text), {})
+        return fed[path]
+
+    others = []
+    for position, (name, spec) in enumerate(zip(universe, specs)):
         if isinstance(spec, FileSpec):
-            reader = readers.get(spec.path)
-            if reader is None:
-                reader = TraceReader(spec.path, text=trace_text)
-                readers[spec.path] = reader
+            reader, positions = reader_for(spec.path)
             if name not in reader.header:
                 raise ConfigError(
                     f"trace {spec.path!r} has no column for proposition {name!r}"
                 )
-            bindings.append((name, FileDriver(reader)))
+            positions[name] = position
         elif isinstance(spec, RandomSpec):
             stream_seed = spec.seed if spec.seed is not None else f"{seed}:driver:{position}"
-            bindings.append((name, RandomDriver(spec, Random(stream_seed))))
+            others.append((position, name, RandomDriver(spec, Random(stream_seed))))
         else:
-            bindings.append(
-                (name, InteractiveDriver(interactive_in, interactive_out))
+            others.append(
+                (position, name, InteractiveDriver(interactive_in, interactive_out))
             )
-    return bindings
+    if isinstance(config.default_driver, FileSpec):
+        reader_for(config.default_driver.path)
+    readers = tuple(
+        (reader, _column_tables(reader.header, positions)) for reader, positions in fed.values()
+    )
+    return len(universe), readers, tuple(others)
 
 
 def prepare_runners(
@@ -878,8 +845,7 @@ def prepare_runners(
 
 
 class _LoopContext:
-    def __init__(self, bindings, seed, on_event, interactive_in, interactive_out):
-        self.bindings = bindings
+    def __init__(self, seed, on_event, interactive_in, interactive_out):
         self.hook_rng = Random(f"{seed}:hooks")
         self.on_event = on_event or (lambda event: None)
         self.instream = interactive_in if interactive_in is not None else sys.stdin
@@ -891,26 +857,25 @@ class _LoopContext:
 
 def run_loop(
     runners: Sequence[Runner],
-    bindings: Sequence[tuple[str, Driver]],
+    sources: ValuationSources,
     *,
     seed: int = 0,
     max_steps: int | None = None,
     on_event: Callable[[object], None] | None = None,
     interactive_in: TextIO | None = None,
     interactive_out: TextIO | None = None,
-    trace: TraceReader | None = None,
 ) -> ExitReport:
     """Drive all runners in lockstep until input ends, steps run out, or a
     hook halts; unresolved nondeterminism or deadlock stops the run.
 
-    ``trace`` gives one record per step and ends the run at its end, also
-    when no proposition reads it."""
-    ctx = _LoopContext(bindings, seed, on_event, interactive_in, interactive_out)
+    ``sources`` is what :func:`resolve_bindings` returns: each of its
+    trace readers gives one record per step, and the first to end ends
+    the run."""
+    ctx = _LoopContext(seed, on_event, interactive_in, interactive_out)
     reason = "steps-exhausted"
     halt_code: int | None = None
     fatal_runner: str | None = None
     runners = tuple(runners)
-    sources = valuation_sources(bindings, trace)
     current_states = attrgetter("current_state")
     try:
         while max_steps is None or ctx.step_index < max_steps:

@@ -42,13 +42,14 @@ from hoarun.monitoring import (
     verdict_inf,
 )
 from hoarun.runtime import (
-    FileDriver,
+    Config,
+    FileSpec,
     HookSpec,
     ResetAction,
-    TraceReader,
     VerdictTrigger,
     build_universe,
     prepare_runners,
+    resolve_bindings,
     run_loop,
 )
 from hoarun.traps import bsccs, build_index
@@ -236,9 +237,10 @@ def _count_monitor_violations(trace_text: str, n: int) -> int:
     runners = prepare_runners(automata, universe, hooks)
     for runner in runners:
         runner.monitor = Monitor(runner.automaton)
-    reader = TraceReader("inline", text=trace_text)
-    bindings = [(name, FileDriver(reader)) for name in universe]
-    report_ = run_loop(runners, bindings, seed=0)
+    sources = resolve_bindings(
+        universe, Config(default_driver=FileSpec("inline")), seed=0, trace_text=trace_text
+    )
+    report_ = run_loop(runners, sources, seed=0)
     assert all(e.verdict is Verdict.GOOD for e in report_.verdict_events)
     return len(report_.verdict_events)
 
@@ -290,10 +292,11 @@ def _timed_lock_run(length: int) -> float:
     runners = prepare_runners(automata, universe, ())
     for runner in runners:
         runner.monitor = Monitor(runner.automaton)
-    reader = TraceReader("inline", text=trace)
-    bindings = [(name, FileDriver(reader)) for name in universe]
+    sources = resolve_bindings(
+        universe, Config(default_driver=FileSpec("inline")), seed=0, trace_text=trace
+    )
     started = time.perf_counter()
-    run_loop(runners, bindings, seed=0)
+    run_loop(runners, sources, seed=0)
     return time.perf_counter() - started
 
 

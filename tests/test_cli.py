@@ -66,20 +66,52 @@ def test_run_steps_zero_with_valid_trace(tmp_path, capsys):
 
 
 def test_run_trace_paces_automata_without_propositions(tmp_path, capsys):
-    # one record per step, and the run ends where the trace ends
+    # one record per step, and the run ends where the trace ends, whether
+    # --trace or the config's default driver names the trace
     trace = write(tmp_path, "t.trace", "x y\n0 1\n1 1\n# c\n0 0\n")
+    config = write(tmp_path, "t.cfg", f"[drivers]\ndefault = file:{trace}\n")
     noap = str(FIXTURES / "noapfile.hoa")
-    assert main(["run", "--trace", trace, "--steps", "10", "--verbose", noap]) == 0
-    assert capsys.readouterr().out == "STEP 0  | 0:0\nSTEP 1  | 0:0\nSTEP 2  | 0:0\n"
+    for source in (["--trace", trace], ["--config", config]):
+        assert main(["run", *source, "--steps", "10", "--verbose", noap]) == 0
+        assert capsys.readouterr().out == "STEP 0  | 0:0\nSTEP 1  | 0:0\nSTEP 2  | 0:0\n"
+
+
+def test_run_config_default_trace_paces_fully_bound_automata(tmp_path, capsys):
+    # every proposition has its own driver; the default's trace still
+    # gives one record per step and ends the run
+    trace = write(tmp_path, "t.trace", "x\n0\n1\n1\n")
+    config = write(tmp_path, "t.cfg", f"[drivers]\np = random()\ndefault = file:{trace}\n")
+    assert main(["run", "--config", config, "--steps", "50", "--verbose", MINIMAL]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in out] == [["STEP", "0"], ["STEP", "1"], ["STEP", "2"]]
+
+
+def test_run_trace_is_the_config_default_driver(tmp_path, capsys):
+    # --trace T is shorthand for a config whose default driver is file:T
+    trace, monitors = str(tmp_path / "l.trace"), str(tmp_path / "l.hoa")
+    assert main(["gen-locks", "--n", "2", "--len", "2000", "--violations", "3",
+                 "--out-trace", trace, "--out-monitors", monitors]) == 0
+    capsys.readouterr()
+    hook = "[hooks.reset]\ntrigger = verdict:conclusive\naction = reset\n"
+    hooks = write(tmp_path, "hooks.cfg", hook)
+    default = write(tmp_path, "default.cfg", f"[drivers]\ndefault = file:{trace}\n\n{hook}")
+    runs = []
+    for args in (["--trace", trace, "--config", hooks], ["--config", default]):
+        code = main(["run", *args, "--monitor", "--negated", monitors])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][1].count("VIOLATION") == 3
 
 
 def test_run_bad_trace_without_propositions_is_an_error(tmp_path, capsys):
     noap = str(FIXTURES / "noapfile.hoa")
     for trace in (str(tmp_path / "missing.trace"), write(tmp_path, "h.trace", "# none\n")):
-        assert main(["run", "--trace", trace, "--steps", "10", noap]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        config = write(tmp_path, "t.cfg", f"[drivers]\ndefault = file:{trace}\n")
+        for source in (["--trace", trace], ["--config", config]):
+            assert main(["run", *source, "--steps", "10", noap]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_run_trace_not_utf8_is_an_error(tmp_path, capsys):

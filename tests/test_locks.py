@@ -20,13 +20,14 @@ from hoarun.locks import (
 )
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
-    FileDriver,
+    Config,
+    FileSpec,
     HookSpec,
     ResetAction,
-    TraceReader,
     VerdictTrigger,
     build_universe,
     prepare_runners,
+    resolve_bindings,
     run_loop,
 )
 
@@ -39,9 +40,10 @@ def run_monitors_on_trace(trace_text: str, n: int):
     runners = prepare_runners(automata, universe, hooks)
     for runner in runners:
         runner.monitor = Monitor(runner.automaton)
-    reader = TraceReader("inline", text=trace_text)
-    bindings = [(name, FileDriver(reader)) for name in universe]
-    report = run_loop(runners, bindings, seed=0)
+    sources = resolve_bindings(
+        universe, Config(default_driver=FileSpec("inline")), seed=0, trace_text=trace_text
+    )
+    report = run_loop(runners, sources, seed=0)
     by_kind = {"double": 0, "unreleased": 0}
     for event in report.verdict_events:
         assert event.verdict is Verdict.GOOD  # these monitors accept violations

@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+from functools import partial
 from random import Random
 
 import pytest
@@ -18,7 +19,6 @@ from hoarun.runtime import (
     ConfigError,
     CondTrigger,
     DeadlockTrigger,
-    FileDriver,
     FileSpec,
     GotoAction,
     HaltAction,
@@ -48,7 +48,6 @@ from hoarun.runtime import (
     resolve_bindings,
     run_loop,
     step,
-    valuation_sources,
 )
 
 TRACE = """\
@@ -58,6 +57,13 @@ a b
 0 1
 1 1
 """
+
+
+def trace_sources(universe, text):
+    """Every proposition of ``universe`` read from one trace, as ``--trace`` binds them."""
+    return resolve_bindings(
+        universe, Config(default_driver=FileSpec("inline")), seed=0, trace_text=text
+    )
 
 
 def pq_automaton(name=None):
@@ -130,30 +136,29 @@ def test_trace_reader_bad_rows(tmp_path):
     # proposition reads is checked all the same
     # from a file or from text, whichever of \n, \r\n and \r ends a line
     text = "# c\nx a\n\n1 0\n# c\n1 10\n0\n2 1\n"
-    for newline, source, read in itertools.product(
-        ("\n", "\r\n", "\r"),
-        ("file", "text"),
-        (
-            lambda reader, step: reader.row_for_step(step),
-            lambda reader, step: collect_valuation(
-                valuation_sources([("a", FileDriver(reader))]), step
-            ),
-        ),
+    for newline, source, decoded in itertools.product(
+        ("\n", "\r\n", "\r"), ("file", "text"), (False, True)
     ):
         if source == "file":
             path = tmp_path / "t.trace"
             path.write_bytes(text.replace("\n", newline).encode())
-            reader = TraceReader(str(path))
+            path, trace_text = str(path), None
         else:
-            reader = TraceReader("inline", text=text.replace("\n", newline))
-        read(reader, 0)
+            path, trace_text = "inline", text.replace("\n", newline)
+        if decoded:
+            config = Config(default_driver=FileSpec(path))
+            sources = resolve_bindings(("a",), config, seed=0, trace_text=trace_text)
+            read = partial(collect_valuation, sources)
+        else:
+            read = TraceReader(path, text=trace_text).row_for_step
+        read(0)
         for step, line, message in (
             (1, 6, "expected 0 or 1, found '10'"),
             (2, 7, "expected 2 columns, found 1"),
             (3, 8, "expected 0 or 1, found '2'"),
         ):
             with pytest.raises(TraceError) as err:
-                read(reader, step)
+                read(step)
             assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
@@ -187,19 +192,18 @@ def test_trace_reader_memory_does_not_grow_with_length(tmp_path, monkeypatch):
 
 
 def test_collect_valuation_from_shared_file():
-    reader = TraceReader("inline", text=TRACE)
-    sources = valuation_sources([("a", FileDriver(reader)), ("b", FileDriver(reader))])
+    sources = trace_sources(("a", "b"), TRACE)
     valuation = collect_valuation(sources, 0)
     assert valuation == Valuation(0b01, 2)
     assert collect_valuation(sources, 1) == Valuation(0b10, 2)
     assert collect_valuation(sources, 2) == Valuation(0b11, 2)
     assert collect_valuation(sources, 3) is None
     # a header in another order than the bindings, with a column that
-    # no proposition reads; a second grouping over the same reader keeps
-    # its own column order
-    reader = TraceReader("inline", text="x b a\n1 1 0\n0 0 1\n")
-    sources = valuation_sources([("a", FileDriver(reader)), ("b", FileDriver(reader))])
-    only_x = valuation_sources([("x", FileDriver(reader))])
+    # no proposition reads; a second grouping of the same text keeps its
+    # own column order
+    text = "x b a\n1 1 0\n0 0 1\n"
+    sources = trace_sources(("a", "b"), text)
+    only_x = trace_sources(("x",), text)
     assert collect_valuation(sources, 0) == Valuation(0b10, 2)
     assert collect_valuation(only_x, 0) == Valuation(0b1, 1)
     assert collect_valuation(sources, 1) == Valuation(0b01, 2)
@@ -207,19 +211,17 @@ def test_collect_valuation_from_shared_file():
     assert collect_valuation(sources, 2) is None
     # more than eight columns, read eight at a time
     header = [f"c{i}" for i in range(11)]
-    reader = TraceReader("inline", text=" ".join(header) + "\n1 0 0 0 0 0 0 0 0 1 1\n")
     names = ("c10", "c0", "c8", "c9")
-    sources = valuation_sources([(name, FileDriver(reader)) for name in names])
+    sources = trace_sources(names, " ".join(header) + "\n1 0 0 0 0 0 0 0 0 1 1\n")
     assert collect_valuation(sources, 0) == Valuation(0b1011, 4)
     # file and random() bindings mixed, as a configuration gives them:
     # each proposition keeps its position in the universe
     config = parse_config(
         "[drivers]\na = file:t\nr = random(bias=1)\nb = file:t\ns = random(bias=0)\n"
     )
-    bindings = resolve_bindings(
+    sources = resolve_bindings(
         ("a", "r", "b", "s"), config, seed=0, trace_text="x b a\n1 1 0\n0 0 1\n"
     )
-    sources = valuation_sources(bindings)
     assert collect_valuation(sources, 0) == Valuation(0b0110, 4)
     assert collect_valuation(sources, 1) == Valuation(0b0011, 4)
     assert collect_valuation(sources, 2) is None
@@ -254,20 +256,20 @@ def test_interactive_driver_eof():
 
 def test_random_streams_differ_per_binding_position():
     config = Config(default_driver=RandomSpec(bias=0.5))
-    bindings = resolve_bindings(("x", "y"), config, seed=3)
-    xs = [bindings[0][1].value("x", i) for i in range(64)]
-    ys = [bindings[1][1].value("y", i) for i in range(64)]
+    _, _, drivers = resolve_bindings(("x", "y"), config, seed=3)
+    xs = [drivers[0][2].value("x", i) for i in range(64)]
+    ys = [drivers[1][2].value("y", i) for i in range(64)]
     assert xs != ys
-    again = resolve_bindings(("x", "y"), config, seed=3)
-    assert [again[0][1].value("x", i) for i in range(64)] == xs
+    _, _, again = resolve_bindings(("x", "y"), config, seed=3)
+    assert [again[0][2].value("x", i) for i in range(64)] == xs
 
 
 def test_random_stream_explicit_seed_wins():
     config = Config(default_driver=RandomSpec(bias=0.5, seed=99))
-    first = resolve_bindings(("x",), config, seed=1)
-    second = resolve_bindings(("x",), config, seed=2)
-    assert [first[0][1].value("x", i) for i in range(64)] == [
-        second[0][1].value("x", i) for i in range(64)
+    _, _, first = resolve_bindings(("x",), config, seed=1)
+    _, _, second = resolve_bindings(("x",), config, seed=2)
+    assert [first[0][2].value("x", i) for i in range(64)] == [
+        second[0][2].value("x", i) for i in range(64)
     ]
 
 
@@ -456,10 +458,10 @@ def test_memo_stays_under_cap_on_wide_inputs():
         condition=Inf(0),
     )
     (runner,) = prepare_runners([aut], names)
-    bindings = resolve_bindings(names, parse_config("[drivers]\ndefault = random()\n"), seed=5)
+    sources = resolve_bindings(names, parse_config("[drivers]\ndefault = random()\n"), seed=5)
     events = []
     steps = MEMO_CAP + 2_000
-    report = run_loop([runner], bindings, seed=5, max_steps=steps, on_event=events.append)
+    report = run_loop([runner], sources, seed=5, max_steps=steps, on_event=events.append)
     assert report.steps == steps
     assert len(runner.memo) <= steps - MEMO_CAP  # emptied once, refilled since
     state = 0
@@ -525,11 +527,13 @@ def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, moni
     if monitors:
         for runner, monitor in zip(runners, monitors):
             runner.monitor = monitor
-    reader = TraceReader("inline", text=trace_text)
-    bindings = [(name, FileDriver(reader)) for name in universe]
     events = []
     report = run_loop(
-        runners, bindings, seed=seed, max_steps=max_steps, on_event=events.append
+        runners,
+        trace_sources(universe, trace_text),
+        seed=seed,
+        max_steps=max_steps,
+        on_event=events.append,
     )
     return report, events, runners
 
@@ -700,10 +704,9 @@ def test_resolve_bindings_checks_trace_columns(tmp_path):
     path = tmp_path / "t.trace"
     path.write_text("x\n1\n")
     aut = pq_automaton()
+    config = Config(default_driver=FileSpec(str(path)))
     with pytest.raises(ConfigError):
-        resolve_bindings(
-            build_universe([aut]), Config(), seed=0, trace=TraceReader(str(path))
-        )
+        resolve_bindings(build_universe([aut]), config, seed=0)
 
 
 def test_resolve_bindings_rejects_unknown_ap():
@@ -729,12 +732,10 @@ def test_prompt_action_reads_choice():
     universe = build_universe([nd])
     hooks = (HookSpec("ask", NondetTrigger(), PromptAction()),)
     runners = prepare_runners([nd], universe, hooks)
-    reader = TraceReader("inline", text="p\n1\n")
-    bindings = [("p", FileDriver(reader))]
     fake_in = io.StringIO("2\n")
     report = run_loop(
         runners,
-        bindings,
+        trace_sources(universe, "p\n1\n"),
         seed=0,
         interactive_in=fake_in,
         interactive_out=io.StringIO(),
