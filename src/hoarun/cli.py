@@ -202,7 +202,7 @@ def _cmd_run(args) -> int:
         return EXIT_DEADLOCK
     if report.reason == "halt":
         return report.halt_code or 0
-    if any(event.verdict is Verdict.BAD for event in report.verdict_events):
+    if report.bad_verdicts:
         return EXIT_BAD
     if any(summary.final_verdict is Verdict.UGLY for summary in report.runners):
         return EXIT_UGLY

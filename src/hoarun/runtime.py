@@ -10,8 +10,12 @@ candidate states per (state, input restricted to its own propositions),
 so after the first visit of such a pair a step is a dictionary lookup;
 a memo that reaches ``MEMO_CAP`` entries is emptied, so it never holds
 more, however long the run and however many propositions the automaton
-has. All randomness flows from per-purpose streams derived from the
-global seed, so identical inputs replay identically.
+has. The loop makes that lookup itself: when the entry says the runner
+stays put and nothing would observe it (no state or cond: hook, and a
+monitor, if any, that the state cannot move), the step is counted and
+nothing else is called, so a runner the input leaves in place costs one
+memo probe. All randomness flows from per-purpose streams derived from
+the global seed, so identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -111,14 +115,6 @@ class TraceReader:
         self._record = int(row, 2)
         self._step = step
         return self._record
-
-    def row_for_step(self, step: int) -> tuple[bool, ...] | None:
-        """Record for ``step`` as one bool per column; None at end of input."""
-        record = self.record_for_step(step)
-        if record is None:
-            return None
-        last = len(self.header) - 1
-        return tuple(bool(record >> (last - i) & 1) for i in range(last + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +569,10 @@ def load_config(path: str) -> Config:
 # 1 MB, more than the (state, input) pairs of the benchmark workloads
 MEMO_CAP = 1 << 14
 
+# the resting entry where a step has to be taken in full: no memo entry is it
+_MOVES = object()
+_UNKNOWN = Verdict.UNKNOWN  # compared by identity on the per-step path
+
 
 class Runner:
     """Tracks one automaton's current state through the execution loop.
@@ -584,6 +584,16 @@ class Runner:
     the sorted candidate states for that input at q. An entry is filled
     from ``table`` the first time its (state, input) pair is stepped;
     the memo is emptied when it reaches ``MEMO_CAP`` entries.
+
+    ``resting`` is the memo entry of a step that would change nothing but
+    ``step_count``: ``unique[q]`` at the current state q when the runner
+    has no state or cond: hook and observing q again is a no-op (no
+    monitor, a latched verdict, or an unknown verdict at q), and
+    otherwise an object no memo entry is. The loop counts a step whose
+    entry is ``resting`` and calls nothing for it; every other step is
+    taken in full, after which ``resting`` is looked up again in
+    ``rests_open`` or ``rests_shut``, per state for an open latch and for
+    a shut or absent one.
     """
 
     def __init__(
@@ -613,26 +623,40 @@ class Runner:
         self.memo: dict[int, tuple[int, ...]] = {}
         # one shared tuple per state for a unique candidate
         self.unique = tuple((q,) for q in range(automaton.num_states))
+        # filled when the loop starts, as the hooks and monitor are known then
+        self.rests_open: tuple[object, ...] = ()
+        self.rests_shut: tuple[object, ...] = ()
+        self.resting: object = _MOVES
 
 
-def step(runner: Runner, valuation: Valuation) -> tuple[int, ...]:
+def step(
+    runner: Runner, valuation: Valuation, found: tuple[int, ...] | None = None
+) -> tuple[int, ...]:
     """Evaluate one input on a runner; returns its candidate states, sorted.
 
     Exactly one candidate advances the runner (state, step count, and the
     monitor's view); none (a deadlock) or several (nondeterminism) leave
-    the runner untouched until hooks decide.
+    the runner untouched until hooks decide. ``found`` is the memo entry
+    for this input at the current state when the caller has already found
+    it; otherwise it is looked up here, and filled on a miss.
     """
-    state = runner.current_state
-    bits = valuation.bits & runner.mask
-    memo = runner.memo
-    key = state << runner.shift | bits
-    found = memo.get(key)
     if found is None:
-        targets = sorted({target for holds, target in runner.table[state] if holds(bits)})
-        found = runner.unique[targets[0]] if len(targets) == 1 else tuple(targets)
-        if len(memo) >= MEMO_CAP:
-            memo.clear()
-        memo[key] = found
+        state = runner.current_state
+        bits = valuation.bits & runner.mask
+        memo = runner.memo
+        key = state << runner.shift | bits
+        found = memo.get(key)
+        if found is None:
+            targets = []
+            for holds, target in runner.table[state]:
+                if holds(bits):
+                    targets.append(target)
+            if len(targets) > 1:
+                targets = sorted(set(targets))
+            found = runner.unique[targets[0]] if len(targets) == 1 else tuple(targets)
+            if len(memo) >= MEMO_CAP:
+                memo.clear()
+            memo[key] = found
     if len(found) == 1:
         _advance(runner, found[0])
     return found
@@ -701,12 +725,13 @@ class RunnerSummary:
 
 @dataclass(frozen=True, slots=True)
 class ExitReport:
-    """Outcome of a run: why it stopped plus the full verdict-event log."""
+    """Outcome of a run: why it stopped, and how many BAD verdicts it
+    reported; the verdicts themselves go to ``on_event`` only."""
 
     reason: str  # end-of-input | steps-exhausted | halt | nondeterminism | deadlock
     steps: int
     runners: tuple[RunnerSummary, ...]
-    verdict_events: tuple[VerdictEvent, ...]
+    bad_verdicts: int
     halt_code: int | None = None
     fatal_runner: str | None = None
 
@@ -850,7 +875,7 @@ class _LoopContext:
         self.on_event = on_event or (lambda event: None)
         self.instream = interactive_in if interactive_in is not None else sys.stdin
         self.outstream = interactive_out if interactive_out is not None else sys.stderr
-        self.verdicts: list[VerdictEvent] = []
+        self.bad_verdicts = 0
         self.step_index = 0
         self.valuation: Valuation | None = None
 
@@ -877,6 +902,8 @@ def run_loop(
     fatal_runner: str | None = None
     runners = tuple(runners)
     current_states = attrgetter("current_state")
+    for runner in runners:
+        _fill_rests(runner)
     try:
         while max_steps is None or ctx.step_index < max_steps:
             valuation = collect_valuation(sources, ctx.step_index)
@@ -884,8 +911,13 @@ def run_loop(
                 reason = "end-of-input"
                 break
             ctx.valuation = valuation
+            bits = valuation.bits
             for runner in runners:
-                _step_runner(runner, valuation, ctx)
+                found = runner.memo.get(runner.current_state << runner.shift | bits & runner.mask)
+                if found is runner.resting:
+                    runner.step_count += 1
+                else:
+                    _step_runner(runner, valuation, found, ctx)
             ctx.on_event(
                 StepEvent(
                     ctx.step_index, valuation, runners, tuple(map(current_states, runners))
@@ -911,7 +943,7 @@ def run_loop(
         reason=reason,
         steps=ctx.step_index,
         runners=summaries,
-        verdict_events=tuple(ctx.verdicts),
+        bad_verdicts=ctx.bad_verdicts,
         halt_code=halt_code,
         fatal_runner=fatal_runner,
     )
@@ -921,10 +953,29 @@ def _latched(runner: Runner) -> Verdict | None:
     return runner.monitor.current_verdict if runner.monitor is not None else None
 
 
-def _step_runner(runner: Runner, valuation: Valuation, ctx: _LoopContext) -> None:
+def _fill_rests(runner: Runner) -> None:
+    """Fill the runner's resting tables for its hooks and monitor; its
+    first step is taken in full, which sets its resting entry."""
+    if runner.poststep:
+        runner.rests_open = runner.rests_shut = (_MOVES,) * runner.automaton.num_states
+    elif runner.monitor is None:
+        runner.rests_open = runner.rests_shut = runner.unique
+    else:
+        # observing a state whose verdict is conclusive latches it
+        runner.rests_open = tuple(
+            rest if verdict is _UNKNOWN else _MOVES
+            for rest, verdict in zip(runner.unique, runner.monitor.verdicts)
+        )
+        runner.rests_shut = runner.unique
+    runner.resting = _MOVES
+
+
+def _step_runner(
+    runner: Runner, valuation: Valuation, found: tuple[int, ...] | None, ctx: _LoopContext
+) -> None:
     monitor = runner.monitor
     before = monitor.current_verdict if monitor is not None else None
-    candidates = step(runner, valuation)
+    candidates = step(runner, valuation, found)
     if len(candidates) == 1:
         if monitor is not None and monitor.current_verdict is not before:
             _emit_verdict_change(runner, ctx)
@@ -932,15 +983,22 @@ def _step_runner(runner: Runner, valuation: Valuation, ctx: _LoopContext) -> Non
             _fire_poststep_hooks(runner, ctx)
     elif not _fire_resolution_hooks(runner, candidates, ctx):
         raise _Fatal("nondeterminism" if candidates else "deadlock", runner.label)
+    # the step and its hooks are all that move this runner or its latch
+    rests = (
+        runner.rests_open
+        if monitor is not None and monitor.current_verdict is _UNKNOWN
+        else runner.rests_shut
+    )
+    runner.resting = rests[runner.current_state]
 
 
 def _emit_verdict_change(runner: Runner, ctx: _LoopContext) -> None:
     """Report the runner's latch, which has just moved, if it is conclusive."""
     now = runner.monitor.current_verdict
     if now.conclusive:
-        event = VerdictEvent(ctx.step_index, runner.label, now)
-        ctx.verdicts.append(event)
-        ctx.on_event(event)
+        if now is Verdict.BAD:
+            ctx.bad_verdicts += 1
+        ctx.on_event(VerdictEvent(ctx.step_index, runner.label, now))
         for hook in runner.triggered.get(VerdictTrigger, ()):
             if hook.trigger.matches(now):
                 _apply_action(runner, hook, (), ctx)

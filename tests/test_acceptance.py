@@ -46,6 +46,7 @@ from hoarun.runtime import (
     FileSpec,
     HookSpec,
     ResetAction,
+    VerdictEvent,
     VerdictTrigger,
     build_universe,
     prepare_runners,
@@ -240,9 +241,11 @@ def _count_monitor_violations(trace_text: str, n: int) -> int:
     sources = resolve_bindings(
         universe, Config(default_driver=FileSpec("inline")), seed=0, trace_text=trace_text
     )
-    report_ = run_loop(runners, sources, seed=0)
-    assert all(e.verdict is Verdict.GOOD for e in report_.verdict_events)
-    return len(report_.verdict_events)
+    events = []
+    run_loop(runners, sources, seed=0, on_event=events.append)
+    verdict_events = [e for e in events if isinstance(e, VerdictEvent)]
+    assert all(e.verdict is Verdict.GOOD for e in verdict_events)
+    return len(verdict_events)
 
 
 def test_criterion_7_lock_scenario_exact_fault_counting():

@@ -280,6 +280,23 @@ def test_run_negated_relabels_good(tmp_path, capsys):
     assert "VERDICT all good @0" in out
 
 
+def test_run_reset_to_a_conclusive_start_state_latches_it_again(tmp_path, capsys):
+    # every state of allaccept.hoa is good, its start state too: after
+    # each reset the next step, which stays put, latches good again
+    config = write(
+        tmp_path, "reset.ini", "[hooks.reset]\ntrigger = verdict: conclusive\naction = reset\n"
+    )
+    trace = write(tmp_path, "t.trace", "p\n1\n1\n0\n")
+    allaccept = str(FIXTURES / "allaccept.hoa")
+    code = main(["run", "--trace", trace, "--config", config, "--monitor", allaccept])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "VERDICT monitor-true good @0",
+        "VERDICT monitor-true good @1",
+        "VERDICT monitor-true good @2",
+    ]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["run"])

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from random import Random
 
 import pytest
@@ -24,6 +26,7 @@ from hoarun.runtime import (
     FileSpec,
     HookSpec,
     ResetAction,
+    VerdictEvent,
     VerdictTrigger,
     build_universe,
     prepare_runners,
@@ -32,8 +35,8 @@ from hoarun.runtime import (
 )
 
 
-def run_monitors_on_trace(trace_text: str, n: int):
-    """Violation count seen by the emitted monitors with reset hooks."""
+def monitored_runners(trace_text: str, n: int):
+    """The emitted monitors with reset hooks, and the trace as their driver."""
     automata = list(emit_monitors(n).automata)
     universe = build_universe(automata)
     hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
@@ -43,15 +46,48 @@ def run_monitors_on_trace(trace_text: str, n: int):
     sources = resolve_bindings(
         universe, Config(default_driver=FileSpec("inline")), seed=0, trace_text=trace_text
     )
-    report = run_loop(runners, sources, seed=0)
+    return runners, sources
+
+
+def run_monitors_on_trace(trace_text: str, n: int):
+    """Violation count seen by the emitted monitors with reset hooks."""
+    runners, sources = monitored_runners(trace_text, n)
+    events = []
+    run_loop(runners, sources, seed=0, on_event=events.append)
     by_kind = {"double": 0, "unreleased": 0}
-    for event in report.verdict_events:
+    for event in (e for e in events if isinstance(e, VerdictEvent)):
         assert event.verdict is Verdict.GOOD  # these monitors accept violations
         if event.runner.startswith("viol_double_acq"):
             by_kind["double"] += 1
         else:
             by_kind["unreleased"] += 1
     return by_kind
+
+
+def test_run_loop_memory_does_not_grow_with_violations():
+    # the loop reports each violation and keeps none of them: 2,000
+    # violations take no more memory than 20 on a trace of the same length
+    def peak_bytes(violations):
+        trace = generate_trace(LockScenario(n=2, length=10_000, violations=violations, seed=1))
+        runners, sources = monitored_runners(trace, 2)
+        reported = 0
+
+        def count(event):
+            nonlocal reported
+            reported += isinstance(event, VerdictEvent)
+
+        gc.collect()  # empties the free lists, which tracemalloc counts as in use
+        tracemalloc.start()
+        try:
+            run_loop(runners, sources, seed=0, on_event=count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reported == violations
+        return peak
+
+    few, many = peak_bytes(20), peak_bytes(2_000)
+    assert many - few < 100_000
 
 
 def test_ap_layout_matches_encoding_width():

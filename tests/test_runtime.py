@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from random import Random
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_successors, random_labelled_automaton
+from helpers import brute_successors, random_det_complete_automaton, random_labelled_automaton
 from hoarun import runtime
-from hoarun.automata import Automaton, Inf, Transition
+from hoarun.automata import Automaton, Inf, Top, Transition
 from hoarun.labels import TRUE, Ap, Not, Valuation, land
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
@@ -109,27 +110,27 @@ def test_trace_reader_rows(tmp_path):
     path.write_text(TRACE)
     reader = TraceReader(str(path))
     assert reader.header == ("a", "b")
-    assert reader.row_for_step(0) == (True, False)
-    assert reader.row_for_step(0) == (True, False)  # idempotent per step
-    assert reader.row_for_step(1) == (False, True)
-    assert reader.row_for_step(2) == (True, True)
-    assert reader.row_for_step(3) is None
+    assert reader.record_for_step(0) == 0b10
+    assert reader.record_for_step(0) == 0b10  # idempotent per step
+    assert reader.record_for_step(1) == 0b01
+    assert reader.record_for_step(2) == 0b11
+    assert reader.record_for_step(3) is None
 
 
 def test_trace_reader_crlf_and_comments():
     reader = TraceReader("inline", text="# c\r\na b\r\n0 1\r\n")
     assert reader.header == ("a", "b")
-    assert reader.row_for_step(0) == (False, True)
+    assert reader.record_for_step(0) == 0b01
 
 
 def test_trace_reader_bad_rows(tmp_path):
     reader = TraceReader("inline", text="a b\n1\n")
     with pytest.raises(TraceError) as err:
-        reader.row_for_step(0)
+        reader.record_for_step(0)
     assert err.value.line == 2
     reader = TraceReader("inline", text="a b\n1 x\n")
     with pytest.raises(TraceError):
-        reader.row_for_step(0)
+        reader.record_for_step(0)
     with pytest.raises(TraceError):
         TraceReader("inline", text="")
     # line numbers count comments and blank lines; a column that no
@@ -150,7 +151,7 @@ def test_trace_reader_bad_rows(tmp_path):
             sources = resolve_bindings(("a",), config, seed=0, trace_text=trace_text)
             read = partial(collect_valuation, sources)
         else:
-            read = TraceReader(path, text=trace_text).row_for_step
+            read = TraceReader(path, text=trace_text).record_for_step
         read(0)
         for step, line, message in (
             (1, 6, "expected 0 or 1, found '10'"),
@@ -521,6 +522,79 @@ def test_run_loop_matches_brute_stepping_under_hooks(seed):
     assert [r.step_count for r in runners] == counts
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_run_loop_verdicts_match_replayed_monitors(seed):
+    # deterministic complete automata, some with a sink and some whose
+    # every state is good (start included), monitored with a reset on
+    # each conclusive verdict; the loop skips the steps that leave a
+    # runner in place, the replay observes every state it reaches
+    rng = Random(seed)
+    automata = []
+    for _ in range(3):
+        aut = random_det_complete_automaton(rng, max_states=5, max_aps=2)
+        if rng.random() < 0.5:
+            sink = rng.randrange(aut.num_states)
+            kept = tuple(t for t in aut.transitions if t.src != sink)
+            aut = replace(aut, transitions=kept + (Transition(sink, TRUE, sink),))
+        if rng.random() < 0.3:
+            aut = replace(aut, condition=Top())
+        automata.append(aut)
+    monitored = [rng.random() < 0.8 for _ in automata]
+    universe = build_universe(automata)
+    word = [rng.randrange(1 << len(universe)) for _ in range(80)]
+    # column x is read by no automaton: it keeps the header non-empty
+    header = " ".join(("x",) + universe)
+    rows = "".join(
+        " ".join(["0"] + [str(bits >> i & 1) for i in range(len(universe))]) + "\n"
+        for bits in word
+    )
+    hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
+    monitors = [Monitor(aut) if on else None for aut, on in zip(automata, monitored)]
+    report, events, _ = _run_with_trace(
+        automata, f"{header}\n{rows}", hooks=hooks, monitors=monitors
+    )
+
+    replayed = [Monitor(aut) if on else None for aut, on in zip(automata, monitored)]
+    states = [min(aut.initial) for aut in automata]
+    counts = [0] * len(automata)
+    expected = []
+    expected_states = []
+    for step_index, bits in enumerate(word):
+        for i, aut in enumerate(automata):
+            (states[i],) = brute_successors(aut, states[i], _local_valuation(aut, universe, bits))
+            counts[i] += 1
+            monitor = replayed[i]
+            if monitor is None:
+                continue
+            before = monitor.current_verdict
+            monitor.observe(states[i])
+            if monitor.current_verdict is not before:
+                expected.append(VerdictEvent(step_index, str(i), monitor.current_verdict))
+                states[i] = min(aut.initial)
+                monitor.reset()
+        expected_states.append(tuple(states))
+    assert report.reason == "end-of-input"
+    assert [e for e in events if isinstance(e, VerdictEvent)] == expected
+    assert [r.step_count for r in report.runners] == counts
+    assert [r.final_verdict for r in report.runners] == [
+        m.current_verdict if m else None for m in replayed
+    ]
+    steps = [e for e in events if isinstance(e, StepEvent)]
+    assert [tuple(state for _, state in e.states) for e in steps] == expected_states
+
+
+def test_halt_part_way_through_a_step_counts_the_runners_before_it():
+    # a state: hook of the middle runner halts at step 2: the runners up
+    # to it count that step, the one after it does not
+    automata = [pq_automaton(name) for name in ("first", "middle", "last")]
+    hooks = (HookSpec("stop", StateTrigger(1), HaltAction(4), "middle"),)
+    report, _, _ = _run_with_trace(automata, "p\n0\n0\n1\n1\n", hooks=hooks)
+    assert (report.reason, report.halt_code, report.steps) == ("halt", 4, 2)
+    assert [r.step_count for r in report.runners] == [3, 3, 2]
+    assert [r.final_state for r in report.runners] == [1, 1, 0]
+
+
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
     universe = build_universe(automata)
     runners = prepare_runners(automata, universe, hooks)
@@ -563,8 +637,9 @@ def test_run_loop_lockstep_shared_ap():
 def test_run_loop_bad_verdict_at_engineered_step():
     aut = bad_monitor_automaton("watch")
     trace = "p\n1\n1\n0\n1\n"
-    report, _, _ = _run_with_trace([aut], trace, monitors=[Monitor(aut)])
-    assert report.verdict_events == (VerdictEvent(2, "watch", Verdict.BAD),)
+    report, events, _ = _run_with_trace([aut], trace, monitors=[Monitor(aut)])
+    verdict_events = tuple(e for e in events if isinstance(e, VerdictEvent))
+    assert verdict_events == (VerdictEvent(2, "watch", Verdict.BAD),)
     assert report.runners[0].final_verdict is Verdict.BAD
 
 
@@ -572,8 +647,9 @@ def test_reset_hook_clears_latch_and_keeps_counting():
     aut = bad_monitor_automaton("watch")
     hooks = (HookSpec("r", VerdictTrigger("bad"), ResetAction()),)
     trace = "p\n0\n1\n0\n1\n"
-    report, _, runners = _run_with_trace([aut], trace, hooks=hooks, monitors=[Monitor(aut)])
-    assert [(e.step, e.verdict) for e in report.verdict_events] == [
+    report, events, runners = _run_with_trace([aut], trace, hooks=hooks, monitors=[Monitor(aut)])
+    verdict_events = [e for e in events if isinstance(e, VerdictEvent)]
+    assert [(e.step, e.verdict) for e in verdict_events] == [
         (0, Verdict.BAD),
         (2, Verdict.BAD),
     ]
