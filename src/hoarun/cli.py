@@ -136,6 +136,9 @@ def _cmd_run(args) -> int:
         except (ConfigError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
+    if args.steps is not None and args.steps < 0:
+        print(f"error: --steps must not be negative, got {args.steps}", file=sys.stderr)
+        return EXIT_ERROR
     if args.trace is not None:
         config = replace(config, drivers=(), default_driver=FileSpec(args.trace))
     seed = args.seed if args.seed is not None else (config.seed or 0)

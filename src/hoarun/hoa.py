@@ -169,7 +169,7 @@ class _Parser:
         self.warnings: list[ParseDiagnostic] = []
         self._labels: dict[tuple, LabelExpr] = {}
 
-    def _advance(self) -> _Token:
+    def _take(self) -> _Token:
         tok = self.tok
         self.tok = self._tz.next_token()
         return tok
@@ -183,7 +183,7 @@ class _Parser:
     def _expect(self, kind: str, what: str) -> _Token:
         if self.tok.kind != kind:
             self._fail(f"expected {what}, found {self.tok.value!r}")
-        return self._advance()
+        return self._take()
 
     def _expect_int(self, what: str) -> tuple[int, _Token]:
         tok = self._expect("int", what)
@@ -201,7 +201,7 @@ class _Parser:
         head = self.tok
         if self.tok.kind != "header" or self.tok.value != "HOA":
             self._fail("expected 'HOA: v1' at start of automaton")
-        self._advance()
+        self._take()
         version = self._expect("ident", "format version")
         if version.value != "v1":
             self._fail(f"unsupported format version {version.value!r}", version)
@@ -226,7 +226,7 @@ class _Parser:
                 self._fail("automaton aborted by --ABORT--")
             if self.tok.kind != "header":
                 self._fail(f"expected header item, found {self.tok.value!r}")
-            htok = self._advance()
+            htok = self._take()
             hname = htok.value
             if hname in ("States", "AP", "Acceptance", "name", "acc-name", "tool"):
                 if hname in seen:
@@ -263,17 +263,17 @@ class _Parser:
             elif hname == "tool":
                 first = self._expect("string", "tool name")
                 if self.tok.kind == "string":
-                    tool = (first.value, self._advance().value)
+                    tool = (first.value, self._take().value)
                 else:
                     tool = (first.value,)
             elif hname == "acc-name":
                 parts = []
                 while self.tok.kind in ("ident", "int"):
-                    parts.append(self._advance().value)
+                    parts.append(self._take().value)
                 acc_name = " ".join(parts)
             elif hname == "properties":
                 while self.tok.kind == "ident":
-                    properties.append(self._advance().value)
+                    properties.append(self._take().value)
             elif hname == "HOA":
                 self._fail("duplicate HOA: header (missing --END--?)", htok)
             elif hname[0].isupper():
@@ -281,8 +281,8 @@ class _Parser:
             else:
                 self._warn(f"ignoring unknown header {hname}:", htok)
                 while self.tok.kind in ("ident", "int", "string", "aname", "!", "&", "|", "(", ")"):
-                    self._advance()
-        body_tok = self._advance()
+                    self._take()
+        body_tok = self._take()
 
         if condition is None or acc_count is None:
             self._fail("missing Acceptance: header", head)
@@ -324,10 +324,10 @@ class _Parser:
             if self.tok.kind == "abort":
                 self._fail("automaton aborted by --ABORT--")
             if self.tok.kind == "header":  # State:
-                stok = self._advance()
+                stok = self._take()
                 label = None
                 if self.tok.kind == "[":
-                    self._advance()
+                    self._take()
                     label = self._parse_label(aliases)
                     self._expect("]", "']'")
                 sid, _ = self._expect_int("state id")
@@ -335,7 +335,7 @@ class _Parser:
                     self._fail(f"state {sid} defined twice", stok)
                 defined.add(sid)
                 if self.tok.kind == "string":
-                    ntok = self._advance()
+                    ntok = self._take()
                     self._warn("state display names are ignored", ntok)
                 if self.tok.kind == "{":
                     marks[sid] = frozenset(self._parse_acc_sig(acc_count))
@@ -348,7 +348,7 @@ class _Parser:
                 etok = self.tok
                 label = None
                 if self.tok.kind == "[":
-                    self._advance()
+                    self._take()
                     label = self._parse_label(aliases)
                     self._expect("]", "']'")
                 target, _ = self._expect_int("target state")
@@ -362,7 +362,7 @@ class _Parser:
                 edges[current].append((label, target, etok))
             else:
                 self._fail(f"unexpected token {self.tok.value!r} in body")
-        self._advance()  # --END--
+        self._take()  # --END--
 
         resolved: dict[int, list[tuple[LabelExpr, int]]] = {}
         for sid, state_label, stok in states:
@@ -411,14 +411,14 @@ class _Parser:
     def _parse_label_or(self, aliases, depth) -> LabelExpr:
         terms = [self._parse_label_and(aliases, depth)]
         while self.tok.kind == "|":
-            self._advance()
+            self._take()
             terms.append(self._parse_label_and(aliases, depth))
         return terms[0] if len(terms) == 1 else self._shared(Or, tuple(terms))
 
     def _parse_label_and(self, aliases, depth) -> LabelExpr:
         terms = [self._parse_label_atom(aliases, depth)]
         while self.tok.kind == "&":
-            self._advance()
+            self._take()
             terms.append(self._parse_label_atom(aliases, depth))
         return terms[0] if len(terms) == 1 else self._shared(And, tuple(terms))
 
@@ -440,27 +440,27 @@ class _Parser:
             self._fail("label expression nested too deeply")
         tok = self.tok
         if tok.kind == "!":
-            self._advance()
+            self._take()
             return self._shared(Not, self._parse_label_atom(aliases, depth + 1))
         if tok.kind == "(":
-            self._advance()
+            self._take()
             inner = self._parse_label_or(aliases, depth + 1)
             self._expect(")", "')'")
             return inner
         if tok.kind == "int":
-            self._advance()
+            self._take()
             return self._shared(Ap, int(tok.value))
         if tok.kind == "aname":
-            self._advance()
+            self._take()
             expr = aliases.get(tok.value)
             if expr is None:
                 self._fail(f"undefined alias @{tok.value}", tok)
             return expr
         if tok.kind == "ident" and tok.value == "t":
-            self._advance()
+            self._take()
             return TRUE
         if tok.kind == "ident" and tok.value == "f":
-            self._advance()
+            self._take()
             return FALSE
         self._fail(f"expected label expression, found {tok.value!r}")
         raise AssertionError
@@ -468,14 +468,14 @@ class _Parser:
     def _parse_acceptance(self, set_count: int, depth: int = 0) -> AcceptanceCond:
         terms = [self._parse_acceptance_and(set_count, depth)]
         while self.tok.kind == "|":
-            self._advance()
+            self._take()
             terms.append(self._parse_acceptance_and(set_count, depth))
         return terms[0] if len(terms) == 1 else AccOr(tuple(terms))
 
     def _parse_acceptance_and(self, set_count, depth) -> AcceptanceCond:
         terms = [self._parse_acceptance_atom(set_count, depth)]
         while self.tok.kind == "&":
-            self._advance()
+            self._take()
             terms.append(self._parse_acceptance_atom(set_count, depth))
         return terms[0] if len(terms) == 1 else AccAnd(tuple(terms))
 
@@ -484,18 +484,18 @@ class _Parser:
             self._fail("acceptance condition nested too deeply")
         tok = self.tok
         if tok.kind == "(":
-            self._advance()
+            self._take()
             inner = self._parse_acceptance(set_count, depth + 1)
             self._expect(")", "')'")
             return inner
         if tok.kind == "ident" and tok.value == "t":
-            self._advance()
+            self._take()
             return Top()
         if tok.kind == "ident" and tok.value == "f":
-            self._advance()
+            self._take()
             return Bot()
         if tok.kind == "ident" and tok.value in ("Fin", "Inf"):
-            self._advance()
+            self._take()
             self._expect("(", "'('")
             if self.tok.kind == "!":
                 self._fail("negated acceptance-set references are not supported")

@@ -14,8 +14,11 @@ has. The loop makes that lookup itself: when the entry says the runner
 stays put and nothing would observe it (no state or cond: hook, and a
 monitor, if any, that the state cannot move), the step is counted and
 nothing else is called, so a runner the input leaves in place costs one
-memo probe. All randomness flows from per-purpose streams derived from
-the global seed, so identical inputs replay identically.
+memo probe. Every other step, a successor chosen by a hook included,
+goes through ``step``, the only code that takes a step: it moves the
+runner, counts the step and shows the monitor the new state. All
+randomness flows from per-purpose streams derived from the global seed,
+so identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ class InteractiveDriver:
         self.instream = instream if instream is not None else sys.stdin
         self.outstream = outstream if outstream is not None else sys.stderr
 
-    def _ask(self, prompt: str) -> str:
+    def ask(self, prompt: str) -> str:
+        """Write ``prompt`` and read one answer line, stripped."""
         self.outstream.write(prompt)
         self.outstream.flush()
         line = self.instream.readline()
@@ -203,7 +207,7 @@ class InteractiveDriver:
 
     def value(self, ap_name: str, step: int) -> bool:
         while True:
-            answer = self._ask(f"[step {step}] {ap_name} (0/1/t/f/true/false)? ").lower()
+            answer = self.ask(f"[step {step}] {ap_name} (0/1/t/f/true/false)? ").lower()
             if answer in _TRUE_TOKENS:
                 return True
             if answer in _FALSE_TOKENS:
@@ -531,6 +535,10 @@ def parse_config(text: str) -> Config:
                         seed = int(value)
                     elif key == "max_steps":
                         max_steps = int(value)
+                        if max_steps < 0:
+                            raise ConfigError(
+                                f"[run] max_steps must not be negative, got {max_steps}"
+                            )
                     else:
                         raise ConfigError(f"unknown key {key!r} in [run]")
                 except ValueError as exc:
@@ -590,18 +598,16 @@ class Runner:
     has no state or cond: hook and observing q again is a no-op (no
     monitor, a latched verdict, or an unknown verdict at q), and
     otherwise an object no memo entry is. The loop counts a step whose
-    entry is ``resting`` and calls nothing for it; every other step is
-    taken in full, after which ``resting`` is looked up again in
-    ``rests_open`` or ``rests_shut``, per state for an open latch and for
-    a shut or absent one.
+    entry is ``resting`` and calls nothing for it. Every other step is
+    taken in full by ``_step_runner``, which sets ``resting`` again by
+    that rule once the step and its hooks are done; ``run_loop`` sets it
+    to the object no memo entry is when it starts, so each runner's first
+    step is taken in full.
     """
 
-    def __init__(
-        self, automaton: Automaton, label: str, index: int, projection: tuple[int, ...]
-    ):
+    def __init__(self, automaton: Automaton, label: str, projection: tuple[int, ...]):
         self.automaton = automaton
         self.label = label
-        self.index = index
         self.start_state = min(automaton.initial)
         self.current_state = self.start_state
         self.step_count = 0
@@ -623,9 +629,6 @@ class Runner:
         self.memo: dict[int, tuple[int, ...]] = {}
         # one shared tuple per state for a unique candidate
         self.unique = tuple((q,) for q in range(automaton.num_states))
-        # filled when the loop starts, as the hooks and monitor are known then
-        self.rests_open: tuple[object, ...] = ()
-        self.rests_shut: tuple[object, ...] = ()
         self.resting: object = _MOVES
 
 
@@ -638,7 +641,8 @@ def step(
     monitor's view); none (a deadlock) or several (nondeterminism) leave
     the runner untouched until hooks decide. ``found`` is the memo entry
     for this input at the current state when the caller has already found
-    it; otherwise it is looked up here, and filled on a miss.
+    it, or ``unique[c]`` for the candidate c a hook chose among several;
+    otherwise it is looked up here, and filled on a miss.
     """
     if found is None:
         state = runner.current_state
@@ -658,15 +662,11 @@ def step(
                 memo.clear()
             memo[key] = found
     if len(found) == 1:
-        _advance(runner, found[0])
+        runner.current_state = found[0]
+        runner.step_count += 1
+        if runner.monitor is not None:
+            runner.monitor.observe(found[0])
     return found
-
-
-def _advance(runner: Runner, state: int) -> None:
-    runner.current_state = state
-    runner.step_count += 1
-    if runner.monitor is not None:
-        runner.monitor.observe(state)
 
 
 @dataclass(frozen=True, slots=True)
@@ -836,7 +836,7 @@ def prepare_runners(
     for index, automaton in enumerate(automata):
         label = automaton.name if automaton.name else str(index)
         projection = tuple(positions[name] for name in automaton.aps)
-        runner = Runner(automaton, label, index, projection)
+        runner = Runner(automaton, label, projection)
         matching = tuple(
             h for h in hooks if h.scope in ("*", runner.label, str(index))
         )
@@ -873,8 +873,8 @@ class _LoopContext:
     def __init__(self, seed, on_event, interactive_in, interactive_out):
         self.hook_rng = Random(f"{seed}:hooks")
         self.on_event = on_event or (lambda event: None)
-        self.instream = interactive_in if interactive_in is not None else sys.stdin
-        self.outstream = interactive_out if interactive_out is not None else sys.stderr
+        # asks the user to resolve nondeterminism, for prompt: hooks
+        self.user = InteractiveDriver(interactive_in, interactive_out)
         self.bad_verdicts = 0
         self.step_index = 0
         self.valuation: Valuation | None = None
@@ -903,7 +903,7 @@ def run_loop(
     runners = tuple(runners)
     current_states = attrgetter("current_state")
     for runner in runners:
-        _fill_rests(runner)
+        runner.resting = _MOVES
     try:
         while max_steps is None or ctx.step_index < max_steps:
             valuation = collect_valuation(sources, ctx.step_index)
@@ -949,27 +949,6 @@ def run_loop(
     )
 
 
-def _latched(runner: Runner) -> Verdict | None:
-    return runner.monitor.current_verdict if runner.monitor is not None else None
-
-
-def _fill_rests(runner: Runner) -> None:
-    """Fill the runner's resting tables for its hooks and monitor; its
-    first step is taken in full, which sets its resting entry."""
-    if runner.poststep:
-        runner.rests_open = runner.rests_shut = (_MOVES,) * runner.automaton.num_states
-    elif runner.monitor is None:
-        runner.rests_open = runner.rests_shut = runner.unique
-    else:
-        # observing a state whose verdict is conclusive latches it
-        runner.rests_open = tuple(
-            rest if verdict is _UNKNOWN else _MOVES
-            for rest, verdict in zip(runner.unique, runner.monitor.verdicts)
-        )
-        runner.rests_shut = runner.unique
-    runner.resting = _MOVES
-
-
 def _step_runner(
     runner: Runner, valuation: Valuation, found: tuple[int, ...] | None, ctx: _LoopContext
 ) -> None:
@@ -983,13 +962,17 @@ def _step_runner(
             _fire_poststep_hooks(runner, ctx)
     elif not _fire_resolution_hooks(runner, candidates, ctx):
         raise _Fatal("nondeterminism" if candidates else "deadlock", runner.label)
-    # the step and its hooks are all that move this runner or its latch
-    rests = (
-        runner.rests_open
-        if monitor is not None and monitor.current_verdict is _UNKNOWN
-        else runner.rests_shut
-    )
-    runner.resting = rests[runner.current_state]
+    # the step and its hooks are all that move this runner or its latch;
+    # observing a state whose verdict is conclusive latches it
+    state = runner.current_state
+    if runner.poststep or (
+        monitor is not None
+        and monitor.current_verdict is _UNKNOWN
+        and monitor.verdicts[state] is not _UNKNOWN
+    ):
+        runner.resting = _MOVES
+    else:
+        runner.resting = runner.unique[state]
 
 
 def _emit_verdict_change(runner: Runner, ctx: _LoopContext) -> None:
@@ -1045,12 +1028,7 @@ def _apply_action(
             choice = candidates[ctx.hook_rng.randrange(len(candidates))]
         else:
             choice = _prompt_choice(runner, candidates, ctx)
-        before = _latched(runner)
-        _advance(runner, choice)
-        if _latched(runner) is not before:
-            _emit_verdict_change(runner, ctx)
-        if runner.poststep:
-            _fire_poststep_hooks(runner, ctx)
+        _step_runner(runner, ctx.valuation, runner.unique[choice], ctx)
         return True
     if isinstance(action, ResetAction):
         runner.current_state = runner.start_state
@@ -1058,12 +1036,13 @@ def _apply_action(
             runner.monitor.reset()
         return True
     if isinstance(action, GotoAction):
-        before = _latched(runner)
         runner.current_state = action.state
-        if runner.monitor is not None:
-            runner.monitor.observe(action.state)
-        if _latched(runner) is not before:
-            _emit_verdict_change(runner, ctx)
+        monitor = runner.monitor
+        if monitor is not None:
+            before = monitor.current_verdict
+            monitor.observe(action.state)
+            if monitor.current_verdict is not before:
+                _emit_verdict_change(runner, ctx)
         return True
     if isinstance(action, LogAction):
         context = {
@@ -1074,7 +1053,7 @@ def _apply_action(
         }
         try:
             message = action.template.format(**context)
-        except (KeyError, IndexError, ValueError):
+        except (KeyError, IndexError, ValueError, AttributeError, TypeError):
             message = action.template
         ctx.on_event(LogEvent(ctx.step_index, runner.label, message))
         return False
@@ -1086,16 +1065,10 @@ def _apply_action(
 def _prompt_choice(runner: Runner, candidates: tuple[int, ...], ctx: _LoopContext) -> int:
     shown = ", ".join(str(runner.automaton.display_id(c)) for c in candidates)
     display_to_state = {runner.automaton.display_id(c): c for c in candidates}
+    prompt = f"[step {ctx.step_index}] {runner.label}: choose next state ({shown})? "
     while True:
-        ctx.outstream.write(
-            f"[step {ctx.step_index}] {runner.label}: choose next state ({shown})? "
-        )
-        ctx.outstream.flush()
-        line = ctx.instream.readline()
-        if not line:
-            raise InputClosedError("interactive input stream closed")
         try:
-            picked = int(line.strip())
+            picked = int(ctx.user.ask(prompt))
         except ValueError:
             continue
         if picked in display_to_state:

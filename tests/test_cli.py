@@ -65,6 +65,17 @@ def test_run_steps_zero_with_valid_trace(tmp_path, capsys):
     assert "STEP" not in out
 
 
+def test_run_negative_step_bound_is_an_error(tmp_path, capsys):
+    trace = write(tmp_path, "t.trace", "p\n1\n")
+    config = write(tmp_path, "t.cfg", "[run]\nmax_steps = -3\n")
+    for bound in (["--steps", "-3"], ["--config", config]):
+        assert main(["run", *bound, "--trace", trace, MINIMAL]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "negative" in captured.err
+
+
 def test_run_trace_paces_automata_without_propositions(tmp_path, capsys):
     # one record per step, and the run ends where the trace ends, whether
     # --trace or the config's default driver names the trace
@@ -230,6 +241,18 @@ max_steps = 50
     code = main(["run", "--config", config2, BADTRAP])
     capsys.readouterr()
     assert code == 5
+
+
+def test_run_log_template_with_a_bad_field_logs_it_as_written(tmp_path, capsys):
+    # an attribute or an index of a placeholder cannot be formatted, so the
+    # template is logged as it is, as for an unknown placeholder
+    trace = write(tmp_path, "t.trace", "p\n1\n0\n1\n")
+    allaccept = str(FIXTURES / "allaccept.hoa")
+    for template in ("{step.foo}", "{step[0]}"):
+        hook = f"[hooks.note]\ntrigger = cond: t\naction = log:{template}\n"
+        config = write(tmp_path, "t.cfg", hook)
+        assert main(["run", "--config", config, "--trace", trace, allaccept]) == 0
+        assert capsys.readouterr().out == f"LOG {template}\n" * 3
 
 
 def test_run_cond_trigger_on_unknown_proposition_fails_at_load(tmp_path):

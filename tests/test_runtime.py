@@ -24,6 +24,7 @@ from hoarun.runtime import (
     GotoAction,
     HaltAction,
     HookSpec,
+    InputClosedError,
     InteractiveDriver,
     InteractiveSpec,
     LogAction,
@@ -248,8 +249,6 @@ def test_interactive_driver_parses_tokens():
 
 
 def test_interactive_driver_eof():
-    from hoarun.runtime import InputClosedError
-
     driver = InteractiveDriver(io.StringIO(""), io.StringIO())
     with pytest.raises(InputClosedError):
         driver.value("p", 0)
@@ -331,6 +330,12 @@ def test_config_rejects_unknown_bits():
         parse_config("[hooks.h]\ntrigger = nondeterminism\n")
     with pytest.raises(ConfigError):
         parse_config("[hooks.h]\ntrigger = verdict:odd\naction = reset\n")
+
+
+def test_config_rejects_negative_step_bound():
+    assert parse_config("[run]\nmax_steps = 0\n").max_steps == 0
+    with pytest.raises(ConfigError, match="negative"):
+        parse_config("[run]\nmax_steps = -3\n")
 
 
 def test_random_choice_only_for_nondeterminism():
@@ -807,16 +812,98 @@ def test_prompt_action_reads_choice():
     )
     universe = build_universe([nd])
     hooks = (HookSpec("ask", NondetTrigger(), PromptAction()),)
-    runners = prepare_runners([nd], universe, hooks)
-    fake_in = io.StringIO("2\n")
-    report = run_loop(
-        runners,
-        trace_sources(universe, "p\n1\n"),
-        seed=0,
-        interactive_in=fake_in,
-        interactive_out=io.StringIO(),
-    )
+
+    def run(answers):
+        runners = prepare_runners([nd], universe, hooks)
+        shown = io.StringIO()
+        report = run_loop(
+            runners,
+            trace_sources(universe, "p\n1\n"),
+            seed=0,
+            interactive_in=io.StringIO(answers),
+            interactive_out=shown,
+        )
+        return report, shown.getvalue()
+
+    report, _ = run("2\n")
     assert report.runners[0].final_state == 2
+    # a non-number and a state that is not a candidate are asked again
+    report, shown = run("x\n7\n2\n")
+    assert report.runners[0].final_state == 2
+    assert shown == "[step 0] 0: choose next state (1, 2)? " * 3
+    with pytest.raises(InputClosedError):
+        run("")
+
+
+def _choice_automaton():
+    # state 0 waits for p, then moves nondeterministically to a rejecting
+    # sink (1, verdict bad) or an accepting one (2, verdict good)
+    return Automaton(
+        aps=("p",),
+        num_states=3,
+        initial=frozenset({0}),
+        transitions=(
+            Transition(0, Not(Ap(0)), 0),
+            Transition(0, Ap(0), 1),
+            Transition(0, Ap(0), 2),
+            Transition(1, TRUE, 1),
+            Transition(2, TRUE, 2),
+        ),
+        acc_sets=(frozenset({2}),),
+        condition=Inf(0),
+        name="m",
+    )
+
+
+# seed 0 picks the rejecting sink, seed 2 the accepting one
+@pytest.mark.parametrize("seed", (0, 2))
+def test_random_choice_into_a_conclusive_state_reports_and_counts_it(seed):
+    aut = _choice_automaton()
+    monitor = Monitor(aut)
+    assert monitor.verdicts == (Verdict.UNKNOWN, Verdict.BAD, Verdict.GOOD)
+    hooks = (HookSpec("pick", NondetTrigger(), RandomChoiceAction()),)
+    report, events, runners = _run_with_trace(
+        [aut], "p\n0\n1\n0\n1\n0\n", hooks=hooks, seed=seed, monitors=[monitor]
+    )
+    chosen = runners[0].current_state
+    assert chosen in (1, 2)
+    verdict_events = [e for e in events if isinstance(e, VerdictEvent)]
+    assert verdict_events == [VerdictEvent(1, "m", monitor.verdicts[chosen])]
+    # the chosen step and the stay-put steps after it are each counted once
+    assert (report.reason, report.steps) == ("end-of-input", 5)
+    assert runners[0].step_count == 5
+    assert report.bad_verdicts == (chosen == 1)
+
+
+def test_goto_from_a_state_hook_into_a_conclusive_state_reports_it_once():
+    # 0 and 1 form a component whose verdict is unknown, as p at 1 leads to
+    # the rejecting sink 2; the state: hook at 1 jumps to 2 at once
+    aut = Automaton(
+        aps=("p",),
+        num_states=3,
+        initial=frozenset({0}),
+        transitions=(
+            Transition(0, Not(Ap(0)), 0),
+            Transition(0, Ap(0), 1),
+            Transition(1, Not(Ap(0)), 0),
+            Transition(1, Ap(0), 2),
+            Transition(2, TRUE, 2),
+        ),
+        acc_sets=(frozenset({0}),),
+        condition=Inf(0),
+        name="m",
+    )
+    monitor = Monitor(aut)
+    assert monitor.verdicts == (Verdict.UNKNOWN, Verdict.UNKNOWN, Verdict.BAD)
+    hooks = (HookSpec("jump", StateTrigger(1), GotoAction(2)),)
+    report, events, runners = _run_with_trace(
+        [aut], "p\n0\n1\n0\n0\n1\n", hooks=hooks, monitors=[monitor]
+    )
+    verdict_events = [e for e in events if isinstance(e, VerdictEvent)]
+    assert verdict_events == [VerdictEvent(1, "m", Verdict.BAD)]
+    assert runners[0].current_state == 2
+    # the goto is part of step 1, so each of the five steps counts once
+    assert (report.steps, runners[0].step_count, report.bad_verdicts) == (5, 5, 1)
 
 
 def test_projection_matches_propositions_by_name():
