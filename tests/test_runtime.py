@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import brute_successors, random_det_complete_automaton, random_labelled_automaton
 from hoarun import runtime
 from hoarun.automata import Automaton, Inf, Top, Transition
-from hoarun.labels import TRUE, Ap, Not, Valuation, land
+from hoarun.labels import TRUE, Ap, Not, Valuation, compile_label, land
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
     MEMO_CAP,
@@ -355,6 +355,42 @@ def test_parse_condition_names():
         parse_condition("p &")
     with pytest.raises(ConfigError):
         parse_condition("(p")
+
+
+# (formula, names in first-use order, the formula over a name -> bool map)
+WELL_FORMED_CONDITIONS = [
+    ("a | b & c", ("a", "b", "c"), lambda v: v["a"] or (v["b"] and v["c"])),
+    ("!a & b", ("a", "b"), lambda v: not v["a"] and v["b"]),
+    ("a & (b | c)", ("a", "b", "c"), lambda v: v["a"] and (v["b"] or v["c"])),
+    ("((!(a)) | ((b & a)))", ("a", "b"), lambda v: not v["a"] or v["b"]),
+    ("a & b | !a & b | a", ("a", "b"), lambda v: v["a"] or v["b"]),
+    (r'"say \"hi\"" & "back\\slash"', ('say "hi"', "back\\slash"),
+     lambda v: v['say "hi"'] and v["back\\slash"]),
+    ('"t" & !"odd name"', ("t", "odd name"), lambda v: v["t"] and not v["odd name"]),
+    ("t", (), lambda v: True),
+    ("f", (), lambda v: False),
+    ("f | p & t", ("p",), lambda v: v["p"]),
+    ("p_1-x\t&\n!q\r\n|  t-", ("p_1-x", "q", "t-"),
+     lambda v: v["p_1-x"] and not v["q"] or v["t-"]),
+]
+
+MALFORMED_CONDITIONS = ["p &", "(p", "p)", "p q", "&p", "0", "@a", "p:", "", "  ", '"p', 'p & "q']
+
+
+@pytest.mark.parametrize("text, names, holds", WELL_FORMED_CONDITIONS)
+def test_parse_condition_table(text, names, holds):
+    expr, got = parse_condition(text)
+    assert got == names
+    compiled = compile_label(expr)
+    for bits in range(1 << len(names)):
+        value = {name: bool(bits >> i & 1) for i, name in enumerate(names)}
+        assert bool(compiled(bits)) == bool(holds(value)), (text, value)
+
+
+@pytest.mark.parametrize("text", MALFORMED_CONDITIONS)
+def test_parse_condition_rejects(text):
+    with pytest.raises(ConfigError):
+        parse_condition(text)
 
 
 # ---------------------------------------------------------------------------
