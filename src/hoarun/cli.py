@@ -143,6 +143,16 @@ def _cmd_run(args) -> int:
         config = replace(config, drivers=(), default_driver=FileSpec(args.trace))
     seed = args.seed if args.seed is not None else (config.seed or 0)
     max_steps = args.steps if args.steps is not None else config.max_steps
+    # only a trace or a step bound ends a run whose automata read nothing
+    if max_steps is None and not isinstance(config.default_driver, FileSpec) and not any(
+        automaton.aps for automaton in automata
+    ):
+        print(
+            "error: nothing ends the run: the automata read no proposition, "
+            "and no trace or step bound is given",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
 
     if args.monitor:
         monitored = []

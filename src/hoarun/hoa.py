@@ -162,10 +162,13 @@ class _Tokenizer:
 # Parser
 
 class _Parser:
-    def __init__(self, text: str, allow_empty_acc_sets: bool):
+    def __init__(self, text: str, allow_empty_acc_sets: bool, names: list[str] | None = None):
         self._tz = _Tokenizer(text)
         self.tok = self._tz.next_token()
         self.allow_empty_acc_sets = allow_empty_acc_sets
+        # a named formula's table of proposition names, in first-use order;
+        # None for HOA text, whose label atoms are proposition indices
+        self.names = names
         self.warnings: list[ParseDiagnostic] = []
         self._labels: dict[tuple, LabelExpr] = {}
 
@@ -447,7 +450,7 @@ class _Parser:
             inner = self._parse_label_or(aliases, depth + 1)
             self._expect(")", "')'")
             return inner
-        if tok.kind == "int":
+        if tok.kind == "int" and self.names is None:
             self._take()
             return self._shared(Ap, int(tok.value))
         if tok.kind == "aname":
@@ -462,6 +465,11 @@ class _Parser:
         if tok.kind == "ident" and tok.value == "f":
             self._take()
             return FALSE
+        if tok.kind in ("ident", "string") and self.names is not None:
+            self._take()
+            if tok.value not in self.names:
+                self.names.append(tok.value)
+            return self._shared(Ap, self.names.index(tok.value))
         self._fail(f"expected label expression, found {tok.value!r}")
         raise AssertionError
 
@@ -629,6 +637,25 @@ def parse(text: str, *, allow_empty_acc_sets: bool = False) -> HoaDocument:
         earlier = list(parser.warnings) if parser is not None else []
         raise HoaParseError(earlier + [abort.diagnostic]) from None
     return HoaDocument(tuple(automata), tuple(warnings))
+
+
+def parse_named_label(text: str) -> tuple[LabelExpr, tuple[str, ...]]:
+    """Parse a label expression whose atoms are proposition names, bare
+    (``[A-Za-z_][A-Za-z0-9_-]*``) or quoted, in place of indices.
+
+    Returns the expression plus the name table its ``Ap`` indices refer
+    to, in first-use order. Every other rule is the HOA label grammar's:
+    ``t``/``f``, ``!``, ``&``, ``|``, parentheses, comments and the nesting
+    limit. Raises :class:`HoaParseError` on failure.
+    """
+    try:
+        parser = _Parser(text, False, [])
+        expr = parser._parse_label({})
+        if parser.tok.kind != "eof":
+            parser._fail(f"expected end of formula, found {parser.tok.value!r}")
+    except _Abort as abort:
+        raise HoaParseError([abort.diagnostic]) from None
+    return expr, tuple(parser.names)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .automata import Automaton
-from .labels import FALSE, TRUE, Ap, LabelExpr, Not, Valuation, compile_label, land, lor
+from .hoa import HoaParseError, parse_named_label
+from .labels import LabelExpr, Valuation, compile_label
 from .monitoring import Monitor, Verdict
 
 
@@ -355,93 +356,17 @@ class HookSpec:
             )
 
 
-_COND_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_-]*)|(?P<str>\"(?:[^\"\\]|\\.)*\")"
-    r"|(?P<punct>[!&|()]))"
-)
-
-
 def parse_condition(text: str) -> tuple[LabelExpr, tuple[str, ...]]:
-    """Parse a Boolean formula over proposition names.
+    """Parse a ``cond:`` formula: an HOA label with proposition names in
+    place of indices (see :func:`hoa.parse_named_label`).
 
     Returns the expression plus the name table its Ap indices refer to;
-    `t`/`f` are constants, quoted names allow arbitrary characters.
+    raises :class:`ConfigError` on a malformed formula.
     """
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _COND_TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise ConfigError(f"bad condition syntax near {text[pos:]!r}")
-            break
-        tokens.append(match.group(0).strip())
-        pos = match.end()
-    names: list[str] = []
-
-    def atom_for(name: str) -> LabelExpr:
-        if name not in names:
-            names.append(name)
-        return Ap(names.index(name))
-
-    index = 0
-
-    def peek() -> str | None:
-        return tokens[index] if index < len(tokens) else None
-
-    def take() -> str:
-        nonlocal index
-        index += 1
-        return tokens[index - 1]
-
-    def parse_or(depth: int) -> LabelExpr:
-        terms = [parse_and(depth)]
-        while peek() == "|":
-            take()
-            terms.append(parse_and(depth))
-        return lor(*terms)
-
-    def parse_and(depth: int) -> LabelExpr:
-        terms = [parse_atom(depth)]
-        while peek() == "&":
-            take()
-            terms.append(parse_atom(depth))
-        return land(*terms)
-
-    def parse_atom(depth: int) -> LabelExpr:
-        if depth > 100:
-            raise ConfigError("condition nested too deeply")
-        token = peek()
-        if token is None:
-            raise ConfigError("condition ended unexpectedly")
-        if token == "!":
-            take()
-            return Not(parse_atom(depth + 1))
-        if token == "(":
-            take()
-            inner = parse_or(depth + 1)
-            if peek() != ")":
-                raise ConfigError("missing ')' in condition")
-            take()
-            return inner
-        if token == "t":
-            take()
-            return TRUE
-        if token == "f":
-            take()
-            return FALSE
-        if token.startswith('"'):
-            take()
-            return atom_for(token[1:-1].replace('\\"', '"').replace("\\\\", "\\"))
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", token):
-            take()
-            return atom_for(token)
-        raise ConfigError(f"unexpected token {token!r} in condition")
-
-    expr = parse_or(0)
-    if index != len(tokens):
-        raise ConfigError(f"trailing tokens in condition: {tokens[index:]!r}")
-    return expr, tuple(names)
+    try:
+        return parse_named_label(text)
+    except HoaParseError as exc:
+        raise ConfigError(f"bad condition: {exc}") from None
 
 
 def parse_trigger(text: str, ident: str) -> Trigger:
@@ -461,8 +386,10 @@ def parse_trigger(text: str, ident: str) -> Trigger:
         except ValueError as exc:
             raise ConfigError(f"hook {ident}: bad state id") from exc
     if text.startswith("cond:"):
-        expr, names = parse_condition(text[len("cond:") :])
-        return CondTrigger(expr, names)
+        try:
+            return CondTrigger(*parse_condition(text[len("cond:") :]))
+        except ConfigError as exc:
+            raise ConfigError(f"hook {ident}: {exc}") from None
     raise ConfigError(f"hook {ident}: unknown trigger {text!r}")
 
 

@@ -125,6 +125,31 @@ def test_run_bad_trace_without_propositions_is_an_error(tmp_path, capsys):
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_run_that_nothing_ends_is_an_error(tmp_path):
+    # no proposition to read, no trace and no step bound: the run would
+    # never end, so it is refused at load; each run is a child with a
+    # timeout, so a regression fails instead of hanging
+    noap = str(FIXTURES / "noapfile.hoa")
+    hooks = write(tmp_path, "hooks.cfg", "[hooks.note]\ntrigger = cond: t\naction = log:x\n")
+    random = write(tmp_path, "random.cfg", "[drivers]\ndefault = random()\n")
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "hoarun", "run", *args, "--monitor", noap],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+
+    for config in ([], ["--config", hooks], ["--config", random]):
+        result = run(*config)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    result = run("--steps", "3", "--verbose")
+    assert result.returncode == 0
+    assert result.stdout.count("STEP") == 3
+
+
 def test_run_trace_not_utf8_is_an_error(tmp_path, capsys):
     # the bad byte sits in the header, or far enough in to be read mid-run
     for records in (0, 5000):

@@ -330,6 +330,9 @@ def test_config_rejects_unknown_bits():
         parse_config("[hooks.h]\ntrigger = nondeterminism\n")
     with pytest.raises(ConfigError):
         parse_config("[hooks.h]\ntrigger = verdict:odd\naction = reset\n")
+    # a bad cond: formula names its hook, as every other hook error does
+    with pytest.raises(ConfigError, match=r"^hook watch: bad condition: 1:5: "):
+        parse_config("[hooks.watch]\ntrigger = cond: p &\naction = reset\n")
 
 
 def test_config_rejects_negative_step_bound():
@@ -391,6 +394,17 @@ def test_parse_condition_table(text, names, holds):
 def test_parse_condition_rejects(text):
     with pytest.raises(ConfigError):
         parse_condition(text)
+
+
+def test_parse_condition_nesting_limit():
+    # the HOA label limit of 200 levels; deeper is a ConfigError, not a
+    # RecursionError
+    for depth in (150, 200):
+        for text in ("(" * depth + "p" + ")" * depth, "!" * depth + "p"):
+            assert parse_condition(text)[1] == ("p",)
+    for text in ("(" * 250 + "p" + ")" * 250, "!" * 250 + "p"):
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            parse_condition(text)
 
 
 # ---------------------------------------------------------------------------
