@@ -640,14 +640,9 @@ def parse(text: str, *, allow_empty_acc_sets: bool = False) -> HoaDocument:
 
 
 def parse_named_label(text: str) -> tuple[LabelExpr, tuple[str, ...]]:
-    """Parse a label expression whose atoms are proposition names, bare
-    (``[A-Za-z_][A-Za-z0-9_-]*``) or quoted, in place of indices.
-
-    Returns the expression plus the name table its ``Ap`` indices refer
-    to, in first-use order. Every other rule is the HOA label grammar's:
-    ``t``/``f``, ``!``, ``&``, ``|``, parentheses, comments and the nesting
-    limit. Raises :class:`HoaParseError` on failure.
-    """
+    """Parse an HOA label whose atoms are proposition names, bare or quoted,
+    in place of indices; returns it with the name table its ``Ap`` indices
+    refer to, in first-use order. Raises :class:`HoaParseError` on failure."""
     try:
         parser = _Parser(text, False, [])
         expr = parser._parse_label({})

@@ -357,11 +357,13 @@ class HookSpec:
 
 
 def parse_condition(text: str) -> tuple[LabelExpr, tuple[str, ...]]:
-    """Parse a ``cond:`` formula: an HOA label with proposition names in
-    place of indices (see :func:`hoa.parse_named_label`).
+    """Parse a ``cond:`` formula: an HOA label with proposition names,
+    bare (``[A-Za-z_][A-Za-z0-9_-]*``) or quoted, in place of indices.
 
-    Returns the expression plus the name table its Ap indices refer to;
-    raises :class:`ConfigError` on a malformed formula.
+    ``t``/``f`` are the constants; ``!``, ``&``, ``|``, parentheses,
+    comments and the nesting limit of 200 follow the HOA label rules.
+    Returns the expression plus the name table its Ap indices refer to,
+    in first-use order; raises :class:`ConfigError` on a malformed formula.
     """
     try:
         return parse_named_label(text)
