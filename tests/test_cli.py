@@ -2,17 +2,21 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from conftest import FIXTURES, load_fixture
 from hoarun.cli import main
+from hoarun.hoa import parse
+from hoarun.labels import Valuation, evaluate
 
 FIG1A = str(FIXTURES / "fig1a.hoa")
 FIG1B = str(FIXTURES / "fig1b.hoa")
 BADTRAP = str(FIXTURES / "badtrap.hoa")
 UGLY = str(FIXTURES / "ugly.hoa")
 MINIMAL = str(FIXTURES / "minimal.hoa")
+WIDE = str(FIXTURES / "wide.hoa")
 
 
 def write(tmp_path, name, text):
@@ -47,6 +51,57 @@ def test_check_multiple_files(capsys):
     out = capsys.readouterr().out
     assert out.count("states=3") == 2
     assert "complete=yes" in out
+
+
+def test_check_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # every fixture, the 20-proposition one included, and the n=4 lock
+    # monitors, byte for byte as check prints them under relative paths
+    assert main(["gen-locks", "--n", "4", "--len", "10", "--seed", "1",
+                 "--out-trace", str(tmp_path / "locks4.trace"),
+                 "--out-monitors", str(tmp_path / "locks4.hoa")]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(FIXTURES)
+    assert main(["check", *sorted(p.name for p in FIXTURES.glob("*.hoa"))]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "locks4.hoa"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "check.golden").read_text()
+
+
+def _wide_trace(tmp_path) -> str:
+    # most pairs have a true proposition, so the label holds on about two
+    # rows in three
+    rng = Random(5)
+    rows = [" ".join("1" if rng.random() < 0.8 else "0" for _ in range(20)) for _ in range(40)]
+    header = " ".join(f"p{i}" for i in range(20))
+    return write(tmp_path, "wide.trace", "\n".join([header, *rows]) + "\n")
+
+
+def test_wide_labels_past_the_check_cap(tmp_path, capsys):
+    # `(0|1) & (2|3) & ... & (18|19)` over 20 propositions has 2**10
+    # cubes: check reports the 16-proposition cap, a plain run steps it,
+    # a monitored run is refused at load
+    assert main(["check", WIDE]) == 0
+    assert "deterministic=capacity-exceeded complete=capacity-exceeded" in capsys.readouterr().out
+    trace = _wide_trace(tmp_path)
+    assert main(["run", "--trace", trace, "--verbose", WIDE]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = Path(trace).read_text().splitlines()[1:]
+    (automaton,) = parse(load_fixture("wide.hoa")).automata
+    label = automaton.transitions[0].label
+    state, visited = 0, set()
+    assert len(lines) == len(rows)
+    for step, (line, row) in enumerate(zip(lines, rows)):
+        bits = row.replace(" ", "")
+        # the label moves the runner to the other state, its negation keeps it
+        if evaluate(label, Valuation(int(bits[::-1], 2), 20)):
+            state = 1 - state
+        visited.add(state)
+        assert line == f"STEP {step} {bits} | wide:{state}"
+    assert visited == {0, 1}
+    assert main(["run", "--trace", trace, "--monitor", WIDE]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: check would enumerate 20 propositions (cap 16)\n"
 
 
 # ---------------------------------------------------------------------------
