@@ -121,6 +121,9 @@ class Automaton:
     tool: tuple[str, ...] | None = None
     properties: tuple[str, ...] = ()
     display_ids: tuple[int, ...] | None = field(default=None, compare=False)
+    # labels.cover's memo for these labels, shared by the checks and the
+    # runners; keyed by node ids, so it is only valid for this object
+    covers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.aps)) != len(self.aps):
@@ -188,14 +191,17 @@ def is_deterministic(automaton: Automaton) -> bool:
         return False
     ap_count = len(automaton.aps)
     return all(
-        pairwise_disjoint(labels, ap_count) for labels in _labels_by_state(automaton)
+        pairwise_disjoint(labels, ap_count, automaton.covers)
+        for labels in _labels_by_state(automaton)
     )
 
 
 def is_complete(automaton: Automaton) -> bool:
     """The labels leaving each state jointly cover every valuation."""
     ap_count = len(automaton.aps)
-    return all(covers_all(labels, ap_count) for labels in _labels_by_state(automaton))
+    return all(
+        covers_all(labels, ap_count, automaton.covers) for labels in _labels_by_state(automaton)
+    )
 
 
 def complete_by_stuttering(automaton: Automaton) -> Automaton:
@@ -209,7 +215,7 @@ def complete_by_stuttering(automaton: Automaton) -> Automaton:
     ap_count = len(automaton.aps)
     added: list[Transition] = []
     for state, labels in enumerate(_labels_by_state(automaton)):
-        if covers_all(labels, ap_count):
+        if covers_all(labels, ap_count, automaton.covers):
             continue
         label = TRUE if not labels else Not(lor(*labels))
         added.append(Transition(state, label, state))

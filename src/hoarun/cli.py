@@ -22,7 +22,9 @@ from .runtime import (
     ConfigError,
     FileSpec,
     InputClosedError,
+    InteractiveSpec,
     LogEvent,
+    PromptAction,
     StepEvent,
     TraceError,
     VerdictEvent,
@@ -54,7 +56,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute automata against input drivers")
     run.add_argument("hoa", nargs="+", help="HOA files ('-' for standard input)")
     run.add_argument("--config", help="INI run configuration")
-    run.add_argument("--trace", help="bind every proposition to this trace file")
+    run.add_argument(
+        "--trace", help="bind every proposition to this trace file ('-' for standard input)"
+    )
     run.add_argument("--steps", type=int, help="stop after N steps")
     run.add_argument("--seed", type=int, help="global seed (overrides config)")
     run.add_argument("--monitor", action="store_true", help="attach acceptance monitors")
@@ -122,13 +126,6 @@ def _read_documents(paths, allow_empty_acc_sets):
 
 
 def _cmd_run(args) -> int:
-    try:
-        automata = _read_documents(args.hoa, args.allow_empty_accsets)
-    except (HoaParseError, OSError) as exc:
-        if isinstance(exc, OSError):
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
     config = Config()
     if args.config:
         try:
@@ -141,6 +138,24 @@ def _cmd_run(args) -> int:
         return EXIT_ERROR
     if args.trace is not None:
         config = replace(config, drivers=(), default_driver=FileSpec(args.trace))
+    specs = [spec for _, spec in config.drivers] + [config.default_driver]
+    if FileSpec("-") in specs and (
+        "-" in args.hoa
+        or InteractiveSpec() in specs
+        or any(isinstance(hook.action, PromptAction) for hook in config.hooks)
+    ):
+        print(
+            "error: the trace reads standard input, so no automaton, "
+            "interactive driver or prompt hook can",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
+    try:
+        automata = _read_documents(args.hoa, args.allow_empty_accsets)
+    except (HoaParseError, OSError) as exc:
+        if isinstance(exc, OSError):
+            print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     seed = args.seed if args.seed is not None else (config.seed or 0)
     max_steps = args.steps if args.steps is not None else config.max_steps
     # only a trace or a step bound ends a run whose automata read nothing

@@ -427,8 +427,8 @@ class _Parser:
 
     def _shared(self, cls: type, arg) -> LabelExpr:
         """The document's one node ``cls(arg)``, so that equal labels are
-        one object and compile once; children are shared already, so
-        their identities make the key."""
+        one object and convert to cubes once; children are shared
+        already, so their identities make the key."""
         if cls is Ap:
             key = (cls, arg)
         else:

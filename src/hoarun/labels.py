@@ -1,22 +1,24 @@
 """Boolean formulas over atomic propositions, used as transition labels.
 
 A formula is an immutable tree; a valuation assigns one bit per
-proposition index. Semantic checks (disjointness, covering) enumerate
-assignments of the propositions that actually occur in the formulas
-under test: unreferenced propositions cannot affect the result, so the
-checks stay exact while touching at most 2**k cases for k occurring
-propositions. A hard cap keeps that enumeration predictable. The checks
-and the runtime evaluate formulas through :func:`compile_label`;
-:func:`evaluate` is the tree-walking reference.
+proposition index. The checks and the runtime use one compiled form of
+a formula, its cover (:func:`cover`): a disjunction of cubes. A formula
+whose cover would exceed ``CUBE_CAP`` cubes is walked (:func:`holds`),
+and the checks enumerate assignments for it. Either way the checks
+refuse more than ``DEFAULT_ENUM_CAP`` occurring propositions, so their
+answers do not depend on the way taken. :func:`evaluate` is the
+tree-walking reference.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_ENUM_CAP = 16
+
+# cubes a cover may hold: past it a formula is walked, not covered
+CUBE_CAP = 64
 
 
 class LabelError(Exception):
@@ -38,8 +40,7 @@ class ValuationWidthError(LabelError):
 class LabelExpr:
     """Base class for formula nodes. Instances are immutable and shareable."""
 
-    # weakly referenced by compile_label's memo, which forgets a formula with it
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,13 +167,139 @@ def occurring_aps(*exprs: LabelExpr) -> frozenset[int]:
     return frozenset(found)
 
 
-def _ap_mask(exprs: Iterable[LabelExpr]) -> int:
-    """Bit mask of the propositions occurring in ``exprs``."""
-    return sum(1 << index for index in occurring_aps(*exprs))
+# a cube (care, value) holds on the valuation bits b with b & care ==
+# value, and a cover, a tuple of cubes, where one of them holds
+Cube = tuple[int, int]
+Cover = tuple[Cube, ...]
+_TRUE_COVER: Cover = ((0, 0),)
+
+
+def _nnf_fold(expr: LabelExpr, literal: Callable, conjoin: Callable, disjoin: Callable, done: dict):
+    """Fold ``expr`` with its negations pushed to the literals (De Morgan).
+
+    ``(node, positive)`` is the node, or its negation when not positive:
+    ``literal(index, positive)`` values a proposition, ``conjoin`` or
+    ``disjoin`` the values of a node's children (none for a constant).
+    Each is valued once, from an explicit stack, so any depth folds
+    without recursion; ``done`` keeps them by ``(id(node), positive)``.
+    """
+    stack = [(expr, True)]
+    while stack:
+        node, positive = stack[-1]
+        if (id(node), positive) in done:
+            stack.pop()
+            continue
+        if isinstance(node, Not):
+            children: tuple = ((node.child, not positive),)
+        else:
+            children = tuple((child, positive) for child in getattr(node, "children", ()))
+        pending = [item for item in children if (id(item[0]), item[1]) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        values = [done[id(child), sign] for child, sign in children]
+        if isinstance(node, Not):
+            done[id(node), positive] = values[0]
+        elif isinstance(node, Ap):
+            done[id(node), positive] = literal(node.index, positive)
+        elif isinstance(node, (And, Or, TrueLabel, FalseLabel)):
+            fold = conjoin if isinstance(node, (And, TrueLabel)) == positive else disjoin
+            done[id(node), positive] = fold(values)
+        else:
+            raise TypeError(f"not a label expression: {node!r}")
+    return done[id(expr), True]
+
+
+def holds(expr: LabelExpr, bits: int, positions: Sequence[int] | None = None) -> bool:
+    """:func:`evaluate` by one walk, without recursion or width check;
+    ``Ap(i)`` reads bit ``positions[i]``, or bit ``i`` when it is None."""
+
+    def literal(index: int, positive: bool) -> bool:
+        return bool(bits >> (index if positions is None else positions[index]) & 1) == positive
+
+    return _nnf_fold(expr, literal, all, any, {})
+
+
+def cover(expr: LabelExpr, memo: dict | None = None) -> tuple[int, Cover | None]:
+    """The mask of the propositions in ``expr``, and its cover over bit i
+    for proposition i, or None when a subformula's has over CUBE_CAP cubes.
+
+    ``memo`` keeps the result of every node by id: give the labels of one
+    automaton one memo, which they outlive, so each node converts once.
+    """
+    return _nnf_fold(expr, _literal, _conjoin, _disjoin, {} if memo is None else memo)
+
+
+def _literal(index: int, positive: bool) -> tuple[int, Cover]:
+    return 1 << index, ((1 << index, positive << index),)
+
+
+def _conjoin(children: list[tuple[int, Cover | None]]) -> tuple[int, Cover | None]:
+    mask, result = 0, _TRUE_COVER
+    for child_mask, cubes in children:
+        mask |= child_mask
+        result = None if result is None or cubes is None else _capped(
+            (care_a | care_b, value_a | value_b)
+            for care_a, value_a in result
+            for care_b, value_b in cubes
+            if not (value_a ^ value_b) & care_a & care_b
+        )
+    return mask, result
+
+
+def _disjoin(children: list[tuple[int, Cover | None]]) -> tuple[int, Cover | None]:
+    mask, result = 0, ()
+    for child_mask, cubes in children:
+        mask |= child_mask
+        result = None if result is None or cubes is None else _capped(result + cubes)
+    return mask, result
+
+
+def _capped(cubes: Iterable[Cube]) -> Cover | None:
+    """The distinct cubes that no other one contains; None past CUBE_CAP."""
+    distinct = dict.fromkeys(cubes)
+    if len(distinct) > CUBE_CAP:
+        return None
+    return tuple(
+        (care, value)
+        for care, value in distinct
+        if not any(c != care and c & care == c and value & c == v for c, v in distinct)
+    )
+
+
+def remap(cubes: Cover, positions: Sequence[int]) -> Cover:
+    """``cubes`` with bit i moved to bit ``positions[i]``."""
+
+    def move(bits: int) -> int:
+        return sum(1 << position for i, position in enumerate(positions) if bits >> i & 1)
+
+    return tuple((move(care), move(value)) for care, value in cubes)
+
+
+def _tautology(cubes: list[Cube]) -> bool:
+    """True iff the cubes hold on every valuation, by Shannon splitting on
+    a proposition with literals of both signs until a branch has a cube
+    without care bits. A branch with no such proposition fails, as the
+    valuation opposing every literal satisfies none of its cubes: the
+    unate recursive paradigm of Espresso."""
+    stack = [cubes]
+    while stack:
+        cubes = stack.pop()
+        if all(care for care, _ in cubes):
+            positive = negative = 0
+            for care, value in cubes:
+                positive, negative = positive | value, negative | care & ~value
+            if not positive & negative:
+                return False
+            bit = positive & negative & -(positive & negative)
+            stack.append([(care & ~bit, value) for care, value in cubes if not value & bit])
+            stack.append([(c & ~bit, v & ~bit) for c, v in cubes if not c & ~v & bit])
+    return True
 
 
 def _check_mask(mask: int, ap_count: int) -> None:
-    """Refuse an enumeration over ``mask``: out of range or over the cap."""
+    """Refuse a check over ``mask``: out of range or over the cap."""
     if mask.bit_length() > ap_count:
         raise ValueError(
             f"formula references proposition {mask.bit_length() - 1} "
@@ -195,18 +322,26 @@ def _assignments(mask: int) -> Iterator[int]:
         bits = (bits - mask) & mask  # next subset of mask, in increasing order
 
 
-def pairwise_disjoint(labels: Iterable[LabelExpr], ap_count: int) -> bool:
+def pairwise_disjoint(labels: Iterable[LabelExpr], ap_count: int, memo: dict | None = None) -> bool:
     """True iff no valuation satisfies two of the labels.
 
-    Each label's proposition mask and predicate are computed once; every
-    pair enumerates the union of its two masks, under the cap, in order.
+    Every pair's union mask goes through the cap, in order. Two covers
+    (:func:`cover`, through ``memo``) meet iff two of their cubes agree
+    where both care; a pair with a label that has none is enumerated.
     """
-    compiled = [(_ap_mask((label,)), compile_label(label)) for label in labels]
-    for i, (mask_a, holds_a) in enumerate(compiled):
-        for mask_b, holds_b in compiled[i + 1 :]:
-            mask = mask_a | mask_b
-            _check_mask(mask, ap_count)
-            if any(holds_a(bits) and holds_b(bits) for bits in _assignments(mask)):
+    labels = tuple(labels)
+    compiled = [cover(label, memo) for label in labels]
+    for i, (mask_a, cubes_a) in enumerate(compiled):
+        for label_b, (mask_b, cubes_b) in zip(labels[i + 1 :], compiled[i + 1 :]):
+            _check_mask(mask_a | mask_b, ap_count)
+            if cubes_a is None or cubes_b is None:
+                meet = any(
+                    holds(labels[i], bits) and holds(label_b, bits)
+                    for bits in _assignments(mask_a | mask_b)
+                )
+            else:
+                meet = any(not (va ^ vb) & ca & cb for ca, va in cubes_a for cb, vb in cubes_b)
+            if meet:
                 return False
     return True
 
@@ -216,15 +351,22 @@ def are_disjoint(a: LabelExpr, b: LabelExpr, ap_count: int) -> bool:
     return pairwise_disjoint((a, b), ap_count)
 
 
-def covers_all(labels: Iterable[LabelExpr], ap_count: int) -> bool:
-    """True iff every valuation satisfies at least one of the labels."""
+def covers_all(labels: Iterable[LabelExpr], ap_count: int, memo: dict | None = None) -> bool:
+    """True iff every valuation satisfies at least one of the labels.
+
+    Their union mask goes through the cap; their covers (:func:`cover`,
+    through ``memo``) are checked for a tautology, labels of which one
+    has none by enumeration.
+    """
     labels = tuple(labels)
-    mask = _ap_mask(labels)
+    compiled = [cover(label, memo) for label in labels]
+    mask = 0
+    for label_mask, _ in compiled:
+        mask |= label_mask
     _check_mask(mask, ap_count)
-    predicates = [compile_label(label) for label in labels]
-    return all(
-        any(holds(bits) for holds in predicates) for bits in _assignments(mask)
-    )
+    if any(cubes is None for _, cubes in compiled):
+        return all(any(holds(label, bits) for label in labels) for bits in _assignments(mask))
+    return _tautology([cube for _, cubes in compiled for cube in cubes])
 
 
 def minterm(index: int, ap_count: int) -> LabelExpr:
@@ -233,124 +375,3 @@ def minterm(index: int, ap_count: int) -> LabelExpr:
     for i in range(ap_count):
         literals.append(Ap(i) if index >> i & 1 else Not(Ap(i)))
     return land(*literals)
-
-
-_Key = tuple[int, tuple[int, ...] | None]
-
-# compiled predicates, by (id(formula), positions) next to a weak
-# reference to the formula, for as long as the formula lives; and by
-# generated source, so that equal formulas share one code object
-_BY_LABEL: dict[_Key, tuple[weakref.ref, Callable[[int], object]]] = {}
-_BY_SOURCE: dict[str, Callable[[int], object]] = {}
-
-# operator nesting at which a subformula is compiled as its own helper:
-# Python's parser gives up on expressions a few hundred levels deep
-_HELPER_DEPTH = 50
-
-
-def compile_label(
-    expr: LabelExpr, positions: tuple[int, ...] | None = None
-) -> Callable[[int], object]:
-    """Compile a formula into one code object over the valuation bits.
-
-    The result is truthy iff the formula holds; equivalent to
-    :func:`evaluate` but without width checks. ``Ap(i)`` reads bit
-    ``positions[i]`` of the valuation, or bit ``i`` when ``positions`` is
-    None, so a formula over an automaton's own propositions runs directly
-    on a valuation over a wider, differently ordered proposition list.
-    Memoised by the formula object while it lives and by the generated
-    source, so no formula is hashed or compared node by node and one of
-    any depth compiles; equal formulas share one code object (the parser
-    gives equal labels one object, so they compile once). The memo keeps
-    one entry per live formula and positions, and one code object per
-    distinct source.
-    """
-    key = (id(expr), positions)
-    entry = _BY_LABEL.get(key)
-    if entry is None or entry[0]() is not expr:
-        source = _py_source(expr, positions)
-        holds = _BY_SOURCE.get(source)
-        if holds is None:
-            namespace: dict[str, object] = {"__builtins__": {}}
-            exec(source, namespace)
-            holds = _BY_SOURCE[source] = namespace["holds"]
-        entry = _BY_LABEL[key] = (weakref.ref(expr, _forget(key)), holds)
-    return entry[1]
-
-
-def _forget(key: _Key) -> Callable[[weakref.ref], None]:
-    """Callback that drops the memo entry ``key`` when its formula dies."""
-
-    def forget(ref: weakref.ref) -> None:
-        if _BY_LABEL.get(key, (None,))[0] is ref:
-            del _BY_LABEL[key]
-
-    return forget
-
-
-def _py_source(expr: LabelExpr, positions: tuple[int, ...] | None) -> str:
-    """Source that binds ``holds`` to the formula's predicate.
-
-    Built bottom-up from an explicit stack. Parenthesised only where
-    precedence needs it (`not` binds tighter than `and`, `and` than
-    `or`). A subformula nested ``_HELPER_DEPTH`` operators deep becomes a
-    helper function of its own, defined on an earlier line and called by
-    name, so no line nests deeper than that.
-    """
-    helpers: list[str] = []
-    # id(node) -> (source, operator nesting, loosest operator at its top)
-    done: dict[int, tuple[str, int, type | None]] = {}
-    stack: list[LabelExpr] = [expr]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        children = _children(node)
-        pending = [c for c in children if id(c) not in done]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        entry = _node_source(node, positions, [done[id(c)] for c in children])
-        if entry[1] >= _HELPER_DEPTH:
-            helpers.append(f"h{len(helpers)} = lambda b: {entry[0]}")
-            entry = (f"h{len(helpers) - 1}(b)", 0, None)
-        done[id(node)] = entry
-    return "\n".join(helpers + [f"holds = lambda b: {done[id(expr)][0]}"])
-
-
-def _children(node: LabelExpr) -> tuple[LabelExpr, ...]:
-    if isinstance(node, Not):
-        return (node.child,)
-    if isinstance(node, (And, Or)):
-        return node.children
-    return ()
-
-
-def _node_source(
-    node: LabelExpr,
-    positions: tuple[int, ...] | None,
-    children: list[tuple[str, int, type | None]],
-) -> tuple[str, int, type | None]:
-    """Source, operator nesting and top operator of one node, given its
-    children's."""
-    if isinstance(node, Ap):
-        bit = node.index if positions is None else positions[node.index]
-        return f"b >> {bit} & 1", 0, None
-    if isinstance(node, TrueLabel):
-        return "True", 0, None
-    if isinstance(node, FalseLabel):
-        return "False", 0, None
-    if not isinstance(node, (Not, And, Or)):
-        raise TypeError(f"not a label expression: {node!r}")
-    if not children:
-        return ("True" if isinstance(node, And) else "False"), 0, None
-    depth = max(d for _, d, _ in children) + 1
-    if isinstance(node, Not):
-        ((child, _, top),) = children
-        return (f"not ({child})" if top in (And, Or) else f"not {child}"), depth, Not
-    if isinstance(node, And):
-        terms = (f"({t})" if top is Or else t for t, _, top in children)
-        return " and ".join(terms), depth, And
-    return " or ".join(t for t, _, _ in children), depth, Or

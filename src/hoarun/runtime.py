@@ -2,10 +2,11 @@
 hooks react to nondeterminism, deadlock, verdict changes and user conditions.
 
 Atomic propositions are shared across automata by name: every step one
-global valuation is collected, and every transition label and ``cond:``
-formula is compiled once against the global positions of the names it
-uses, so each runner reads that valuation directly. A trace record is
-decoded once, straight to those bits. Each runner memoises its
+global valuation is collected, and each runner holds its transition
+labels and ``cond:`` formulas as cubes (``labels.cover``) moved to the
+global positions of the names they use, so it reads that valuation
+directly; a label without a cover is walked. A trace record is decoded
+once, straight to those bits. Each runner memoises its
 candidate states per (state, input restricted to its own propositions),
 so after the first visit of such a pair a step is a dictionary lookup;
 a memo that reaches ``MEMO_CAP`` entries is emptied, so it never holds
@@ -34,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .automata import Automaton
 from .hoa import HoaParseError, parse_named_label
-from .labels import LabelExpr, Valuation, compile_label
+from .labels import Cover, LabelExpr, Valuation, cover, holds, remap
 from .monitoring import Monitor, Verdict
 
 
@@ -63,7 +64,7 @@ class TraceReader:
 
     Format: '#' lines are comments, the first significant line names the
     propositions, every following significant line holds one 0/1 token
-    per name. One record is consumed per step regardless of how many
+    per name; the path ``-`` reads standard input. One record is consumed per step regardless of how many
     propositions read from it. Each record is checked and decoded once,
     to one int (:meth:`record_for_step`). Columns no proposition is
     bound to are checked but otherwise ignored. The file is read one line
@@ -72,7 +73,12 @@ class TraceReader:
 
     def __init__(self, path: str, text: str | None = None):
         self.path = path
-        source = open(path, encoding="utf-8") if text is None else io.StringIO(text, newline=None)
+        if text is not None:
+            source: TextIO = io.StringIO(text, newline=None)
+        elif path == "-":  # standard input, which stays open after the trace
+            source = open(sys.stdin.fileno(), encoding="utf-8", closefd=False)
+        else:
+            source = open(path, encoding="utf-8")
         self._lines = self._significant_lines(source)
         header = next(self._lines, None)
         if header is None:
@@ -515,12 +521,15 @@ class Runner:
     """Tracks one automaton's current state through the execution loop.
 
     ``projection[i]`` is the bit of the global valuation that holds the
-    automaton's proposition i, and ``mask`` has those bits set. ``memo``
-    is the successor memo: it maps ``q << shift | bits``, for a state q
-    and an input given as the global valuation bits within ``mask``, to
-    the sorted candidate states for that input at q. An entry is filled
-    from ``table`` the first time its (state, input) pair is stepped;
-    the memo is emptied when it reaches ``MEMO_CAP`` entries.
+    automaton's proposition i, and ``mask`` has those bits set.
+    ``rows[q]`` holds a ``(test, target)`` pair per label leaving state q:
+    the test is the label's cubes at global bit positions, or the label
+    itself when it has no cover. ``memo`` is the successor memo: it maps
+    ``q << shift | bits``, for a state q and an input given as the global
+    valuation bits within ``mask``, to the sorted candidate states for
+    that input at q. An entry is filled from ``rows[q]`` the first time
+    its (state, input) pair is stepped; the memo is emptied when it
+    reaches ``MEMO_CAP`` entries.
 
     ``resting`` is the memo entry of a step that would change nothing but
     ``step_count``: ``unique[q]`` at the current state q when the runner
@@ -543,16 +552,23 @@ class Runner:
         self.monitor: Monitor | None = None
         # the hooks in scope, by trigger class, in configuration order
         self.triggered: dict[type, list[HookSpec]] = {}
-        # (predicate over the global valuation bits, hook) per cond: hook
-        self.conditions: tuple[tuple[Callable[[int], object], HookSpec], ...] = ()
+        # ((test, global positions of its propositions), hook) per cond:
+        # hook, the test as in rows
+        self.conditions: tuple[
+            tuple[tuple[Cover | LabelExpr, tuple[int, ...]], HookSpec], ...
+        ] = ()
         # whether any state or cond: hook has to be checked after a move
         self.poststep = False
-        # per-state (predicate over the global valuation bits, target) pairs
-        self.table: list[list[tuple[Callable[[int], object], int]]] = [
+        self.projection = projection
+        self.rows: list[list[tuple[Cover | LabelExpr, int]]] = [
             [] for _ in range(automaton.num_states)
         ]
+        moved: dict[int, Cover] = {}  # by id of the automaton's own cover
         for t in automaton.transitions:
-            self.table[t.src].append((compile_label(t.label, projection), t.dst))
+            _, cubes = cover(t.label, automaton.covers)
+            if cubes is not None and id(cubes) not in moved:
+                moved[id(cubes)] = remap(cubes, projection)
+            self.rows[t.src].append((t.label if cubes is None else moved[id(cubes)], t.dst))
         self.mask = sum(1 << position for position in projection)
         self.shift = self.mask.bit_length()
         self.memo: dict[int, tuple[int, ...]] = {}
@@ -581,9 +597,15 @@ def step(
         found = memo.get(key)
         if found is None:
             targets = []
-            for holds, target in runner.table[state]:
-                if holds(bits):
-                    targets.append(target)
+            for test, target in runner.rows[state]:
+                if test.__class__ is not tuple:  # a label without a cover
+                    if holds(test, bits, runner.projection):
+                        targets.append(target)
+                    continue
+                for care, value in test:
+                    if bits & care == value:
+                        targets.append(target)
+                        break
             if len(targets) > 1:
                 targets = sorted(set(targets))
             found = runner.unique[targets[0]] if len(targets) == 1 else tuple(targets)
@@ -758,7 +780,7 @@ def prepare_runners(
     universe: Sequence[str],
     hooks: Sequence[HookSpec] = (),
 ) -> list[Runner]:
-    """Create runners, compile their labels and ``cond:`` formulas against
+    """Create runners, with their labels and ``cond:`` formulas as cubes at
     the universe's positions, and attach scoped hooks."""
     runners = []
     positions = {name: i for i, name in enumerate(universe)}
@@ -789,7 +811,9 @@ def prepare_runners(
                         f"proposition {unbound[0]!r}"
                     )
                 cond_positions = tuple(positions[n] for n in hook.trigger.ap_names)
-                conditions.append((compile_label(hook.trigger.expr, cond_positions), hook))
+                _, cubes = cover(hook.trigger.expr)
+                test = hook.trigger.expr if cubes is None else remap(cubes, cond_positions)
+                conditions.append(((test, cond_positions), hook))
         for hook in matching:
             runner.triggered.setdefault(type(hook.trigger), []).append(hook)
         runner.conditions = tuple(conditions)
@@ -925,8 +949,12 @@ def _fire_poststep_hooks(runner: Runner, ctx: _LoopContext) -> None:
             _apply_action(runner, hook, (), ctx)
             break
     bits = ctx.valuation.bits
-    for holds, hook in runner.conditions:
-        if holds(bits):
+    for (test, positions), hook in runner.conditions:
+        if (
+            any(bits & care == value for care, value in test)
+            if test.__class__ is tuple
+            else holds(test, bits, positions)
+        ):
             _apply_action(runner, hook, (), ctx)
             break
 

@@ -364,6 +364,49 @@ def test_run_reads_stdin(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_run_trace_from_standard_input(tmp_path):
+    # `--trace -` and `default = file:-` read the trace from standard
+    # input, with the output and the trace errors a trace file gives
+    config = write(tmp_path, "stdin.cfg", "[drivers]\ndefault = file:-\n")
+    for trace, code, err in (("p\n1\n0\n", 10, b""),
+                             ("p\n1\n2\n", 1, b"error: line 3: expected 0 or 1, found '2'\n")):
+        path = write(tmp_path, "t.trace", trace)
+        from_file = _cli_bytes(["run", "--trace", path, "--monitor", "--verbose", BADTRAP], tmp_path)
+        assert (from_file.returncode, from_file.stderr) == (code, err)
+        for source in (["--trace", "-"], ["--config", config]):
+            piped = subprocess.run(
+                [sys.executable, "-m", "hoarun", "run", *source, "--monitor", "--verbose", BADTRAP],
+                input=trace.encode(),
+                capture_output=True,
+            )
+            assert (piped.returncode, piped.stdout, piped.stderr) == (
+                code, from_file.stdout, err
+            )
+
+
+def test_run_refuses_a_second_reader_of_standard_input(tmp_path, capsys, monkeypatch):
+    # a trace read from standard input leaves it to nothing else; the run
+    # is refused before anything is read
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(load_fixture("badtrap.hoa")))
+    interactive = write(tmp_path, "i.cfg", "[drivers]\ndefault = file:-\np = interactive\n")
+    prompt = write(tmp_path, "p.cfg", "[hooks.pick]\ntrigger = nondeterminism\naction = prompt\n")
+    for args in (
+        ["--trace", "-", "-"],
+        ["--config", interactive, BADTRAP],
+        ["--config", prompt, "--trace", "-", BADTRAP],
+    ):
+        assert main(["run", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the trace reads standard input, so no automaton, "
+            "interactive driver or prompt hook can\n"
+        )
+    assert "HOA: v1" in sys.stdin.read()
+
+
 def test_run_negated_relabels_good(tmp_path, capsys):
     # a monitor that accepts everything: verdict good at step 0
     aut = write(

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,16 +16,16 @@ from hoarun.labels import (
     Valuation,
     ValuationWidthError,
     are_disjoint,
-    compile_label,
+    cover,
     covers_all,
     evaluate,
+    holds,
     land,
     lor,
     minterm,
     occurring_aps,
+    remap,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def exprs(max_aps: int = 5):
@@ -125,34 +123,47 @@ def test_covering_matches_enumeration(labels):
     assert covers_all(labels, 5) == expected
 
 
+def _satisfies(cubes, bits):
+    return any(bits & care == value for care, value in cubes)
+
+
 @given(exprs(), valuations(), st.permutations(range(8)), st.integers(0, 255))
 def test_compiled_agrees_with_evaluate(expr, valuation, order, noise):
     expected = evaluate(expr, valuation)
-    assert bool(compile_label(expr)(valuation.bits)) == expected
-    # Ap(i) read from bit positions[i] of a wider vector whose other bits
-    # are noise
+    mask, cubes = cover(expr)
+    assert mask == sum(1 << i for i in occurring_aps(expr))
+    # the runtime's cubes and its walk read Ap(i) from bit positions[i]
+    # of a wider vector whose other bits are noise
     positions = tuple(order[:5])
     wide = noise
     for i, position in enumerate(positions):
         wide &= ~(1 << position)
         wide |= (valuation.bits >> i & 1) << position
-    assert bool(compile_label(expr, positions)(wide)) == expected
+    if cubes is not None:
+        assert _satisfies(cubes, valuation.bits) == expected
+        moved = remap(cubes, positions)
+        assert _satisfies(moved, wide) == expected
+    # the walk, taken for labels past the cube cap
+    assert holds(expr, valuation.bits) == expected
+    assert holds(expr, wide, positions) == expected
 
 
 def test_compiled_deep_negation_chain():
-    # 300 nested negations, as aliases can build: deeper than the 200
-    # parentheses Python's parser accepts
+    # 300 nested negations, as aliases can build: deeper than Python's
+    # recursion takes
     expr = Ap(0)
     for _ in range(300):
         expr = Not(expr)
-    assert bool(compile_label(expr)(1)) is True
-    assert bool(compile_label(Not(expr))(1)) is False
+    assert cover(expr) == (1, ((1, 1),))
+    assert cover(Not(expr)) == (1, ((1, 0),))
+    assert holds(expr, 1) is True
+    assert holds(Not(expr), 1) is False
 
 
 def test_compiled_deep_alternation_through_aliases(tmp_path, capsys):
     # `0 & (1 | (0 & ...))` 190 levels deep in each of two stacked aliases
-    # and in the label: 570 levels, too deep for Python's parser as one
-    # expression and for hashing the tree by recursion
+    # and in the label: 570 levels, too deep to convert or walk by
+    # recursion
     def chain(inner):
         for level in range(190):
             inner = f"0 & ({inner})" if level % 2 == 0 else f"1 | ({inner})"
@@ -165,14 +176,15 @@ def test_compiled_deep_alternation_through_aliases(tmp_path, capsys):
         f"Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {{0}}\n[{label}] 0\n[!({label})] 0\n--END--\n"
     )
     (automaton,) = parse(text).automata
-    holds = compile_label(automaton.transitions[0].label)
+    _, cubes = cover(automaton.transitions[0].label)
     for bits in range(4):
         p, q = bits & 1, bits >> 1 & 1
         expected = p
         for _ in range(3):
             for level in range(190):
                 expected = (p and expected) if level % 2 == 0 else (q or expected)
-        assert bool(holds(bits)) == bool(expected)
+        assert _satisfies(cubes, bits) == bool(expected)
+        assert holds(automaton.transitions[0].label, bits) == bool(expected)
     hoa = tmp_path / "deep.hoa"
     hoa.write_text(text)
     trace = tmp_path / "deep.trace"
@@ -181,29 +193,6 @@ def test_compiled_deep_alternation_through_aliases(tmp_path, capsys):
     assert "deterministic=yes complete=yes" in capsys.readouterr().out
     assert main(["run", str(hoa), "--monitor", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out == "VERDICT 0 good @0\n"
-
-
-def test_compile_memo_forgets_dropped_formulas():
-    # parsing, checking and running one document again and again leaves
-    # the memo as it was after the first time: entries go with their
-    # formulas, and the code objects are one per distinct source
-    from hoarun.labels import _BY_LABEL, _BY_SOURCE
-    from hoarun.runtime import build_universe, prepare_runners
-
-    text = (FIXTURES / "aliases.hoa").read_text() + (FIXTURES / "multi.hoa").read_text()
-
-    def use_once():
-        automata = parse(text).automata
-        for automaton in automata:
-            is_deterministic(automaton)
-            is_complete(automaton)
-        prepare_runners(automata, build_universe(automata))
-
-    use_once()
-    sizes = (len(_BY_LABEL), len(_BY_SOURCE))
-    for _ in range(20):
-        use_once()
-    assert (len(_BY_LABEL), len(_BY_SOURCE)) == sizes
 
 
 def test_minterm_hits_exactly_one_valuation():

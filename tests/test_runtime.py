@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import brute_successors, random_det_complete_automaton, random_labelled_automaton
 from hoarun import runtime
 from hoarun.automata import Automaton, Inf, Top, Transition
-from hoarun.labels import TRUE, Ap, Not, Valuation, compile_label, land
+from hoarun.labels import TRUE, Ap, Not, Valuation, cover, evaluate, land, lor
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
     MEMO_CAP,
@@ -384,10 +384,10 @@ MALFORMED_CONDITIONS = ["p &", "(p", "p)", "p q", "&p", "0", "@a", "p:", "", "  
 def test_parse_condition_table(text, names, holds):
     expr, got = parse_condition(text)
     assert got == names
-    compiled = compile_label(expr)
     for bits in range(1 << len(names)):
         value = {name: bool(bits >> i & 1) for i, name in enumerate(names)}
-        assert bool(compiled(bits)) == bool(holds(value)), (text, value)
+        got = evaluate(expr, Valuation(bits, len(names)))
+        assert got == bool(holds(value)), (text, value)
 
 
 @pytest.mark.parametrize("text", MALFORMED_CONDITIONS)
@@ -493,6 +493,42 @@ def test_step_matches_brute_successors(seed):
         else:
             runner.current_state = rng.randrange(aut.num_states)
     assert len(runner.memo) <= aut.num_states << len(aut.aps)
+
+
+def test_step_walks_labels_past_the_cube_cap():
+    # `(0|1) & (2|3) & ... & (18|19)` has 2**10 cubes, past the cube cap,
+    # so the runner walks it and its negation, reading its propositions
+    # at their global positions: here those of another automaton, one
+    # place further on
+    names = tuple(f"p{i}" for i in range(20))
+    label = land(*(lor(Ap(2 * i), Ap(2 * i + 1)) for i in range(10)))
+    assert cover(label) == ((1 << 20) - 1, None)
+    toggle = Automaton(
+        aps=names[1:] + names[:1],
+        num_states=2,
+        initial=frozenset({0}),
+        transitions=tuple(
+            Transition(q, test, q if test is label else 1 - q)
+            for q in (0, 1)
+            for test in (label, Not(label))
+        ),
+        acc_sets=(frozenset({0}),),
+        condition=Inf(0),
+    )
+    first = Automaton(names, 1, frozenset({0}), (Transition(0, TRUE, 0),), (), Top())
+    universe = build_universe([first, toggle])
+    _, runner = prepare_runners([first, toggle], universe)
+    rng = Random(3)
+    moved = 0
+    for _ in range(200):
+        # most pairs hold a true proposition, so the label holds about as
+        # often as not
+        bits = sum(1 << i for i in range(20) if rng.random() < 0.75)
+        state = runner.current_state
+        expected = brute_successors(toggle, state, _local_valuation(toggle, universe, bits))
+        assert step(runner, Valuation(bits, 20)) == tuple(expected)
+        moved += runner.current_state != state
+    assert 0 < moved < 200
 
 
 def test_memo_stays_under_cap_on_wide_inputs():
