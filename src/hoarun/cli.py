@@ -138,15 +138,16 @@ def _cmd_run(args) -> int:
         return EXIT_ERROR
     if args.trace is not None:
         config = replace(config, drivers=(), default_driver=FileSpec(args.trace))
+    # an automaton or a trace reads standard input to its end, so nothing
+    # else can read it; interactive drivers and prompt hooks take turns
     specs = [spec for _, spec in config.drivers] + [config.default_driver]
-    if FileSpec("-") in specs and (
-        "-" in args.hoa
-        or InteractiveSpec() in specs
-        or any(isinstance(hook.action, PromptAction) for hook in config.hooks)
-    ):
+    asks = InteractiveSpec() in specs or any(
+        isinstance(hook.action, PromptAction) for hook in config.hooks
+    )
+    if ("-" in args.hoa) + (FileSpec("-") in specs) + asks > 1:
         print(
-            "error: the trace reads standard input, so no automaton, "
-            "interactive driver or prompt hook can",
+            "error: standard input can feed only one of the automata, the trace, "
+            "and interactive drivers or prompt hooks",
             file=sys.stderr,
         )
         return EXIT_ERROR

@@ -174,7 +174,9 @@ Cover = tuple[Cube, ...]
 _TRUE_COVER: Cover = ((0, 0),)
 
 
-def _nnf_fold(expr: LabelExpr, literal: Callable, conjoin: Callable, disjoin: Callable, done: dict):
+def _nnf_fold(
+    expr: LabelExpr, literal: Callable, conjoin: Callable, disjoin: Callable, done: dict
+):
     """Fold ``expr`` with its negations pushed to the literals (De Morgan).
 
     ``(node, positive)`` is the node, or its negation when not positive:
@@ -322,7 +324,9 @@ def _assignments(mask: int) -> Iterator[int]:
         bits = (bits - mask) & mask  # next subset of mask, in increasing order
 
 
-def pairwise_disjoint(labels: Iterable[LabelExpr], ap_count: int, memo: dict | None = None) -> bool:
+def pairwise_disjoint(
+    labels: Iterable[LabelExpr], ap_count: int, memo: dict | None = None
+) -> bool:
     """True iff no valuation satisfies two of the labels.
 
     Every pair's union mask goes through the cap, in order. Two covers

@@ -64,11 +64,12 @@ class TraceReader:
 
     Format: '#' lines are comments, the first significant line names the
     propositions, every following significant line holds one 0/1 token
-    per name; the path ``-`` reads standard input. One record is consumed per step regardless of how many
+    per name. One record is consumed per step regardless of how many
     propositions read from it. Each record is checked and decoded once,
     to one int (:meth:`record_for_step`). Columns no proposition is
-    bound to are checked but otherwise ignored. The file is read one line
-    at a time, so memory does not grow with its length.
+    bound to are checked but otherwise ignored. The file, standard input
+    for the path ``-``, is read one line at a time, so memory does not
+    grow with its length.
     """
 
     def __init__(self, path: str, text: str | None = None):

@@ -385,24 +385,27 @@ def test_run_trace_from_standard_input(tmp_path):
 
 
 def test_run_refuses_a_second_reader_of_standard_input(tmp_path, capsys, monkeypatch):
-    # a trace read from standard input leaves it to nothing else; the run
-    # is refused before anything is read
+    # an automaton or a trace read from standard input leaves it to
+    # nothing else; the run is refused before anything is read
     import io
 
     monkeypatch.setattr("sys.stdin", io.StringIO(load_fixture("badtrap.hoa")))
-    interactive = write(tmp_path, "i.cfg", "[drivers]\ndefault = file:-\np = interactive\n")
+    interactive = write(tmp_path, "i.cfg", "[drivers]\ndefault = interactive\n")
+    both = write(tmp_path, "b.cfg", "[drivers]\ndefault = file:-\np = interactive\n")
     prompt = write(tmp_path, "p.cfg", "[hooks.pick]\ntrigger = nondeterminism\naction = prompt\n")
     for args in (
         ["--trace", "-", "-"],
-        ["--config", interactive, BADTRAP],
+        ["--config", both, BADTRAP],
         ["--config", prompt, "--trace", "-", BADTRAP],
+        ["--config", interactive, "-"],
+        ["--config", prompt, "--trace", BADTRAP, "-"],
     ):
         assert main(["run", *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: the trace reads standard input, so no automaton, "
-            "interactive driver or prompt hook can\n"
+            "error: standard input can feed only one of the automata, the trace, "
+            "and interactive drivers or prompt hooks\n"
         )
     assert "HOA: v1" in sys.stdin.read()
 
