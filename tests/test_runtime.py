@@ -386,8 +386,8 @@ def test_parse_condition_table(text, names, holds):
     assert got == names
     for bits in range(1 << len(names)):
         value = {name: bool(bits >> i & 1) for i, name in enumerate(names)}
-        got = evaluate(expr, Valuation(bits, len(names)))
-        assert got == bool(holds(value)), (text, value)
+        truth = evaluate(expr, Valuation(bits, len(names)))
+        assert truth == bool(holds(value)), (text, value)
 
 
 @pytest.mark.parametrize("text", MALFORMED_CONDITIONS)
