@@ -279,7 +279,7 @@ def remap(cubes: Cover, positions: Sequence[int]) -> Cover:
     return tuple((move(care), move(value)) for care, value in cubes)
 
 
-def _tautology(cubes: list[Cube]) -> bool:
+def tautology(cubes: list[Cube]) -> bool:
     """True iff the cubes hold on every valuation, by Shannon splitting on
     a proposition with literals of both signs until a branch has a cube
     without care bits. A branch with no such proposition fails, as the
@@ -370,7 +370,7 @@ def covers_all(labels: Iterable[LabelExpr], ap_count: int, memo: dict | None = N
     _check_mask(mask, ap_count)
     if any(cubes is None for _, cubes in compiled):
         return all(any(holds(label, bits) for label in labels) for bits in _assignments(mask))
-    return _tautology([cube for _, cubes in compiled for cube in cubes])
+    return tautology([cube for _, cubes in compiled for cube in cubes])
 
 
 def minterm(index: int, ap_count: int) -> LabelExpr:

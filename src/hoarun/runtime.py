@@ -14,12 +14,16 @@ more, however long the run and however many propositions the automaton
 has. The loop makes that lookup itself: when the entry says the runner
 stays put and nothing would observe it (no state or cond: hook, and a
 monitor, if any, that the state cannot move), the step is counted and
-nothing else is called, so a runner the input leaves in place costs one
-memo probe. Every other step, a successor chosen by a hook included,
-goes through ``step``, the only code that takes a step: it moves the
-runner, counts the step and shows the monitor the new state. All
-randomness flows from per-purpose streams derived from the global seed,
-so identical inputs replay identically.
+nothing else is called. Such a step also parks the runner when one cube
+of inputs is all that can move it from its state: the loop then files
+it under that cube and stops probing it, until an input in the cube
+comes, and counts the steps it skipped when it unparks it or ends. So a
+runner the input leaves in place costs nothing per step once parked,
+and one memo probe otherwise. Every other step, a successor chosen by a
+hook included, goes through ``step``, the only code that takes a step:
+it moves the runner, counts the step and shows the monitor the new
+state. All randomness flows from per-purpose streams derived from the
+global seed, so identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ import configparser
 import io
 import re
 import sys
+from bisect import insort
 from dataclasses import dataclass
-from operator import attrgetter
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .automata import Automaton
 from .hoa import HoaParseError, parse_named_label
-from .labels import Cover, LabelExpr, Valuation, cover, holds, remap
+from .labels import Cover, Cube, LabelExpr, Valuation, cover, holds, remap, tautology
 from .monitoring import Monitor, Verdict
 
 
@@ -537,11 +541,20 @@ class Runner:
     has no state or cond: hook and observing q again is a no-op (no
     monitor, a latched verdict, or an unknown verdict at q), and
     otherwise an object no memo entry is. The loop counts a step whose
-    entry is ``resting`` and calls nothing for it. Every other step is
-    taken in full by ``_step_runner``, which sets ``resting`` again by
-    that rule once the step and its hooks are done; ``run_loop`` sets it
-    to the object no memo entry is when it starts, so each runner's first
-    step is taken in full.
+    entry is ``resting`` and calls nothing for it, and parks the runner
+    when q has an exit cube. Every other step is taken in full by
+    ``_step_runner``, which sets ``resting`` again by that rule once the
+    step and its hooks are done; ``run_loop`` sets it to the object no
+    memo entry is when it starts, so each runner's first step is taken
+    in full.
+
+    ``exits[q]`` is q's exit cube, at global bit positions: the one cube
+    of inputs that can take the runner out of state q when every other
+    input keeps it there, or None when q has none. A parked runner
+    stays at q, unprobed, until an input in that cube comes; its
+    ``resting`` entry cannot change meanwhile, as only its own steps
+    and hooks move it or its monitor. ``exit_cube`` works an entry out
+    the first time the loop would park the runner at q.
     """
 
     def __init__(self, automaton: Automaton, label: str, projection: tuple[int, ...]):
@@ -576,6 +589,22 @@ class Runner:
         # one shared tuple per state for a unique candidate
         self.unique = tuple((q,) for q in range(automaton.num_states))
         self.resting: object = _MOVES
+        self.exits: dict[int, Cube | None] = {}
+
+    def exit_cube(self, q: int) -> Cube | None:
+        """``exits[q]``, worked out on first use: q's labels all have
+        covers that hold on every input together, and those leaving q for
+        another state give one cube."""
+        if q in self.exits:
+            return self.exits[q]
+        rows = self.rows[q]
+        found = None
+        if all(test.__class__ is tuple for test, _ in rows):
+            leaving = {cube for test, target in rows if target != q for cube in test}
+            if len(leaving) == 1 and tautology([cube for test, _ in rows for cube in test]):
+                (found,) = leaving
+        self.exits[q] = found
+        return found
 
 
 def step(
@@ -849,15 +878,32 @@ def run_loop(
 
     ``sources`` is what :func:`resolve_bindings` returns: each of its
     trace readers gives one record per step, and the first to end ends
-    the run."""
+    the run.
+
+    A step whose memo entry is ``resting`` parks the runner, when its
+    state has an exit cube (``Runner.exit_cube``): every input outside
+    that cube would leave it in place and unseen again. A parked runner
+    is stored under ``watch[care][value]`` and costs nothing per step;
+    each step looks up its input once per care mask in ``watch``, and
+    the runners it finds are unparked and step with the busy ones, in
+    runner order. A parked runner's steps are counted when it is
+    unparked, and when the loop ends, however it ends."""
     ctx = _LoopContext(seed, on_event, interactive_in, interactive_out)
     reason = "steps-exhausted"
     halt_code: int | None = None
     fatal_runner: str | None = None
     runners = tuple(runners)
-    current_states = attrgetter("current_state")
     for runner in runners:
         runner.resting = _MOVES
+    states = [runner.current_state for runner in runners]
+    busy = list(range(len(runners)))  # the positions of the runners not parked, in order
+    # the parked positions by exit cube; a care mask stays once it has
+    # been used, so there are at most as many as (runner, state) pairs
+    watch: dict[int, dict[int, list[int]]] = {}
+    since: dict[int, int] = {}  # a parked runner's position: its first step not counted
+    # the position whose step was under way; the parked runners before it
+    # have passed step ctx.step_index too
+    upto = 0
     try:
         while max_steps is None or ctx.step_index < max_steps:
             valuation = collect_valuation(sources, ctx.step_index)
@@ -866,24 +912,41 @@ def run_loop(
                 break
             ctx.valuation = valuation
             bits = valuation.bits
-            for runner in runners:
-                found = runner.memo.get(runner.current_state << runner.shift | bits & runner.mask)
-                if found is runner.resting:
-                    runner.step_count += 1
-                else:
+            if since:
+                for care, parked in watch.items():
+                    woken = parked.pop(bits & care, None)
+                    if woken is not None:
+                        for position in woken:
+                            runners[position].step_count += ctx.step_index - since.pop(position)
+                            insort(busy, position)
+            for upto in busy[:]:
+                runner = runners[upto]
+                state = runner.current_state
+                found = runner.memo.get(state << runner.shift | bits & runner.mask)
+                if found is not runner.resting:
                     _step_runner(runner, valuation, found, ctx)
-            ctx.on_event(
-                StepEvent(
-                    ctx.step_index, valuation, runners, tuple(map(current_states, runners))
-                )
-            )
+                    states[upto] = runner.current_state
+                    continue
+                runner.step_count += 1
+                cube = runner.exit_cube(state)
+                if cube is not None:
+                    care, value = cube
+                    watch.setdefault(care, {}).setdefault(value, []).append(upto)
+                    since[upto] = ctx.step_index + 1
+                    busy.remove(upto)
+            upto = len(runners)
+            ctx.on_event(StepEvent(ctx.step_index, valuation, runners, tuple(states)))
             ctx.step_index += 1
+            upto = 0
     except _Halt as halt:
         reason = "halt"
         halt_code = halt.code
     except _Fatal as fatal:
         reason = fatal.reason
         fatal_runner = fatal.runner
+    finally:
+        for position, first in since.items():
+            runners[position].step_count += ctx.step_index - first + (position < upto)
     summaries = tuple(
         RunnerSummary(
             r.label,

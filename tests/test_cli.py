@@ -446,6 +446,17 @@ def test_run_reset_to_a_conclusive_start_state_latches_it_again(tmp_path, capsys
     ]
 
 
+def test_run_on_a_trace_without_rows_judges_nothing(tmp_path, capsys):
+    # a monitor first observes its start state with the first input, so
+    # a header-only trace leaves even a start state that is good unjudged
+    trace = write(tmp_path, "t.trace", "# no rows\np\n")
+    allaccept = str(FIXTURES / "allaccept.hoa")
+    assert main(["run", "--trace", trace, "--monitor", allaccept]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["run", "--trace", trace, "--monitor", "--strict", allaccept]) == 12
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["run"])

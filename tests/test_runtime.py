@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_fixture
 from helpers import brute_successors, random_det_complete_automaton, random_labelled_automaton
 from hoarun import runtime
 from hoarun.automata import Automaton, Inf, Top, Transition
+from hoarun.hoa import parse
 from hoarun.labels import TRUE, Ap, Not, Valuation, cover, evaluate, land, lor
+from hoarun.locks import LockScenario, emit_monitors, generate_trace, replay_check
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
     MEMO_CAP,
@@ -684,6 +687,184 @@ def test_halt_part_way_through_a_step_counts_the_runners_before_it():
     assert (report.reason, report.halt_code, report.steps) == ("halt", 4, 2)
     assert [r.step_count for r in report.runners] == [3, 3, 2]
     assert [r.final_state for r in report.runners] == [1, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# Parked runners: the loop stops probing a runner that rests at a state
+# only one cube of inputs can leave, until an input in that cube comes
+
+
+def _trace_rows(text):
+    """The header and the 0/1 rows of a trace, read without TraceReader."""
+    header, *rows = (
+        line.split() for line in text.splitlines() if line.strip() and not line.startswith("#")
+    )
+    return header, [[token == "1" for token in row] for row in rows]
+
+
+@pytest.mark.parametrize("n, length", [(4, 400), (8, 200)])
+def test_parked_lock_monitors_match_replayed_monitors(n, length):
+    # every gen-locks monitor with a reset on each conclusive verdict: at
+    # n=8 all but a few of the 128 runners are parked at any one step;
+    # the replay steps every runner by evaluate and observes every state
+    automata = emit_monitors(n).automata
+    trace = generate_trace(LockScenario(n=n, length=length, violations=4, seed=1))
+    hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
+    report, events, _ = _run_with_trace(
+        automata, trace, hooks=hooks, monitors=[Monitor(aut) for aut in automata]
+    )
+
+    header, rows = _trace_rows(trace)
+    columns = [[header.index(name) for name in aut.aps] for aut in automata]
+    replayed = [Monitor(aut) for aut in automata]
+    states = [min(aut.initial) for aut in automata]
+    expected = []
+    expected_states = []
+    for step_index, row in enumerate(rows):
+        for i, aut in enumerate(automata):
+            valuation = Valuation.from_bools(row[c] for c in columns[i])
+            (states[i],) = brute_successors(aut, states[i], valuation)
+            monitor = replayed[i]
+            before = monitor.current_verdict
+            monitor.observe(states[i])
+            if monitor.current_verdict is not before:
+                expected.append(VerdictEvent(step_index, aut.name, monitor.current_verdict))
+                states[i] = min(aut.initial)
+                monitor.reset()
+        expected_states.append(tuple(zip((aut.name for aut in automata), states)))
+    assert report.reason == "end-of-input"
+    assert [e for e in events if isinstance(e, VerdictEvent)] == expected
+    assert len(expected) == replay_check(trace, n).total
+    assert [e.states for e in events if isinstance(e, StepEvent)] == expected_states
+    assert [r.step_count for r in report.runners] == [len(rows)] * len(automata)
+
+
+def _over_pq(name, transitions, num_states=2):
+    return Automaton(
+        aps=("p", "q"),
+        num_states=num_states,
+        initial=frozenset({0}),
+        transitions=tuple(Transition(*t) for t in transitions),
+        acc_sets=(frozenset({1}),),
+        condition=Inf(0),
+        name=name,
+    )
+
+
+def _waits_for(name, index, complete=True):
+    # state 0 loops until proposition `index` holds, then moves to sink 1,
+    # which is good; without that move state 0 deadlocks there
+    transitions = [(0, Not(Ap(index)), 0), (1, TRUE, 1)]
+    if complete:
+        transitions.append((0, Ap(index), 1))
+    return _over_pq(name, transitions)
+
+
+@pytest.mark.parametrize(
+    "hook, middle, reason, counts",
+    [
+        # the middle runner moves to its good sink at step 3, and its
+        # verdict hook halts there
+        (HookSpec("stop", VerdictTrigger("good"), HaltAction(4), "middle"), True, "halt",
+         [4, 4, 4, 3, 3]),
+        # the middle runner cannot rest at its incomplete state, so it is
+        # stepped every step, and deadlocks at step 3
+        (None, False, "deadlock", [4, 4, 3, 3, 3]),
+    ],
+)
+def test_a_run_ended_part_way_through_a_step_counts_the_parked_runners_before_it(
+    hook, middle, reason, counts
+):
+    # the runners on either side of the middle one wait for q and are
+    # parked from step 1 on; p comes at step 3
+    automata = [_waits_for(name, 1) for name in ("a", "b")]
+    automata.append(_waits_for("middle", 0, complete=middle))
+    automata += [_waits_for(name, 1) for name in ("d", "e")]
+    monitors = [Monitor(aut) if aut.name == "middle" else None for aut in automata]
+    report, _, _ = _run_with_trace(
+        automata,
+        "p q\n0 0\n0 0\n0 0\n1 0\n0 0\n",
+        hooks=(hook,) if hook else (),
+        monitors=monitors,
+    )
+    assert (report.reason, report.steps) == (reason, 3)
+    assert [r.step_count for r in report.runners] == counts
+    assert [r.final_state for r in report.runners] == [0, 0, int(middle), 0, 0]
+
+
+@pytest.mark.parametrize(
+    "make, text, rows",
+    [
+        # the runners park, are woken by p and rest in their sink when the
+        # bad row comes
+        (pq_automaton, "p\n0\n0\n0\n0\n1\n0\n0\n2\n0\n", 7),
+        # the runners are still parked when the bad row comes
+        (bad_monitor_automaton, "p\n1\n1\n1\n1\n2\n", 4),
+    ],
+)
+def test_a_malformed_row_leaves_every_runner_counting_the_rows_read(make, text, rows):
+    automata = [make(name) for name in ("first", "middle", "last")]
+    universe = build_universe(automata)
+    runners = prepare_runners(automata, universe)
+    with pytest.raises(TraceError, match="expected 0 or 1"):
+        run_loop(runners, trace_sources(universe, text))
+    assert [r.step_count for r in runners] == [rows] * 3
+
+
+P, Q = Ap(0), Ap(1)
+
+
+@pytest.mark.parametrize(
+    "automaton, text, reason",
+    [
+        # incomplete at state 0: p leaves it, !p & q keeps it, and !p & !q
+        # deadlocks, which a parked runner would not see
+        (_over_pq("incomplete", [(0, P, 1), (0, land(Not(P), Q), 0), (1, TRUE, 1)]),
+         "p q\n0 1\n0 1\n0 1\n0 0\n0 1\n", "deadlock"),
+        # two cubes leave state 0, for two different states
+        (_over_pq("two-exits", [(0, P, 1), (0, land(Not(P), Q), 2),
+                                (0, land(Not(P), Not(Q)), 0), (1, TRUE, 1), (2, TRUE, 2)], 3),
+         "p q\n0 0\n0 0\n0 0\n0 1\n0 0\n", "end-of-input"),
+        # labels past the cube cap, which have no cover
+        (parse(load_fixture("wide.hoa")).automata[0],
+         " ".join(f"p{i}" for i in range(20)) + "\n"
+         + "".join(f"{' '.join([bit] * 20)}\n" for bit in "0001000110"), "end-of-input"),
+    ],
+)
+def test_runners_that_cannot_be_parked_step_as_replayed(automaton, text, reason):
+    # each runner rests at state 0 for a few steps; the input that moves
+    # it or deadlocks it after that must still be seen
+    report, events, runners = _run_with_trace([automaton], text)
+    header, rows = _trace_rows(text)
+    state = min(automaton.initial)
+    expected = []
+    for row in rows:
+        found = brute_successors(automaton, state, Valuation.from_bools(row))
+        if not found:
+            break
+        (state,) = found
+        expected.append(state)
+    assert report.reason == reason
+    assert report.steps == len(expected) == runners[0].step_count
+    assert [e.states[0][1] for e in events if isinstance(e, StepEvent)] == expected
+    assert reason == "deadlock" or len(set(expected)) > 1
+
+
+def test_runners_with_state_or_cond_hooks_are_not_parked():
+    # a state: and a cond: hook see every step the runner rests at state
+    # 0, and the runner with neither is parked meanwhile
+    automata = [pq_automaton(name) for name in ("stated", "conditioned", "plain")]
+    hooks = (
+        HookSpec("at", StateTrigger(0), LogAction("at 0"), "stated"),
+        HookSpec("quiet", CondTrigger(*parse_condition("!p")), LogAction("quiet"), "conditioned"),
+    )
+    report, events, _ = _run_with_trace(automata, "p\n0\n0\n0\n0\n1\n0\n", hooks=hooks)
+    logs = [(e.step, e.runner) for e in events if isinstance(e, LogEvent)]
+    assert logs == [(step, name) for step in range(4) for name in ("stated", "conditioned")] + [
+        (5, "conditioned")
+    ]
+    assert [r.step_count for r in report.runners] == [6, 6, 6]
+    assert [r.final_state for r in report.runners] == [1, 1, 1]
 
 
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
