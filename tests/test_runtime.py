@@ -835,7 +835,7 @@ def test_runners_that_cannot_be_parked_step_as_replayed(automaton, text, reason)
     # each runner rests at state 0 for a few steps; the input that moves
     # it or deadlocks it after that must still be seen
     report, events, runners = _run_with_trace([automaton], text)
-    header, rows = _trace_rows(text)
+    _, rows = _trace_rows(text)
     state = min(automaton.initial)
     expected = []
     for row in rows:
