@@ -14,8 +14,9 @@ more, however long the run and however many propositions the automaton
 has. The loop makes that lookup itself: when the entry says the runner
 stays put and nothing would observe it (no state or cond: hook, and a
 monitor, if any, that the state cannot move), the step is counted and
-nothing else is called. Such a step also parks the runner when one cube
-of inputs is all that can move it from its state: the loop then files
+nothing else is called. Such a step, or a runner's first step that
+leaves it where it started, also parks the runner when one cube of
+inputs is all that can move it from its state: the loop then files
 it under that cube and stops probing it, until an input in the cube
 comes, and counts the steps it skipped when it unparks it or ends. So a
 runner the input leaves in place costs nothing per step once parked,
@@ -542,7 +543,8 @@ class Runner:
     monitor, a latched verdict, or an unknown verdict at q), and
     otherwise an object no memo entry is. The loop counts a step whose
     entry is ``resting`` and calls nothing for it, and parks the runner
-    when q has an exit cube. Every other step is taken in full by
+    when q has an exit cube, as it does after a first step that leaves
+    ``resting`` at ``unique[q]`` for the start state q. Every other step is taken in full by
     ``_step_runner``, which sets ``resting`` again by that rule once the
     step and its hooks are done; ``run_loop`` sets it to the object no
     memo entry is when it starts, so each runner's first step is taken
@@ -882,7 +884,11 @@ def run_loop(
 
     A step whose memo entry is ``resting`` parks the runner, when its
     state has an exit cube (``Runner.exit_cube``): every input outside
-    that cube would leave it in place and unseen again. A parked runner
+    that cube would leave it in place and unseen again. So does a
+    runner's first step, which is taken in full, when it leaves the
+    runner where it started with ``resting`` at that state: otherwise
+    every runner that starts idle would miss its empty memo at each
+    step until its input repeated. A parked runner
     is stored under ``watch[care][value]`` and costs nothing per step;
     each step looks up its input once per care mask in ``watch``, and
     the runners it finds are unparked and step with the busy ones, in
@@ -923,11 +929,15 @@ def run_loop(
                 runner = runners[upto]
                 state = runner.current_state
                 found = runner.memo.get(state << runner.shift | bits & runner.mask)
-                if found is not runner.resting:
+                if found is runner.resting:
+                    runner.step_count += 1
+                else:
                     _step_runner(runner, valuation, found, ctx)
                     states[upto] = runner.current_state
-                    continue
-                runner.step_count += 1
+                    # a first step is taken in full whatever the memo holds;
+                    # one that leaves the runner resting parks it like a hit
+                    if ctx.step_index or runner.resting is not runner.unique[state]:
+                        continue
                 cube = runner.exit_cube(state)
                 if cube is not None:
                     care, value = cube

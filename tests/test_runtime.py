@@ -867,6 +867,20 @@ def test_runners_with_state_or_cond_hooks_are_not_parked():
     assert [r.final_state for r in report.runners] == [1, 1, 1]
 
 
+def test_a_runner_left_in_place_by_its_first_step_is_parked_at_once():
+    # q keeps the runner at state 0 either way and changes every step, so
+    # the memo has no entry for the next input until step 2; the runner
+    # is parked after its first step all the same, and probed again only
+    # when p comes at step 4
+    automaton = _over_pq(
+        "waits", [(0, P, 1), (0, land(Not(P), Q), 0), (0, land(Not(P), Not(Q)), 0), (1, TRUE, 1)]
+    )
+    report, events, runners = _run_with_trace([automaton], "p q\n0 0\n0 1\n0 0\n0 1\n1 0\n")
+    assert [e.states[0][1] for e in events if isinstance(e, StepEvent)] == [0, 0, 0, 0, 1]
+    assert runners[0].step_count == 5
+    assert len(runners[0].memo) == 2  # the inputs of steps 0 and 4
+
+
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
     universe = build_universe(automata)
     runners = prepare_runners(automata, universe, hooks)
