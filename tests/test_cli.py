@@ -67,6 +67,22 @@ def test_check_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (FIXTURES / "check.golden").read_text()
 
 
+def test_run_output_is_pinned(tmp_path, capsys):
+    # the n=2 lock monitors on 100 events with 3 faults, reset on each
+    # conclusive verdict: every STEP and VIOLATION line, then the exit code
+    trace, monitors = str(tmp_path / "locks.trace"), str(tmp_path / "locks.hoa")
+    assert main(["gen-locks", "--n", "2", "--len", "100", "--violations", "3", "--seed", "1",
+                 "--out-trace", trace, "--out-monitors", monitors]) == 0
+    capsys.readouterr()
+    config = write(
+        tmp_path, "reset.cfg", "[hooks.reset]\ntrigger = verdict: conclusive\naction = reset\n"
+    )
+    code = main(["run", monitors, "--trace", trace, "--config", config,
+                 "--monitor", "--negated", "--verbose"])
+    out = capsys.readouterr().out + f"exit {code}\n"
+    assert out == (FIXTURES / "run_locks_n2.golden").read_text()
+
+
 def _wide_trace(tmp_path) -> str:
     # most pairs have a true proposition, so the label holds on about two
     # rows in three
