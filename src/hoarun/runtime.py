@@ -2,29 +2,28 @@
 hooks react to nondeterminism, deadlock, verdict changes and user conditions.
 
 Atomic propositions are shared across automata by name: every step one
-global valuation is collected, and each runner holds its transition
-labels and ``cond:`` formulas as cubes (``labels.cover``) moved to the
-global positions of the names they use, so it reads that valuation
-directly; a label without a cover is walked. A trace record is decoded
-once, straight to those bits. Each runner memoises its
-candidate states per (state, input restricted to its own propositions),
-so after the first visit of such a pair a step is a dictionary lookup;
-a memo that reaches ``MEMO_CAP`` entries is emptied, so it never holds
-more, however long the run and however many propositions the automaton
-has. The loop makes that lookup itself: when the entry says the runner
-stays put and nothing would observe it (no state or cond: hook, and a
-monitor, if any, that the state cannot move), the step is counted and
-nothing else is called. Such a step, or a runner's first step that
-leaves it where it started, also parks the runner when one cube of
-inputs is all that can move it from its state: the loop then files
-it under that cube and stops probing it, until an input in the cube
-comes, and counts the steps it skipped when it unparks it or ends. So a
-runner the input leaves in place costs nothing per step once parked,
-and one memo probe otherwise. Every other step, a successor chosen by a
-hook included, goes through ``step``, the only code that takes a step:
-it moves the runner, counts the step and shows the monitor the new
-state. All randomness flows from per-purpose streams derived from the
-global seed, so identical inputs replay identically.
+global valuation is collected, as one int with a bit per proposition,
+and each runner holds its transition labels and ``cond:`` formulas as
+cubes (``labels.cover``) moved to the global positions of the names they
+use, so it reads those bits directly; a label without a cover is walked.
+A trace record is decoded once, straight to those bits. Each runner
+memoises its candidate states per (state, input restricted to its own
+propositions); a memo that reaches ``MEMO_CAP`` entries is emptied, so it
+never holds more, however long the run and however many propositions the
+automaton has. The loop is the only reader of that memo: when the entry
+says the runner stays put and nothing would observe it (no state or
+cond: hook, and a monitor, if any, that the state cannot move), the step
+is counted and nothing else is called. Any step that leaves a runner
+resting where it was also parks it when one cube of inputs is all that
+can move it from its state: the loop then files it under that cube and
+stops probing it, until an input in the cube comes, and counts the steps
+it skipped when it unparks it or ends. So a runner the input leaves in
+place costs nothing per step once parked, and one memo probe otherwise.
+Every other step, a successor chosen by a hook included, goes through
+``step``, the only code that takes a step: it moves the runner, counts
+the step and shows the monitor the new state. All randomness flows from
+per-purpose streams derived from the global seed, so identical inputs
+replay identically.
 """
 
 from __future__ import annotations
@@ -256,8 +255,9 @@ def _column_tables(header: Sequence[str], positions: dict[str, int]) -> ColumnTa
     return tuple(tables)
 
 
-def collect_valuation(sources: ValuationSources, step: int) -> Valuation | None:
-    """One bit per bound proposition, in binding order; None at end of input.
+def collect_valuation(sources: ValuationSources, step: int) -> int | None:
+    """The step's global valuation, as one int with the bit of each bound
+    proposition at its binding position; None at end of input.
 
     ``sources`` is what :func:`resolve_bindings` returns. Every trace
     reader decodes the step's record first, once however many
@@ -266,7 +266,7 @@ def collect_valuation(sources: ValuationSources, step: int) -> Valuation | None:
     consulted; those are then asked one proposition at a time, in binding
     order.
     """
-    width, readers, others = sources
+    _, readers, others = sources
     bits = 0
     for reader, tables in readers:
         record = reader.record_for_step(step)
@@ -277,7 +277,7 @@ def collect_valuation(sources: ValuationSources, step: int) -> Valuation | None:
     for position, ap_name, driver in others:
         if driver.value(ap_name, step):
             bits |= 1 << position
-    return Valuation(bits, width)
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -533,22 +533,22 @@ class Runner:
     itself when it has no cover. ``memo`` is the successor memo: it maps
     ``q << shift | bits``, for a state q and an input given as the global
     valuation bits within ``mask``, to the sorted candidate states for
-    that input at q. An entry is filled from ``rows[q]`` the first time
-    its (state, input) pair is stepped; the memo is emptied when it
-    reaches ``MEMO_CAP`` entries.
+    that input at q. ``run_loop`` probes it; on a miss ``step`` works the
+    entry out from ``rows[q]`` and fills it, emptying the memo first when
+    it holds ``MEMO_CAP`` entries.
 
     ``resting`` is the memo entry of a step that would change nothing but
     ``step_count``: ``unique[q]`` at the current state q when the runner
     has no state or cond: hook and observing q again is a no-op (no
     monitor, a latched verdict, or an unknown verdict at q), and
     otherwise an object no memo entry is. The loop counts a step whose
-    entry is ``resting`` and calls nothing for it, and parks the runner
-    when q has an exit cube, as it does after a first step that leaves
-    ``resting`` at ``unique[q]`` for the start state q. Every other step is taken in full by
-    ``_step_runner``, which sets ``resting`` again by that rule once the
-    step and its hooks are done; ``run_loop`` sets it to the object no
-    memo entry is when it starts, so each runner's first step is taken
-    in full.
+    entry is ``resting`` and calls nothing for it. Every other step is
+    taken in full by ``_step_runner``, which sets ``resting`` again by
+    that rule once the step and its hooks are done; ``run_loop`` sets it
+    to the object no memo entry is when it starts, so each runner's first
+    step is taken in full. A step of either kind that leaves ``resting``
+    at ``unique[q]`` for the state q it started from parks the runner
+    when q has an exit cube.
 
     ``exits[q]`` is q's exit cube, at global bit positions: the one cube
     of inputs that can take the runner out of state q when every other
@@ -609,41 +609,37 @@ class Runner:
         return found
 
 
-def step(
-    runner: Runner, valuation: Valuation, found: tuple[int, ...] | None = None
-) -> tuple[int, ...]:
-    """Evaluate one input on a runner; returns its candidate states, sorted.
+def step(runner: Runner, bits: int, found: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """Evaluate one input, the global valuation ``bits``, on a runner;
+    returns its candidate states, sorted.
 
     Exactly one candidate advances the runner (state, step count, and the
     monitor's view); none (a deadlock) or several (nondeterminism) leave
     the runner untouched until hooks decide. ``found`` is the memo entry
-    for this input at the current state when the caller has already found
-    it, or ``unique[c]`` for the candidate c a hook chose among several;
-    otherwise it is looked up here, and filled on a miss.
+    the loop found for this input at the current state, or ``unique[c]``
+    for the candidate c a hook chose among several; without it the
+    candidates are worked out from ``rows`` and stored in the memo.
     """
     if found is None:
         state = runner.current_state
-        bits = valuation.bits & runner.mask
+        bits &= runner.mask
+        targets = []
+        for test, target in runner.rows[state]:
+            if test.__class__ is not tuple:  # a label without a cover
+                if holds(test, bits, runner.projection):
+                    targets.append(target)
+                continue
+            for care, value in test:
+                if bits & care == value:
+                    targets.append(target)
+                    break
+        if len(targets) > 1:
+            targets = sorted(set(targets))
+        found = runner.unique[targets[0]] if len(targets) == 1 else tuple(targets)
         memo = runner.memo
-        key = state << runner.shift | bits
-        found = memo.get(key)
-        if found is None:
-            targets = []
-            for test, target in runner.rows[state]:
-                if test.__class__ is not tuple:  # a label without a cover
-                    if holds(test, bits, runner.projection):
-                        targets.append(target)
-                    continue
-                for care, value in test:
-                    if bits & care == value:
-                        targets.append(target)
-                        break
-            if len(targets) > 1:
-                targets = sorted(set(targets))
-            found = runner.unique[targets[0]] if len(targets) == 1 else tuple(targets)
-            if len(memo) >= MEMO_CAP:
-                memo.clear()
-            memo[key] = found
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[state << runner.shift | bits] = found
     if len(found) == 1:
         runner.current_state = found[0]
         runner.step_count += 1
@@ -669,23 +665,25 @@ class LogEvent:
 class StepEvent:
     """The end of one step: its input and every runner's state after it.
 
-    The loop stores the valuation and the runners' current states as
-    they are; ``bits`` and ``states`` are worked out when read.
+    The loop stores the input as its global valuation bits and their
+    width, and the runners' current states, as they are; ``valuation``,
+    ``bits`` and ``states`` are worked out when read.
     """
 
-    __slots__ = ("step", "valuation", "_runners", "_states")
+    __slots__ = ("step", "_bits", "_width", "_runners", "_states")
 
     def __init__(
-        self,
-        step: int,
-        valuation: Valuation,
-        runners: Sequence[Runner],
-        states: tuple[int, ...],
+        self, step: int, bits: int, width: int, runners: Sequence[Runner], states: tuple[int, ...]
     ):
         self.step = step
-        self.valuation = valuation
+        self._bits = bits
+        self._width = width
         self._runners = runners
         self._states = states
+
+    @property
+    def valuation(self) -> Valuation:
+        return Valuation(self._bits, self._width)
 
     @property
     def bits(self) -> str:
@@ -862,7 +860,7 @@ class _LoopContext:
         self.user = InteractiveDriver(interactive_in, interactive_out)
         self.bad_verdicts = 0
         self.step_index = 0
-        self.valuation: Valuation | None = None
+        self.bits = 0  # the step's global valuation
 
 
 def run_loop(
@@ -882,23 +880,21 @@ def run_loop(
     trace readers gives one record per step, and the first to end ends
     the run.
 
-    A step whose memo entry is ``resting`` parks the runner, when its
-    state has an exit cube (``Runner.exit_cube``): every input outside
-    that cube would leave it in place and unseen again. So does a
-    runner's first step, which is taken in full, when it leaves the
-    runner where it started with ``resting`` at that state: otherwise
-    every runner that starts idle would miss its empty memo at each
-    step until its input repeated. A parked runner
-    is stored under ``watch[care][value]`` and costs nothing per step;
-    each step looks up its input once per care mask in ``watch``, and
-    the runners it finds are unparked and step with the busy ones, in
-    runner order. A parked runner's steps are counted when it is
-    unparked, and when the loop ends, however it ends."""
+    Any step, a memo hit or one taken in full, that leaves a runner
+    resting where it was parks it when its state has an exit cube
+    (``Runner.exit_cube``): every input outside that cube would leave it
+    in place and unseen again. A parked runner is stored under
+    ``watch[care][value]`` and costs nothing per step; each step looks up
+    its input once per care mask in ``watch``, and the runners it finds
+    are unparked and step with the busy ones, in runner order. A parked
+    runner's steps are counted when it is unparked, and when the loop
+    ends, however it ends."""
     ctx = _LoopContext(seed, on_event, interactive_in, interactive_out)
     reason = "steps-exhausted"
     halt_code: int | None = None
     fatal_runner: str | None = None
     runners = tuple(runners)
+    width = sources[0]
     for runner in runners:
         runner.resting = _MOVES
     states = [runner.current_state for runner in runners]
@@ -912,12 +908,11 @@ def run_loop(
     upto = 0
     try:
         while max_steps is None or ctx.step_index < max_steps:
-            valuation = collect_valuation(sources, ctx.step_index)
-            if valuation is None:
+            bits = collect_valuation(sources, ctx.step_index)
+            if bits is None:
                 reason = "end-of-input"
                 break
-            ctx.valuation = valuation
-            bits = valuation.bits
+            ctx.bits = bits
             if since:
                 for care, parked in watch.items():
                     woken = parked.pop(bits & care, None)
@@ -932,11 +927,9 @@ def run_loop(
                 if found is runner.resting:
                     runner.step_count += 1
                 else:
-                    _step_runner(runner, valuation, found, ctx)
+                    _step_runner(runner, bits, found, ctx)
                     states[upto] = runner.current_state
-                    # a first step is taken in full whatever the memo holds;
-                    # one that leaves the runner resting parks it like a hit
-                    if ctx.step_index or runner.resting is not runner.unique[state]:
+                    if runner.resting is not runner.unique[state]:
                         continue
                 cube = runner.exit_cube(state)
                 if cube is not None:
@@ -945,7 +938,7 @@ def run_loop(
                     since[upto] = ctx.step_index + 1
                     busy.remove(upto)
             upto = len(runners)
-            ctx.on_event(StepEvent(ctx.step_index, valuation, runners, tuple(states)))
+            ctx.on_event(StepEvent(ctx.step_index, bits, width, runners, tuple(states)))
             ctx.step_index += 1
             upto = 0
     except _Halt as halt:
@@ -977,11 +970,11 @@ def run_loop(
 
 
 def _step_runner(
-    runner: Runner, valuation: Valuation, found: tuple[int, ...] | None, ctx: _LoopContext
+    runner: Runner, bits: int, found: tuple[int, ...] | None, ctx: _LoopContext
 ) -> None:
     monitor = runner.monitor
     before = monitor.current_verdict if monitor is not None else None
-    candidates = step(runner, valuation, found)
+    candidates = step(runner, bits, found)
     if len(candidates) == 1:
         if monitor is not None and monitor.current_verdict is not before:
             _emit_verdict_change(runner, ctx)
@@ -1022,7 +1015,7 @@ def _fire_poststep_hooks(runner: Runner, ctx: _LoopContext) -> None:
         if runner.current_state == hook.trigger.state:
             _apply_action(runner, hook, (), ctx)
             break
-    bits = ctx.valuation.bits
+    bits = ctx.bits
     for (test, positions), hook in runner.conditions:
         if (
             any(bits & care == value for care, value in test)
@@ -1059,7 +1052,7 @@ def _apply_action(
             choice = candidates[ctx.hook_rng.randrange(len(candidates))]
         else:
             choice = _prompt_choice(runner, candidates, ctx)
-        _step_runner(runner, ctx.valuation, runner.unique[choice], ctx)
+        _step_runner(runner, ctx.bits, runner.unique[choice], ctx)
         return True
     if isinstance(action, ResetAction):
         runner.current_state = runner.start_state

@@ -199,9 +199,9 @@ def test_trace_reader_memory_does_not_grow_with_length(tmp_path, monkeypatch):
 def test_collect_valuation_from_shared_file():
     sources = trace_sources(("a", "b"), TRACE)
     valuation = collect_valuation(sources, 0)
-    assert valuation == Valuation(0b01, 2)
-    assert collect_valuation(sources, 1) == Valuation(0b10, 2)
-    assert collect_valuation(sources, 2) == Valuation(0b11, 2)
+    assert valuation == 0b01
+    assert collect_valuation(sources, 1) == 0b10
+    assert collect_valuation(sources, 2) == 0b11
     assert collect_valuation(sources, 3) is None
     # a header in another order than the bindings, with a column that
     # no proposition reads; a second grouping of the same text keeps its
@@ -209,16 +209,16 @@ def test_collect_valuation_from_shared_file():
     text = "x b a\n1 1 0\n0 0 1\n"
     sources = trace_sources(("a", "b"), text)
     only_x = trace_sources(("x",), text)
-    assert collect_valuation(sources, 0) == Valuation(0b10, 2)
-    assert collect_valuation(only_x, 0) == Valuation(0b1, 1)
-    assert collect_valuation(sources, 1) == Valuation(0b01, 2)
-    assert collect_valuation(only_x, 1) == Valuation(0b0, 1)
+    assert collect_valuation(sources, 0) == 0b10
+    assert collect_valuation(only_x, 0) == 0b1
+    assert collect_valuation(sources, 1) == 0b01
+    assert collect_valuation(only_x, 1) == 0b0
     assert collect_valuation(sources, 2) is None
     # more than eight columns, read eight at a time
     header = [f"c{i}" for i in range(11)]
     names = ("c10", "c0", "c8", "c9")
     sources = trace_sources(names, " ".join(header) + "\n1 0 0 0 0 0 0 0 0 1 1\n")
-    assert collect_valuation(sources, 0) == Valuation(0b1011, 4)
+    assert collect_valuation(sources, 0) == 0b1011
     # file and random() bindings mixed, as a configuration gives them:
     # each proposition keeps its position in the universe
     config = parse_config(
@@ -227,8 +227,8 @@ def test_collect_valuation_from_shared_file():
     sources = resolve_bindings(
         ("a", "r", "b", "s"), config, seed=0, trace_text="x b a\n1 1 0\n0 0 1\n"
     )
-    assert collect_valuation(sources, 0) == Valuation(0b0110, 4)
-    assert collect_valuation(sources, 1) == Valuation(0b0011, 4)
+    assert collect_valuation(sources, 0) == 0b0110
+    assert collect_valuation(sources, 1) == 0b0011
     assert collect_valuation(sources, 2) is None
 
 
@@ -418,9 +418,9 @@ def test_step_outcomes():
     aut = pq_automaton()
     universe = build_universe([aut])
     (runner,) = prepare_runners([aut], universe)
-    assert step(runner, Valuation(0, 1)) == (0,)
+    assert step(runner, 0) == (0,)
     assert runner.step_count == 1
-    assert step(runner, Valuation(1, 1)) == (1,)
+    assert step(runner, 1) == (1,)
     assert runner.current_state == 1
 
     nd = Automaton(
@@ -432,7 +432,7 @@ def test_step_outcomes():
         condition=Inf(0),
     )
     (runner,) = prepare_runners([nd], build_universe([nd]))
-    assert step(runner, Valuation(0, 1)) == (0, 1)
+    assert step(runner, 0) == (0, 1)
     assert runner.current_state == 0 and runner.step_count == 0
 
     dead = Automaton(
@@ -444,7 +444,7 @@ def test_step_outcomes():
         condition=Inf(0),
     )
     (runner,) = prepare_runners([dead], build_universe([dead]))
-    assert step(runner, Valuation(0, 1)) == ()
+    assert step(runner, 0) == ()
     assert runner.current_state == 0
 
 
@@ -473,7 +473,7 @@ def test_step_matches_brute_successors(seed):
             aut = runner.automaton
             state, count = runner.current_state, runner.step_count
             expected = brute_successors(aut, state, _local_valuation(aut, universe, bits))
-            found = step(runner, Valuation(bits, len(universe)))
+            found = step(runner, bits)
             assert found == tuple(sorted(expected))
             if len(found) == 1:
                 assert (runner.current_state, runner.step_count) == (found[0], count + 1)
@@ -482,14 +482,14 @@ def test_step_matches_brute_successors(seed):
                 # carry on from some state, as a goto hook would
                 runner.current_state = rng.randrange(aut.num_states)
     # one runner along a longer random word: (state, input) pairs repeat,
-    # so most steps are answered by the successor memo, and a unique
-    # candidate comes back as the state's one shared tuple
+    # so the memo holds one entry per pair however often it is stepped,
+    # and a unique candidate comes back as the state's one shared tuple
     runner = runners[1]
     aut = runner.automaton
     for _ in range(200):
         bits = rng.randrange(1 << len(universe))
         expected = brute_successors(aut, runner.current_state, _local_valuation(aut, universe, bits))
-        found = step(runner, Valuation(bits, len(universe)))
+        found = step(runner, bits)
         assert found == tuple(sorted(expected))
         if len(found) == 1:
             assert found is runner.unique[found[0]]
@@ -529,7 +529,7 @@ def test_step_walks_labels_past_the_cube_cap():
         bits = sum(1 << i for i in range(20) if rng.random() < 0.75)
         state = runner.current_state
         expected = brute_successors(toggle, state, _local_valuation(toggle, universe, bits))
-        assert step(runner, Valuation(bits, 20)) == tuple(expected)
+        assert step(runner, bits) == tuple(expected)
         moved += runner.current_state != state
     assert 0 < moved < 200
 
@@ -537,9 +537,10 @@ def test_step_walks_labels_past_the_cube_cap():
 def test_memo_stays_under_cap_on_wide_inputs():
     # 20 propositions under random drivers: nearly every step is a new
     # (state, input) pair, so the memo fills and is emptied; stepping
-    # stays exact across that
+    # stays exact across that. Two cubes leave each state, so the runner
+    # is never parked and every step probes the memo
     names = tuple(f"p{i}" for i in range(20))
-    move = land(Ap(0), Ap(19))
+    move = lor(Ap(0), Ap(19))
     aut = Automaton(
         aps=names,
         num_states=3,
@@ -879,6 +880,18 @@ def test_a_runner_left_in_place_by_its_first_step_is_parked_at_once():
     assert [e.states[0][1] for e in events if isinstance(e, StepEvent)] == [0, 0, 0, 0, 1]
     assert runners[0].step_count == 5
     assert len(runners[0].memo) == 2  # the inputs of steps 0 and 4
+    # the same after a memo miss mid-run: p moves the runner to state 1
+    # and back to 0, where the new input of step 2 leaves it; it is
+    # parked there, and probed again only when p comes at step 6
+    automaton = _over_pq(
+        "returns",
+        [(0, P, 1), (0, land(Not(P), Q), 0), (0, land(Not(P), Not(Q)), 0), (1, TRUE, 0)],
+    )
+    text = "p q\n1 0\n0 0\n0 1\n0 0\n0 1\n0 0\n1 0\n"
+    report, events, runners = _run_with_trace([automaton], text)
+    assert [e.states[0][1] for e in events if isinstance(e, StepEvent)] == [1, 0, 0, 0, 0, 0, 1]
+    assert runners[0].step_count == 7
+    assert len(runners[0].memo) == 3  # the inputs of steps 0, 1 and 2
 
 
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
