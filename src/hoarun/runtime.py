@@ -33,7 +33,7 @@ import io
 import re
 import sys
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -63,6 +63,21 @@ class InputClosedError(Exception):
 # Trace files
 
 
+def _significant_lines(path: str, source: TextIO) -> Iterator[tuple[int, str]]:
+    """Number and text of each line of ``source``, the trace ``path``, that
+    is not blank or a comment, read one at a time. ``source`` is closed at
+    its end, or when the generator is dropped: it does not refer to its
+    reader, so dropping the reader drops it without the cycle collector."""
+    with source:
+        try:
+            for number, line in enumerate(source, start=1):
+                stripped = line.strip()
+                if stripped and not stripped.startswith("#"):
+                    yield number, stripped
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"trace {path!r} is not valid UTF-8 ({exc.reason})") from None
+
+
 class TraceReader:
     """Reader over one trace file, shared by every proposition bound to it.
 
@@ -73,7 +88,8 @@ class TraceReader:
     to one int (:meth:`record_for_step`). Columns no proposition is
     bound to are checked but otherwise ignored. The file, standard input
     for the path ``-``, is read one line at a time, so memory does not
-    grow with its length.
+    grow with its length, and closed at its end or when the reader is
+    dropped.
     """
 
     def __init__(self, path: str, text: str | None = None):
@@ -84,7 +100,7 @@ class TraceReader:
             source = open(sys.stdin.fileno(), encoding="utf-8", closefd=False)
         else:
             source = open(path, encoding="utf-8")
-        self._lines = self._significant_lines(source)
+        self._lines = _significant_lines(path, source)
         header = next(self._lines, None)
         if header is None:
             raise TraceError("trace has no header line")
@@ -92,19 +108,6 @@ class TraceReader:
         self.header: tuple[str, ...] = tuple(header_line.split())
         self._step = -1
         self._record: int | None = None
-
-    def _significant_lines(self, source: TextIO) -> Iterator[tuple[int, str]]:
-        """Number and text of each line that is not blank or a comment,
-        read one at a time; ``source`` is closed at its end."""
-        with source:
-            try:
-                for number, line in enumerate(source, start=1):
-                    stripped = line.strip()
-                    if stripped and not stripped.startswith("#"):
-                        yield number, stripped
-            except UnicodeDecodeError as exc:
-                message = f"trace {self.path!r} is not valid UTF-8 ({exc.reason})"
-                raise TraceError(message) from None
 
     def record_for_step(self, step: int) -> int | None:
         """Record for ``step``, column i at bit ``len(header) - 1 - i``,
@@ -811,41 +814,42 @@ def prepare_runners(
     hooks: Sequence[HookSpec] = (),
 ) -> list[Runner]:
     """Create runners, with their labels and ``cond:`` formulas as cubes at
-    the universe's positions, and attach scoped hooks."""
+    the universe's positions, and attach scoped hooks, with the HOA text's
+    state ids in ``state:`` and ``goto:`` turned into state numbers."""
     runners = []
     positions = {name: i for i, name in enumerate(universe)}
     for index, automaton in enumerate(automata):
         label = automaton.name if automaton.name else str(index)
         projection = tuple(positions[name] for name in automaton.aps)
         runner = Runner(automaton, label, projection)
-        matching = tuple(
-            h for h in hooks if h.scope in ("*", runner.label, str(index))
-        )
+        ids = automaton.display_ids or range(automaton.num_states)
         conditions = []
-        for hook in matching:
-            target = None
-            if isinstance(hook.action, GotoAction):
-                target = hook.action.state
-            elif isinstance(hook.trigger, StateTrigger):
-                target = hook.trigger.state
-            if target is not None and not 0 <= target < automaton.num_states:
-                raise ConfigError(
-                    f"hook {hook.ident}: state {target} does not exist in "
-                    f"automaton {label}"
-                )
-            if isinstance(hook.trigger, CondTrigger):
-                unbound = [n for n in hook.trigger.ap_names if n not in positions]
+        for hook in hooks:
+            if hook.scope not in ("*", label, str(index)):
+                continue
+            trigger, action = hook.trigger, hook.action
+            for named in (action, trigger):
+                if isinstance(named, (GotoAction, StateTrigger)) and named.state not in ids:
+                    raise ConfigError(
+                        f"hook {hook.ident}: state {named.state} does not exist in "
+                        f"automaton {label}"
+                    )
+            if isinstance(trigger, StateTrigger):
+                hook = replace(hook, trigger=StateTrigger(ids.index(trigger.state)))
+            if isinstance(action, GotoAction):
+                hook = replace(hook, action=GotoAction(ids.index(action.state)))
+            if isinstance(trigger, CondTrigger):
+                unbound = [n for n in trigger.ap_names if n not in positions]
                 if unbound:
                     raise ConfigError(
                         f"hook {hook.ident}: condition references unbound "
                         f"proposition {unbound[0]!r}"
                     )
-                cond_positions = tuple(positions[n] for n in hook.trigger.ap_names)
-                _, cubes = cover(hook.trigger.expr)
-                test = hook.trigger.expr if cubes is None else remap(cubes, cond_positions)
+                cond_positions = tuple(positions[n] for n in trigger.ap_names)
+                _, cubes = cover(trigger.expr)
+                test = trigger.expr if cubes is None else remap(cubes, cond_positions)
                 conditions.append(((test, cond_positions), hook))
-        for hook in matching:
-            runner.triggered.setdefault(type(hook.trigger), []).append(hook)
+            runner.triggered.setdefault(type(trigger), []).append(hook)
         runner.conditions = tuple(conditions)
         runner.poststep = bool(conditions) or StateTrigger in runner.triggered
         runners.append(runner)

@@ -351,6 +351,31 @@ def test_run_log_template_with_a_bad_field_logs_it_as_written(tmp_path, capsys):
         assert capsys.readouterr().out == f"LOG {template}\n" * 3
 
 
+def test_run_hook_state_ids_are_those_of_the_hoa_text(tmp_path, capsys):
+    # no States: header, so the ids 5 and 7 are numbered 0 and 1 inside;
+    # state: and goto: name them as STEP lines and {state} show them
+    hoa = write(
+        tmp_path,
+        "a.hoa",
+        "HOA: v1\nAP: 1 \"p\"\nStart: 5\nAcceptance: 0 t\n--BODY--\n"
+        "State: 5\n[0] 7\n[!0] 5\nState: 7\n[t] 7\n--END--\n",
+    )
+    trace = write(tmp_path, "t.trace", "p\n0\n1\n0\n")
+    hook = "[hooks.at]\ntrigger = state:{}\naction = {}\n"
+    config = write(tmp_path, "at.cfg", hook.format(7, "log:at {state}"))
+    assert main(["run", "--config", config, "--trace", trace, "--verbose", hoa]) == 0
+    assert capsys.readouterr().out == (
+        "STEP 0 0 | 0:5\nLOG at 7\nSTEP 1 1 | 0:7\nLOG at 7\nSTEP 2 0 | 0:7\n"
+    )
+    config = write(tmp_path, "back.cfg", hook.format(7, "goto:5"))
+    assert main(["run", "--config", config, "--trace", trace, "--verbose", hoa]) == 0
+    assert capsys.readouterr().out == "STEP 0 0 | 0:5\nSTEP 1 1 | 0:5\nSTEP 2 0 | 0:5\n"
+    for state, action in ((1, "log:at {state}"), (7, "goto:1")):
+        config = write(tmp_path, "bad.cfg", hook.format(state, action))
+        assert main(["run", "--config", config, "--trace", trace, hoa]) == 1
+        assert capsys.readouterr().err == "error: hook at: state 1 does not exist in automaton 0\n"
+
+
 def test_run_cond_trigger_on_unknown_proposition_fails_at_load(tmp_path):
     # a header-only trace never evaluates the trigger, so only a check
     # made before the run can catch the unknown name

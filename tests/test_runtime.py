@@ -1,6 +1,8 @@
+import gc
 import io
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 from random import Random
@@ -194,6 +196,25 @@ def test_trace_reader_memory_does_not_grow_with_length(tmp_path, monkeypatch):
 
     small, large = peak_bytes(30_000), peak_bytes(300_000)
     assert large < 2 * small
+
+
+def test_a_dropped_trace_reader_closes_its_file(tmp_path):
+    # a run can stop before the last row; with the cycle collector off,
+    # dropping the reader must close the file, so collecting later finds
+    # no file left open
+    path = tmp_path / "t.trace"
+    path.write_text("a b\n0 1\n1 0\n")
+    gc.disable()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reader = TraceReader(str(path))
+            assert reader.record_for_step(0) == 0b01
+            del reader
+            gc.collect()
+    finally:
+        gc.enable()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_collect_valuation_from_shared_file():
