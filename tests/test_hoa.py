@@ -3,7 +3,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, load_fixture
-from hoarun.automata import AccAnd, Fin, Inf, Top, acc_and
+from hoarun.automata import BOT, TOP, AccAnd, AccOr, Fin, Inf, Top, acc_and, acc_or
 from hoarun.hoa import HoaParseError, format_acceptance, format_label, parse, serialize
 from hoarun.labels import Ap, Not, land, lor, minterm
 
@@ -200,6 +200,28 @@ _HEAD = 'HOA: v1\nStates: 1\nStart: 0\nAP: 1 "p"\nAcceptance: 1 Inf(0)\n'
                 "8:10: warning: state display names are ignored",
             ],
         ),
+        # labels and acceptance conditions nest at most 200 levels; the
+        # error points at the innermost atom
+        (MINIMAL.replace("[0] 0", "[" + "(" * 200 + "0" + ")" * 200 + "] 0"), []),
+        (MINIMAL.replace("[0] 0", "[" + "!" * 200 + "0] 0"), []),
+        (
+            MINIMAL.replace("[0] 0", "[" + "(" * 201 + "0" + ")" * 201 + "] 0"),
+            ["8:203: error: label expression nested too deeply"],
+        ),
+        (
+            MINIMAL.replace("[0] 0", "[" + "!" * 201 + "0] 0"),
+            ["8:203: error: label expression nested too deeply"],
+        ),
+        (MINIMAL.replace("Inf(0)\n", "(" * 200 + "Inf(0)" + ")" * 200 + "\n"), []),
+        (
+            MINIMAL.replace("Inf(0)\n", "(" * 201 + "Inf(0)" + ")" * 201 + "\n"),
+            ["5:216: error: acceptance condition nested too deeply"],
+        ),
+        (MINIMAL.replace("[0] 0", "[] 0"), ["8:2: error: expected label expression, found ']'"]),
+        (
+            MINIMAL.replace("1 Inf(0)", "1 !Inf(0)"),
+            ["5:15: error: expected acceptance condition, found '!'"],
+        ),
     ],
 )
 def test_diagnostic_positions_are_pinned(text, expected):
@@ -371,6 +393,20 @@ def test_format_acceptance_precedence():
     cond = acc_and(Fin(0), Inf(1))
     assert format_acceptance(cond) == "Fin(0) & Inf(1)"
     assert format_acceptance(Top()) == "t"
+    # a parenthesized disjunction stays its own node, as in labels
+    text = MINIMAL.replace("1 Inf(0)", "3 (Fin(0) | Inf(1)) | Fin(2)").replace("{0}", "{0 1 2}")
+    doc = parse(text)
+    nested = AccOr((AccOr((Fin(0), Inf(1))), Fin(2)))
+    assert doc.automata[0].condition == nested
+    assert parse(serialize(doc)).automata[0].condition == nested
+    assert format_acceptance(nested) == "(Fin(0) | Inf(1)) | Fin(2)"
+    # the builders flatten, and give the neutral element or the one child
+    assert acc_and() is TOP and acc_or() is BOT
+    child = AccOr((Fin(0), Inf(1)))
+    atom = Fin(3)
+    assert acc_and(child) is child and acc_or(atom) is atom and acc_and(atom) is atom
+    assert acc_and(AccAnd((Fin(0), Inf(1))), Fin(2)) == AccAnd((Fin(0), Inf(1), Fin(2)))
+    assert acc_or(child, Fin(2)) == AccOr((Fin(0), Inf(1), Fin(2)))
 
 
 def test_parse_never_crashes_on_mutations():
