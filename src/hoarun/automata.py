@@ -10,7 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .labels import TRUE, LabelExpr, Not, covers_all, lor, occurring_aps, pairwise_disjoint
+from .labels import (
+    TRUE,
+    LabelExpr,
+    Not,
+    chain,
+    covers_all,
+    lor,
+    occurring_aps,
+    pairwise_disjoint,
+)
 
 
 class AcceptanceCond:
@@ -54,31 +63,11 @@ BOT = Bot()
 
 
 def acc_and(*children: AcceptanceCond) -> AcceptanceCond:
-    flat: list[AcceptanceCond] = []
-    for child in children:
-        if isinstance(child, AccAnd):
-            flat.extend(child.children)
-        else:
-            flat.append(child)
-    if not flat:
-        return TOP
-    if len(flat) == 1:
-        return flat[0]
-    return AccAnd(tuple(flat))
+    return chain(AccAnd, children, TOP)
 
 
 def acc_or(*children: AcceptanceCond) -> AcceptanceCond:
-    flat: list[AcceptanceCond] = []
-    for child in children:
-        if isinstance(child, AccOr):
-            flat.extend(child.children)
-        else:
-            flat.append(child)
-    if not flat:
-        return BOT
-    if len(flat) == 1:
-        return flat[0]
-    return AccOr(tuple(flat))
+    return chain(AccOr, children, BOT)
 
 
 def acc_set_refs(cond: AcceptanceCond) -> frozenset[int]:

@@ -7,6 +7,11 @@ explicit bracketed labels, implicit valuation-ordered edge lists, or
 state labels shared by all edges leaving a state. Acceptance marks must sit on
 states; marks on edges, negated set references `Fin(!k)`/`Inf(!k)`, and
 universal branching are rejected with positioned diagnostics.
+
+Edge and state labels, `Alias:` bodies, `cond:` formulas (through
+:func:`parse_named_label`) and `Acceptance:` conditions are read by one
+grammar, `|`-chains of `&`-chains nested at most 200 levels, and written
+by one printer; each kind brings only its atoms.
 """
 
 from __future__ import annotations
@@ -255,12 +260,12 @@ class _Parser:
             elif hname == "Acceptance":
                 acc_count, _ = self._expect_int("acceptance set count")
                 acc_tok = htok
-                condition = self._parse_acceptance(acc_count)
+                condition = self._parse_formula(_ACCEPTANCE, acc_count)
             elif hname == "Alias":
                 atok = self._expect("aname", "alias name")
                 if atok.value in aliases:
                     self._fail(f"duplicate alias @{atok.value}", atok)
-                aliases[atok.value] = self._parse_label(aliases)
+                aliases[atok.value] = self._parse_formula(_LABEL, aliases)
             elif hname == "name":
                 name = self._expect("string", "automaton name").value
             elif hname == "tool":
@@ -331,7 +336,7 @@ class _Parser:
                 label = None
                 if self.tok.kind == "[":
                     self._take()
-                    label = self._parse_label(aliases)
+                    label = self._parse_formula(_LABEL, aliases)
                     self._expect("]", "']'")
                 sid, _ = self._expect_int("state id")
                 if sid in defined:
@@ -352,7 +357,7 @@ class _Parser:
                 label = None
                 if self.tok.kind == "[":
                     self._take()
-                    label = self._parse_label(aliases)
+                    label = self._parse_formula(_LABEL, aliases)
                     self._expect("]", "']'")
                 target, _ = self._expect_int("target state")
                 if self.tok.kind == "&":
@@ -404,31 +409,47 @@ class _Parser:
         return indices
 
     # -- expressions
+    #
+    # Labels, `cond:` formulas and acceptance conditions share one grammar:
+    # a `|`-chain of `&`-chains of operands, each a formula in parentheses or
+    # an atom. A grammar (_LABEL, _ACCEPTANCE) names its kind's atom reader,
+    # its chain node classes and what a diagnostic calls it.
 
-    def _parse_label(self, aliases: dict[str, LabelExpr], depth: int = 0) -> LabelExpr:
-        return self._parse_label_or(aliases, depth)
-
-    # operator chains become one n-ary node; parenthesized or aliased
-    # subtrees stay distinct nodes so that serialized text reparses to a
-    # structurally equal tree
-    def _parse_label_or(self, aliases, depth) -> LabelExpr:
-        terms = [self._parse_label_and(aliases, depth)]
-        while self.tok.kind == "|":
+    def _parse_formula(self, grammar, context, depth: int = 0, operand: bool = False):
+        """One formula, or with ``operand`` one operand, of ``grammar``;
+        ``context`` goes to its atom reader. An operator chain becomes one
+        n-ary node; a parenthesized or aliased subtree stays a node of its
+        own, so that serialized text reparses to a structurally equal tree."""
+        atom, and_cls, or_cls, what = grammar
+        terms = []
+        factors = []
+        while True:
+            if depth > _MAX_NESTING:
+                self._fail(f"{what} nested too deeply")
+            if self.tok.kind == "(":
+                self._take()
+                node = self._parse_formula(grammar, context, depth + 1)
+                self._expect(")", "')'")
+            else:
+                node = atom(self, context, depth)
+            if operand:
+                return node
+            factors.append(node)
+            kind = self.tok.kind
+            if kind == "&":
+                self._take()
+                continue
+            terms.append(factors[0] if len(factors) == 1 else self._shared(and_cls, tuple(factors)))
+            if kind != "|":
+                return terms[0] if len(terms) == 1 else self._shared(or_cls, tuple(terms))
             self._take()
-            terms.append(self._parse_label_and(aliases, depth))
-        return terms[0] if len(terms) == 1 else self._shared(Or, tuple(terms))
+            factors = []
 
-    def _parse_label_and(self, aliases, depth) -> LabelExpr:
-        terms = [self._parse_label_atom(aliases, depth)]
-        while self.tok.kind == "&":
-            self._take()
-            terms.append(self._parse_label_atom(aliases, depth))
-        return terms[0] if len(terms) == 1 else self._shared(And, tuple(terms))
-
-    def _shared(self, cls: type, arg) -> LabelExpr:
+    def _shared(self, cls: type, arg):
         """The document's one node ``cls(arg)``, so that equal labels are
         one object and convert to cubes once; children are shared
-        already, so their identities make the key."""
+        already, so their identities make the key. Acceptance atoms are
+        made afresh, so no two acceptance chains are ever one node."""
         if cls is Ap:
             key = (cls, arg)
         else:
@@ -438,18 +459,11 @@ class _Parser:
             node = self._labels[key] = cls(arg)
         return node
 
-    def _parse_label_atom(self, aliases, depth) -> LabelExpr:
-        if depth > _MAX_NESTING:
-            self._fail("label expression nested too deeply")
+    def _parse_label_atom(self, aliases: dict[str, LabelExpr], depth: int) -> LabelExpr:
         tok = self.tok
         if tok.kind == "!":
             self._take()
-            return self._shared(Not, self._parse_label_atom(aliases, depth + 1))
-        if tok.kind == "(":
-            self._take()
-            inner = self._parse_label_or(aliases, depth + 1)
-            self._expect(")", "')'")
-            return inner
+            return self._shared(Not, self._parse_formula(_LABEL, aliases, depth + 1, True))
         if tok.kind == "int" and self.names is None:
             self._take()
             return self._shared(Ap, int(tok.value))
@@ -459,12 +473,9 @@ class _Parser:
             if expr is None:
                 self._fail(f"undefined alias @{tok.value}", tok)
             return expr
-        if tok.kind == "ident" and tok.value == "t":
+        if tok.kind == "ident" and tok.value in ("t", "f"):
             self._take()
-            return TRUE
-        if tok.kind == "ident" and tok.value == "f":
-            self._take()
-            return FALSE
+            return TRUE if tok.value == "t" else FALSE
         if tok.kind in ("ident", "string") and self.names is not None:
             self._take()
             if tok.value not in self.names:
@@ -473,35 +484,11 @@ class _Parser:
         self._fail(f"expected label expression, found {tok.value!r}")
         raise AssertionError
 
-    def _parse_acceptance(self, set_count: int, depth: int = 0) -> AcceptanceCond:
-        terms = [self._parse_acceptance_and(set_count, depth)]
-        while self.tok.kind == "|":
-            self._take()
-            terms.append(self._parse_acceptance_and(set_count, depth))
-        return terms[0] if len(terms) == 1 else AccOr(tuple(terms))
-
-    def _parse_acceptance_and(self, set_count, depth) -> AcceptanceCond:
-        terms = [self._parse_acceptance_atom(set_count, depth)]
-        while self.tok.kind == "&":
-            self._take()
-            terms.append(self._parse_acceptance_atom(set_count, depth))
-        return terms[0] if len(terms) == 1 else AccAnd(tuple(terms))
-
-    def _parse_acceptance_atom(self, set_count, depth) -> AcceptanceCond:
-        if depth > _MAX_NESTING:
-            self._fail("acceptance condition nested too deeply")
+    def _parse_acceptance_atom(self, set_count: int, depth: int) -> AcceptanceCond:
         tok = self.tok
-        if tok.kind == "(":
+        if tok.kind == "ident" and tok.value in ("t", "f"):
             self._take()
-            inner = self._parse_acceptance(set_count, depth + 1)
-            self._expect(")", "')'")
-            return inner
-        if tok.kind == "ident" and tok.value == "t":
-            self._take()
-            return Top()
-        if tok.kind == "ident" and tok.value == "f":
-            self._take()
-            return Bot()
+            return Top() if tok.value == "t" else Bot()
         if tok.kind == "ident" and tok.value in ("Fin", "Inf"):
             self._take()
             self._expect("(", "'('")
@@ -614,6 +601,10 @@ class _Parser:
             self._fail(str(exc), head)
 
 
+_LABEL = (_Parser._parse_label_atom, And, Or, "label expression")
+_ACCEPTANCE = (_Parser._parse_acceptance_atom, AccAnd, AccOr, "acceptance condition")
+
+
 def _drop_empty_sets(cond: AcceptanceCond, empty: frozenset[int]) -> AcceptanceCond:
     # Fin over an empty set always holds; Inf over one never does.
     if isinstance(cond, Fin):
@@ -645,7 +636,7 @@ def parse_named_label(text: str) -> tuple[LabelExpr, tuple[str, ...]]:
     refer to, in first-use order. Raises :class:`HoaParseError` on failure."""
     try:
         parser = _Parser(text, False, [])
-        expr = parser._parse_label({})
+        expr = parser._parse_formula(_LABEL, {})
         if parser.tok.kind != "eof":
             parser._fail(f"expected end of formula, found {parser.tok.value!r}")
     except _Abort as abort:
@@ -661,8 +652,24 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def format_label(expr: LabelExpr) -> str:
-    """Concrete label syntax; `&` binds tighter than `|`."""
+def _format_formula(node, format_atom, and_cls: type, or_cls: type) -> str:
+    """A label or acceptance condition as text; ``format_atom`` writes the
+    nodes that are not chains. `&` binds tighter than `|`, and a chain
+    inside a chain of the same operator keeps its parentheses."""
+    if isinstance(node, and_cls):
+        joint, nested, empty = " & ", (and_cls, or_cls), "t"
+    elif isinstance(node, or_cls):
+        joint, nested, empty = " | ", or_cls, "f"
+    else:
+        return format_atom(node)
+    parts = []
+    for child in node.children:
+        text = _format_formula(child, format_atom, and_cls, or_cls)
+        parts.append(f"({text})" if isinstance(child, nested) else text)
+    return joint.join(parts) if parts else empty
+
+
+def _format_label_atom(expr: LabelExpr) -> str:
     if isinstance(expr, TrueLabel):
         return "t"
     if isinstance(expr, FalseLabel):
@@ -671,52 +678,27 @@ def format_label(expr: LabelExpr) -> str:
         return str(expr.index)
     if isinstance(expr, Not):
         child = format_label(expr.child)
-        if isinstance(expr.child, (And, Or)):
-            return f"!({child})"
-        return f"!{child}"
-    if isinstance(expr, And):
-        if not expr.children:
-            return "t"
-        parts = [
-            f"({format_label(c)})" if isinstance(c, (And, Or)) else format_label(c)
-            for c in expr.children
-        ]
-        return " & ".join(parts)
-    if isinstance(expr, Or):
-        if not expr.children:
-            return "f"
-        parts = [
-            f"({format_label(c)})" if isinstance(c, Or) else format_label(c)
-            for c in expr.children
-        ]
-        return " | ".join(parts)
+        return f"!({child})" if isinstance(expr.child, (And, Or)) else f"!{child}"
     raise TypeError(f"not a label expression: {expr!r}")
 
 
-def format_acceptance(cond: AcceptanceCond) -> str:
+def _format_acceptance_atom(cond: AcceptanceCond) -> str:
     if isinstance(cond, Top):
         return "t"
     if isinstance(cond, Bot):
         return "f"
-    if isinstance(cond, Fin):
-        return f"Fin({cond.set_index})"
-    if isinstance(cond, Inf):
-        return f"Inf({cond.set_index})"
-    if isinstance(cond, AccAnd):
-        parts = [
-            f"({format_acceptance(c)})"
-            if isinstance(c, (AccAnd, AccOr))
-            else format_acceptance(c)
-            for c in cond.children
-        ]
-        return " & ".join(parts) if parts else "t"
-    if isinstance(cond, AccOr):
-        parts = [
-            f"({format_acceptance(c)})" if isinstance(c, AccOr) else format_acceptance(c)
-            for c in cond.children
-        ]
-        return " | ".join(parts) if parts else "f"
+    if isinstance(cond, (Fin, Inf)):
+        return f"{type(cond).__name__}({cond.set_index})"
     raise TypeError(f"not an acceptance condition: {cond!r}")
+
+
+def format_label(expr: LabelExpr) -> str:
+    """Concrete label syntax; `&` binds tighter than `|`."""
+    return _format_formula(expr, _format_label_atom, And, Or)
+
+
+def format_acceptance(cond: AcceptanceCond) -> str:
+    return _format_formula(cond, _format_acceptance_atom, AccAnd, AccOr)
 
 
 def serialize_automaton(automaton: Automaton) -> str:

@@ -77,34 +77,29 @@ TRUE = TrueLabel()
 FALSE = FalseLabel()
 
 
-def land(*children: LabelExpr) -> LabelExpr:
-    """n-ary conjunction; flattens nested conjunctions, never simplifies."""
-    flat: list[LabelExpr] = []
+def chain(cls: type, children, unit):
+    """The n-ary ``cls`` node over ``children``, taking the children of a
+    child that is a ``cls`` node itself; ``unit`` for no children and the
+    child itself for one. Never simplifies."""
+    flat = []
     for child in children:
-        if isinstance(child, And):
+        if isinstance(child, cls):
             flat.extend(child.children)
         else:
             flat.append(child)
     if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+        return unit
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def land(*children: LabelExpr) -> LabelExpr:
+    """n-ary conjunction; flattens nested conjunctions, never simplifies."""
+    return chain(And, children, TRUE)
 
 
 def lor(*children: LabelExpr) -> LabelExpr:
     """n-ary disjunction; flattens nested disjunctions, never simplifies."""
-    flat: list[LabelExpr] = []
-    for child in children:
-        if isinstance(child, Or):
-            flat.extend(child.children)
-        else:
-            flat.append(child)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return chain(Or, children, FALSE)
 
 
 @dataclass(frozen=True, slots=True)
