@@ -65,18 +65,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--complete",
         action="store_true",
-        help="complete incomplete automata with stuttering self-loops",
+        help="with --monitor: complete incomplete automata with stuttering self-loops",
     )
     run.add_argument("--verbose", action="store_true", help="print one STEP line per step")
     run.add_argument(
         "--strict",
         action="store_true",
-        help="exit 12 when monitoring ends without a conclusive verdict",
+        help="with --monitor: exit 12 when monitoring ends without a conclusive verdict",
     )
     run.add_argument(
         "--negated",
         action="store_true",
-        help="report good verdicts as VIOLATION lines (for monitors that "
+        help="with --monitor: report good verdicts as VIOLATION lines (for monitors that "
         "accept the violating runs, like those from gen-locks)",
     )
     run.add_argument(
@@ -136,6 +136,10 @@ def _cmd_run(args) -> int:
     if args.steps is not None and args.steps < 0:
         print(f"error: --steps must not be negative, got {args.steps}", file=sys.stderr)
         return EXIT_ERROR
+    for flag in ("complete", "strict", "negated"):
+        if getattr(args, flag) and not args.monitor:
+            print(f"error: --{flag} applies only with --monitor", file=sys.stderr)
+            return EXIT_ERROR
     if args.trace is not None:
         config = replace(config, drivers=(), default_driver=FileSpec(args.trace))
     # an automaton or a trace reads standard input to its end, so nothing
@@ -235,7 +239,7 @@ def _cmd_run(args) -> int:
         return EXIT_BAD
     if any(summary.final_verdict is Verdict.UGLY for summary in report.runners):
         return EXIT_UGLY
-    if args.strict and args.monitor and any(
+    if args.strict and any(
         summary.final_verdict is Verdict.UNKNOWN for summary in report.runners
     ):
         return EXIT_UNKNOWN_STRICT

@@ -284,6 +284,21 @@ def test_run_monitor_incomplete_needs_complete_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_monitor_only_flags_need_monitor(tmp_path, capsys):
+    # without --monitor, --complete would be ignored and the run would
+    # deadlock at step 1; each flag is refused before any automaton is read
+    trace = write(tmp_path, "t.trace", "p\n1\n0\n0\n")
+    deadlock = str(FIXTURES / "deadlock.hoa")
+    for flag in ("--complete", "--strict", "--negated"):
+        for automaton in (deadlock, str(tmp_path / "missing.hoa")):
+            assert main(["run", "--trace", trace, flag, automaton]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {flag} applies only with --monitor\n"
+    assert main(["run", "--trace", trace, "--monitor", "--complete", deadlock]) == 0
+    capsys.readouterr()
+
+
 def test_run_unhandled_deadlock_exit(tmp_path, capsys):
     trace = write(tmp_path, "t.trace", "p\n0\n")
     deadlock = str(FIXTURES / "deadlock.hoa")
