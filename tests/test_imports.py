@@ -1,10 +1,13 @@
-"""Every module under src/hoarun uses each name it imports.
+"""Every module under src/hoarun uses each name it imports, and every
+private function, method and class it defines is named somewhere else.
 
-``__init__.py`` is left out, because its imports are the package's
-re-exports; an import whose line carries ``# noqa`` is kept on purpose.
+``__init__.py`` is left out of the import check, because its imports are
+the package's re-exports; an import whose line carries ``# noqa`` is kept
+on purpose.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,52 @@ def test_no_unused_imports(path):
 def test_unused_imports_are_found():
     source = "import os\nimport re  # noqa: F401\nfrom a.b import c, d as e\nprint(os.sep, e)\n"
     assert unused_imports(source) == ["line 3: c"]
+
+
+def _names(tree) -> Counter:
+    """How often each name is read, as a name, an attribute, an imported
+    name or a string constant, in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Functions, methods and classes named ``_x`` (dunders aside) in
+    ``sources``, a map of file names to text, that no code outside their
+    own body names."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{name}:{node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and named[node.name] == _names(node)[node.name]
+    ]
+
+
+def test_no_unused_private_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    assert unused_private_definitions(sources) == []
+
+
+def test_unused_private_definitions_are_found():
+    sources = {
+        "a.py": "def _used(): pass\ndef _gone(n): return _gone(n - 1)\n"
+        "class _Box:\n    def __init__(self): self._take()\n"
+        "    def _take(self): pass\n    def _left(self): pass\n",
+        "b.py": "from a import _used\nprint(getattr(object, '_Box'))\n",
+    }
+    assert unused_private_definitions(sources) == ["a.py:2: _gone", "a.py:6: _left"]
