@@ -73,7 +73,7 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, kinds)
         and node.name.startswith("_")
-        and not node.name.endswith("__")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and named[node.name] == _names(node)[node.name]
     ]
 
@@ -87,7 +87,8 @@ def test_unused_private_definitions_are_found():
     sources = {
         "a.py": "def _used(): pass\ndef _gone(n): return _gone(n - 1)\n"
         "class _Box:\n    def __init__(self): self._take()\n"
-        "    def _take(self): pass\n    def _left(self): pass\n",
+        "    def _take(self): pass\n    def _left(self): pass\n    def __hidden(self): pass\n",
         "b.py": "from a import _used\nprint(getattr(object, '_Box'))\n",
     }
-    assert unused_private_definitions(sources) == ["a.py:2: _gone", "a.py:6: _left"]
+    found = unused_private_definitions(sources)
+    assert found == ["a.py:2: _gone", "a.py:6: _left", "a.py:7: __hidden"]
