@@ -677,8 +677,13 @@ def _format_label_atom(expr: LabelExpr) -> str:
     if isinstance(expr, Ap):
         return str(expr.index)
     if isinstance(expr, Not):
-        child = format_label(expr.child)
-        return f"!({child})" if isinstance(expr.child, (And, Or)) else f"!{child}"
+        # a chain of negations takes one frame, however long
+        bangs = 0
+        while isinstance(expr, Not):
+            bangs += 1
+            expr = expr.child
+        child = _format_formula(expr, _format_label_atom, And, Or)
+        return "!" * bangs + (f"({child})" if isinstance(expr, (And, Or)) else child)
     raise TypeError(f"not a label expression: {expr!r}")
 
 

@@ -373,6 +373,11 @@ def test_format_label_precedence():
     assert format_label(expr) == "0 & !1 | 2"
     assert format_label(Not(lor(Ap(0), Ap(1)))) == "!(0 | 1)"
     assert format_label(land(lor(Ap(0), Ap(1)), Ap(2))) == "(0 | 1) & 2"
+    # labels built through aliases nest deeper than the parser's limit
+    deep = Ap(0)
+    for _ in range(900):
+        deep = Not(deep)
+    assert format_label(deep) == "!" * 900 + "0"
 
 
 def test_nested_same_operator_shapes_survive_round_trips():
