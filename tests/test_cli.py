@@ -67,20 +67,33 @@ def test_check_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (FIXTURES / "check.golden").read_text()
 
 
-def test_run_output_is_pinned(tmp_path, capsys):
-    # the n=2 lock monitors on 100 events with 3 faults, reset on each
-    # conclusive verdict: every STEP and VIOLATION line, then the exit code
+def _run_locks_output(tmp_path, capsys, n, length):
+    """Every STEP and VIOLATION line of the n-thread lock monitors on a
+    gen-locks trace with 3 faults, reset on each conclusive verdict, then
+    the exit code."""
     trace, monitors = str(tmp_path / "locks.trace"), str(tmp_path / "locks.hoa")
-    assert main(["gen-locks", "--n", "2", "--len", "100", "--violations", "3", "--seed", "1",
-                 "--out-trace", trace, "--out-monitors", monitors]) == 0
+    assert main(["gen-locks", "--n", str(n), "--len", str(length), "--violations", "3",
+                 "--seed", "1", "--out-trace", trace, "--out-monitors", monitors]) == 0
     capsys.readouterr()
     config = write(
         tmp_path, "reset.cfg", "[hooks.reset]\ntrigger = verdict: conclusive\naction = reset\n"
     )
     code = main(["run", monitors, "--trace", trace, "--config", config,
                  "--monitor", "--negated", "--verbose"])
-    out = capsys.readouterr().out + f"exit {code}\n"
+    return capsys.readouterr().out + f"exit {code}\n"
+
+
+def test_run_output_is_pinned(tmp_path, capsys):
+    # the n=2 lock monitors on 100 events
+    out = _run_locks_output(tmp_path, capsys, 2, 100)
     assert out == (FIXTURES / "run_locks_n2.golden").read_text()
+
+
+def test_run_output_is_pinned_for_128_monitors(tmp_path, capsys):
+    # the n=8 lock monitors on 200 events: most of them rest at any one
+    # step, idle or holding their lock
+    out = _run_locks_output(tmp_path, capsys, 8, 200)
+    assert out == (FIXTURES / "run_locks_n8.golden").read_text()
 
 
 def _wide_trace(tmp_path) -> str:
