@@ -190,8 +190,14 @@ class _Parser:
 
     def _expect(self, kind: str, what: str) -> _Token:
         if self.tok.kind != kind:
-            self._fail(f"expected {what}, found {self.tok.value!r}")
+            self._fail_expected(what)
         return self._take()
+
+    def _fail_expected(self, what: str):
+        """Refuse the current token, quoted as written: ``q:`` for a header
+        token, ``"p"`` for a string, ``@a`` for an alias."""
+        written = _TOKEN_RE.match(self._tz.text, self.tok.offset).group()
+        self._fail(f"expected {what}, found {written!r}")
 
     def _expect_int(self, what: str) -> tuple[int, _Token]:
         tok = self._expect("int", what)
@@ -233,7 +239,7 @@ class _Parser:
             if self.tok.kind == "abort":
                 self._fail("automaton aborted by --ABORT--")
             if self.tok.kind != "header":
-                self._fail(f"expected header item, found {self.tok.value!r}")
+                self._fail_expected("header item")
             htok = self._take()
             hname = htok.value
             if hname in ("States", "AP", "Acceptance", "name", "acc-name", "tool"):
@@ -481,7 +487,7 @@ class _Parser:
             if tok.value not in self.names:
                 self.names.append(tok.value)
             return self._shared(Ap, self.names.index(tok.value))
-        self._fail(f"expected label expression, found {tok.value!r}")
+        self._fail_expected("label expression")
         raise AssertionError
 
     def _parse_acceptance_atom(self, set_count: int, depth: int) -> AcceptanceCond:
@@ -499,7 +505,7 @@ class _Parser:
                 self._fail(f"acceptance set {index} not declared", itok)
             self._expect(")", "')'")
             return Fin(index) if tok.value == "Fin" else Inf(index)
-        self._fail(f"expected acceptance condition, found {tok.value!r}")
+        self._fail_expected("acceptance condition")
         raise AssertionError
 
     # -- construction
@@ -638,7 +644,7 @@ def parse_named_label(text: str) -> tuple[LabelExpr, tuple[str, ...]]:
         parser = _Parser(text, False, [])
         expr = parser._parse_formula(_LABEL, {})
         if parser.tok.kind != "eof":
-            parser._fail(f"expected end of formula, found {parser.tok.value!r}")
+            parser._fail_expected("end of formula")
     except _Abort as abort:
         raise HoaParseError([abort.diagnostic]) from None
     return expr, tuple(parser.names)

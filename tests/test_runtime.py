@@ -401,7 +401,17 @@ WELL_FORMED_CONDITIONS = [
      lambda v: v["p_1-x"] and not v["q"] or v["t-"]),
 ]
 
-MALFORMED_CONDITIONS = ["p &", "(p", "p)", "p q", "&p", "0", "@a", "p:", "", "  ", '"p', 'p & "q']
+MALFORMED_CONDITIONS = [
+    "p &", "(p", "p)", "p q", "&p", "0", "@a", "p:", "", "  ", '"p', 'p & "q', "p & q:", "a:b"
+]
+
+# a name directly followed by ':' is read as one token, which the
+# diagnostic quotes as written
+QUOTED_AS_WRITTEN = {
+    "p:": "1:1: error: expected label expression, found 'p:'",
+    "p & q:": "1:5: error: expected label expression, found 'q:'",
+    "a:b": "1:1: error: expected label expression, found 'a:'",
+}
 
 
 @pytest.mark.parametrize("text, names, holds", WELL_FORMED_CONDITIONS)
@@ -416,8 +426,10 @@ def test_parse_condition_table(text, names, holds):
 
 @pytest.mark.parametrize("text", MALFORMED_CONDITIONS)
 def test_parse_condition_rejects(text):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         parse_condition(text)
+    if text in QUOTED_AS_WRITTEN:
+        assert str(info.value) == f"bad condition: {QUOTED_AS_WRITTEN[text]}"
 
 
 def test_parse_condition_nesting_limit():
