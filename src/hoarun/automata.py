@@ -113,6 +113,11 @@ class Automaton:
     # labels.cover's memo for these labels, shared by the checks and the
     # runners; keyed by node ids, so it is only valid for this object
     covers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the labels leaving each state, by state, grouped on first use
+    leaving: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # whether those labels cover every input, by state, for each state
+    # decided so far (covers_state)
+    complete: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.aps)) != len(self.aps):
@@ -168,10 +173,13 @@ def state_graph(automaton: Automaton) -> StateGraph:
 
 
 def _labels_by_state(automaton: Automaton) -> list[list[LabelExpr]]:
-    out: list[list[LabelExpr]] = [[] for _ in range(automaton.num_states)]
-    for t in automaton.transitions:
-        out[t.src].append(t.label)
-    return out
+    """``automaton.leaving``, grouped the first time it is asked for."""
+    if not automaton.leaving:
+        out: list[list[LabelExpr]] = [[] for _ in range(automaton.num_states)]
+        for t in automaton.transitions:
+            out[t.src].append(t.label)
+        automaton.leaving.extend(out)
+    return automaton.leaving
 
 
 def is_deterministic(automaton: Automaton) -> bool:
@@ -185,12 +193,21 @@ def is_deterministic(automaton: Automaton) -> bool:
     )
 
 
+def covers_state(automaton: Automaton, state: int) -> bool:
+    """Whether the labels leaving ``state`` cover every valuation:
+    :func:`covers_all`'s answer, worked out once per state and kept in
+    ``automaton.complete``. Over the cap it raises CapacityError every
+    time, and keeps nothing."""
+    complete = automaton.complete
+    if state not in complete:
+        labels = _labels_by_state(automaton)[state]
+        complete[state] = covers_all(labels, len(automaton.aps), automaton.covers)
+    return complete[state]
+
+
 def is_complete(automaton: Automaton) -> bool:
     """The labels leaving each state jointly cover every valuation."""
-    ap_count = len(automaton.aps)
-    return all(
-        covers_all(labels, ap_count, automaton.covers) for labels in _labels_by_state(automaton)
-    )
+    return all(covers_state(automaton, state) for state in range(automaton.num_states))
 
 
 def complete_by_stuttering(automaton: Automaton) -> Automaton:
@@ -201,10 +218,9 @@ def complete_by_stuttering(automaton: Automaton) -> Automaton:
     complete and determinism is preserved. Returns the input unchanged
     when it is already complete.
     """
-    ap_count = len(automaton.aps)
     added: list[Transition] = []
     for state, labels in enumerate(_labels_by_state(automaton)):
-        if covers_all(labels, ap_count, automaton.covers):
+        if covers_state(automaton, state):
             continue
         label = TRUE if not labels else Not(lor(*labels))
         added.append(Transition(state, label, state))

@@ -274,6 +274,15 @@ def remap(cubes: Cover, positions: Sequence[int]) -> Cover:
     return tuple((move(care), move(value)) for care, value in cubes)
 
 
+def hull(cubes: Cover) -> Cube:
+    """The smallest cube that contains each of ``cubes``, of which there
+    is at least one: the literals they all share."""
+    care, value = cubes[0]
+    for other_care, other_value in cubes[1:]:
+        care &= other_care & ~(other_value ^ value)
+    return care, value & care
+
+
 def tautology(cubes: list[Cube]) -> bool:
     """True iff the cubes hold on every valuation, by Shannon splitting on
     a proposition with literals of both signs until a branch has a cube

@@ -13,17 +13,19 @@ never holds more, however long the run and however many propositions the
 automaton has. The loop is the only reader of that memo: when the entry
 says the runner stays put and nothing would observe it (no state or
 cond: hook, and a monitor, if any, that the state cannot move), the step
-is counted and nothing else is called. Any step that leaves a runner
-resting where it was also parks it when one cube of inputs is all that
-can move it from its state: the loop then files it under that cube and
-stops probing it, until an input in the cube comes, and counts the steps
-it skipped when it unparks it or ends. So a runner the input leaves in
-place costs nothing per step once parked, and one memo probe otherwise.
-Every other step, a successor chosen by a hook included, goes through
-``step``, the only code that takes a step: it moves the runner, counts
-the step and shows the monitor the new state. All randomness flows from
-per-purpose streams derived from the global seed, so identical inputs
-replay identically.
+is counted and nothing else is called. A step of either kind that
+leaves the runner resting where it was also parks it when the state's
+labels cover every input and a few cubes of inputs are all that can
+move it from there (at most one after a memo hit, any number after a
+miss): the loop then files it under each of those cubes and
+stops probing it, until an input in one of them comes, and counts the
+steps it skipped when it unparks it or ends. So a runner the input
+leaves in place costs nothing per step once parked, and one memo probe
+otherwise. Every other step, a successor chosen by a hook included, goes
+through ``step``, the only code that takes a step: it moves the runner,
+counts the step and shows the monitor the new state. All randomness
+flows from per-purpose streams derived from the global seed, so
+identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .automata import Automaton
+from .automata import Automaton, covers_state
 from .hoa import HoaParseError, parse_named_label
-from .labels import Cover, Cube, LabelExpr, Valuation, cover, holds, remap, tautology
+from .labels import CapacityError, Cover, Cube, LabelExpr, Valuation, cover, holds, hull, remap
 from .monitoring import Monitor, Verdict
 
 
@@ -523,6 +525,7 @@ MEMO_CAP = 1 << 14
 
 # the resting entry where a step has to be taken in full: no memo entry is it
 _MOVES = object()
+_UNSEEN = object()  # an exits entry not worked out yet
 _UNKNOWN = Verdict.UNKNOWN  # compared by identity on the per-step path
 
 
@@ -549,17 +552,24 @@ class Runner:
     taken in full by ``_step_runner``, which sets ``resting`` again by
     that rule once the step and its hooks are done; ``run_loop`` sets it
     to the object no memo entry is when it starts, so each runner's first
-    step is taken in full. A step of either kind that leaves ``resting``
-    at ``unique[q]`` for the state q it started from parks the runner
-    when q has an exit cube.
+    step is taken in full. A step that leaves ``resting`` at ``unique[q]``
+    for the state q it started from parks the runner when q has exit
+    cubes: any such step when q has at most one, and only one taken on a
+    memo miss when it has several.
 
-    ``exits[q]`` is q's exit cube, at global bit positions: the one cube
-    of inputs that can take the runner out of state q when every other
-    input keeps it there, or None when q has none. A parked runner
-    stays at q, unprobed, until an input in that cube comes; its
-    ``resting`` entry cannot change meanwhile, as only its own steps
-    and hooks move it or its monitor. ``exit_cube`` works an entry out
-    the first time the loop would park the runner at q.
+    ``exits[q]`` is q's exit cubes, at global bit positions, when q's
+    labels all have covers and cover every input together: for each
+    label that leaves q for another state, the smallest cube holding all
+    of its cubes, or those cubes when that is every input. Every input
+    outside them keeps the runner at q; a sink has none. It is None when
+    the runner is never parked at q, and ``_UNSEEN`` until
+    ``exit_cubes`` works it out, the first time the loop would park the
+    runner at q. Whether q's labels cover
+    every input is the automaton's answer (``automata.covers_state``),
+    which monitor attach has already found for each state. A parked
+    runner stays at q, unprobed, until an input in one of those cubes
+    comes; its ``resting`` entry cannot change meanwhile, as only its own
+    steps and hooks move it or its monitor.
     """
 
     def __init__(self, automaton: Automaton, label: str, projection: tuple[int, ...]):
@@ -594,20 +604,30 @@ class Runner:
         # one shared tuple per state for a unique candidate
         self.unique = tuple((q,) for q in range(automaton.num_states))
         self.resting: object = _MOVES
-        self.exits: dict[int, Cube | None] = {}
+        self.exits: list[tuple[Cube, ...] | None | object] = [_UNSEEN] * automaton.num_states
 
-    def exit_cube(self, q: int) -> Cube | None:
-        """``exits[q]``, worked out on first use: q's labels all have
-        covers that hold on every input together, and those leaving q for
-        another state give one cube."""
-        if q in self.exits:
+    def exit_cubes(self, q: int) -> tuple[Cube, ...] | None:
+        """``exits[q]``, worked out on first use: when q's labels all have
+        covers and cover every input together, one cube for each label
+        that leaves q for another state, the smallest that holds all of
+        its cubes, or those cubes when it would hold every input; without
+        repeats. Otherwise None."""
+        if self.exits[q] is not _UNSEEN:
             return self.exits[q]
         rows = self.rows[q]
         found = None
         if all(test.__class__ is tuple for test, _ in rows):
-            leaving = {cube for test, target in rows if target != q for cube in test}
-            if len(leaving) == 1 and tautology([cube for test, _ in rows for cube in test]):
-                (found,) = leaving
+            try:
+                complete = covers_state(self.automaton, q)
+            except CapacityError:  # past the checks' cap: never parked
+                complete = False
+            if complete:
+                filed: list[Cube] = []
+                for test, target in rows:
+                    if target != q and test:
+                        care, value = hull(test)
+                        filed.extend(test if not care else ((care, value),))
+                found = tuple(dict.fromkeys(filed))
         self.exits[q] = found
         return found
 
@@ -884,15 +904,18 @@ def run_loop(
     trace readers gives one record per step, and the first to end ends
     the run.
 
-    Any step, a memo hit or one taken in full, that leaves a runner
-    resting where it was parks it when its state has an exit cube
-    (``Runner.exit_cube``): every input outside that cube would leave it
-    in place and unseen again. A parked runner is stored under
-    ``watch[care][value]`` and costs nothing per step; each step looks up
-    its input once per care mask in ``watch``, and the runners it finds
-    are unparked and step with the busy ones, in runner order. A parked
-    runner's steps are counted when it is unparked, and when the loop
-    ends, however it ends."""
+    A step that leaves a runner resting where it was parks it when its
+    state has exit cubes (``Runner.exit_cubes``): every input outside
+    them would leave it in place and unseen again. A memo hit parks it
+    only at a state with at most one; a memo miss, the costly step, at
+    any. A parked runner is filed under ``watch[care][value]`` for each
+    of its cubes and costs nothing per step; each step looks up its
+    input once per care mask in ``watch``, and the runners it finds are
+    unparked, leave all their groups, so an input in two of a runner's
+    cubes wakes it once, and step with the busy ones, in runner order.
+    Groups and care masks left empty are dropped. A parked runner's steps
+    are counted when it is unparked, and when the loop ends, however it
+    ends."""
     ctx = _LoopContext(seed, on_event, interactive_in, interactive_out)
     reason = "steps-exhausted"
     halt_code: int | None = None
@@ -903,10 +926,12 @@ def run_loop(
         runner.resting = _MOVES
     states = [runner.current_state for runner in runners]
     busy = list(range(len(runners)))  # the positions of the runners not parked, in order
-    # the parked positions by exit cube; a care mask stays once it has
-    # been used, so there are at most as many as (runner, state) pairs
+    # the parked positions by exit cube, each under every exit cube of its
+    # state; an emptied group, and a care mask left without groups, go
     watch: dict[int, dict[int, list[int]]] = {}
     since: dict[int, int] = {}  # a parked runner's position: its first step not counted
+    spread: dict[int, tuple[Cube, ...]] = {}  # the cubes of each runner parked under several
+    emptied: list[int] = []  # care masks that may have been left without groups
     # the position whose step was under way; the parked runners before it
     # have passed step ctx.step_index too
     upto = 0
@@ -920,27 +945,57 @@ def run_loop(
             if since:
                 for care, parked in watch.items():
                     woken = parked.pop(bits & care, None)
-                    if woken is not None:
-                        for position in woken:
-                            runners[position].step_count += ctx.step_index - since.pop(position)
-                            insort(busy, position)
+                    if woken is None:
+                        continue
+                    for position in woken:
+                        runners[position].step_count += ctx.step_index - since.pop(position)
+                        insort(busy, position)
+                        if position in spread:
+                            # leave its other groups; the one that woke it is gone
+                            for other, value in spread.pop(position):
+                                group = watch[other].get(value)
+                                if group is None:
+                                    continue
+                                if len(group) > 1:
+                                    group.remove(position)
+                                    continue
+                                del watch[other][value]
+                                emptied.append(other)
+                    if not parked:
+                        emptied.append(care)
+                if emptied:
+                    for care in emptied:
+                        if care in watch and not watch[care]:
+                            del watch[care]
+                    emptied.clear()
             for upto in busy[:]:
                 runner = runners[upto]
                 state = runner.current_state
                 found = runner.memo.get(state << runner.shift | bits & runner.mask)
                 if found is runner.resting:
                     runner.step_count += 1
+                    cubes = runner.exits[state]
+                    if cubes is _UNSEEN:
+                        cubes = runner.exit_cubes(state)
+                    if cubes is None or len(cubes) > 1:
+                        continue
                 else:
                     _step_runner(runner, bits, found, ctx)
                     states[upto] = runner.current_state
                     if runner.resting is not runner.unique[state]:
                         continue
-                cube = runner.exit_cube(state)
-                if cube is not None:
-                    care, value = cube
+                    cubes = runner.exit_cubes(state)
+                    if cubes is None:
+                        continue
+                    if len(cubes) > 1:
+                        # parked under several cubes only after a memo miss
+                        if found is not None:
+                            continue
+                        spread[upto] = cubes
+                for care, value in cubes:
                     watch.setdefault(care, {}).setdefault(value, []).append(upto)
-                    since[upto] = ctx.step_index + 1
-                    busy.remove(upto)
+                since[upto] = ctx.step_index + 1
+                busy.remove(upto)
             upto = len(runners)
             ctx.on_event(StepEvent(ctx.step_index, bits, width, runners, tuple(states)))
             ctx.step_index += 1

@@ -20,6 +20,7 @@ from hoarun.labels import (
     covers_all,
     evaluate,
     holds,
+    hull,
     land,
     lor,
     minterm,
@@ -125,6 +126,21 @@ def test_covering_matches_enumeration(labels):
 
 def _satisfies(cubes, bits):
     return any(bits & care == value for care, value in cubes)
+
+
+@given(exprs())
+def test_hull_is_the_smallest_cube_holding_a_cover(expr):
+    # the bits that every valuation satisfying the cover shares, with
+    # their values; a cover without cubes has no hull
+    assert hull(((3, 1), (3, 3), (7, 1))) == (1, 1)
+    _, cubes = cover(expr)
+    satisfying = [bits for bits in range(32) if cubes is not None and _satisfies(cubes, bits)]
+    if not satisfying:
+        return
+    care = 31
+    for bits in satisfying:
+        care &= ~(bits ^ satisfying[0])
+    assert hull(cubes) == (care, satisfying[0] & care)
 
 
 @given(exprs(), valuations(), st.permutations(range(8)), st.integers(0, 255))

@@ -570,8 +570,9 @@ def test_step_walks_labels_past_the_cube_cap():
 def test_memo_stays_under_cap_on_wide_inputs():
     # 20 propositions under random drivers: nearly every step is a new
     # (state, input) pair, so the memo fills and is emptied; stepping
-    # stays exact across that. Two cubes leave each state, so the runner
-    # is never parked and every step probes the memo
+    # stays exact across that. Two cubes leave each state, so only a memo
+    # miss parks the runner, and an input in either cube, about three
+    # steps in four, wakes it: most steps still probe the memo
     names = tuple(f"p{i}" for i in range(20))
     move = lor(Ap(0), Ap(19))
     aut = Automaton(
@@ -736,11 +737,12 @@ def _trace_rows(text):
     return header, [[token == "1" for token in row] for row in rows]
 
 
-@pytest.mark.parametrize("n, length", [(4, 400), (8, 200)])
+@pytest.mark.parametrize("n, length", [(4, 400), (8, 200), (16, 100)])
 def test_parked_lock_monitors_match_replayed_monitors(n, length):
     # every gen-locks monitor with a reset on each conclusive verdict: at
-    # n=8 all but a few of the 128 runners are parked at any one step;
-    # the replay steps every runner by evaluate and observes every state
+    # n=8 and n=16 all but a few of the 128 or 512 runners are parked at
+    # any one step, idle or holding their lock; the replay steps every
+    # runner by evaluate and observes every state
     automata = emit_monitors(n).automata
     trace = generate_trace(LockScenario(n=n, length=length, violations=4, seed=1))
     hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
@@ -925,6 +927,91 @@ def test_a_runner_left_in_place_by_its_first_step_is_parked_at_once():
     assert [e.states[0][1] for e in events if isinstance(e, StepEvent)] == [1, 0, 0, 0, 0, 0, 1]
     assert runners[0].step_count == 7
     assert len(runners[0].memo) == 3  # the inputs of steps 0, 1 and 2
+
+
+class _ProbeCountingMemo(dict):
+    """A successor memo that counts the loop's probes."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def test_a_runner_woken_by_two_of_its_cubes_steps_once():
+    # `p | q` leaves state 0 as two cubes, and the runner is parked under
+    # both after the memo miss of step 0; p & q at step 3 is in both, and
+    # wakes, steps and counts it once
+    automaton = _over_pq("either", [(0, lor(P, Q), 1), (0, land(Not(P), Not(Q)), 0), (1, TRUE, 1)])
+    universe = build_universe([automaton])
+    (runner,) = prepare_runners([automaton], universe)
+    runner.memo = _ProbeCountingMemo()
+    events = []
+    report = run_loop(
+        [runner], trace_sources(universe, "p q\n0 0\n0 0\n0 0\n1 1\n0 0\n"), on_event=events.append
+    )
+    assert [e.states[0][1] for e in events] == [0, 0, 0, 1, 1]
+    assert runner.step_count == report.steps == 5
+    assert runner.memo.probes == 3  # at steps 0, 3 and 4
+    assert runner.exit_cubes(0) == ((1, 1), (2, 2))
+
+
+def test_an_incomplete_state_is_never_parked_and_deadlocks_where_it_did():
+    # state 0 has two exit cubes, p and !p & q, and no transition for
+    # !p & !q & !r; run without a monitor it is never completed, so the
+    # runner is probed at every step and deadlocks at step 4
+    automaton = Automaton(
+        aps=("p", "q", "r"),
+        num_states=3,
+        initial=frozenset({0}),
+        transitions=(
+            Transition(0, P, 1),
+            Transition(0, land(Not(P), Q), 2),
+            Transition(0, land(Not(P), Not(Q), Ap(2)), 0),
+            Transition(1, TRUE, 1),
+            Transition(2, TRUE, 2),
+        ),
+        acc_sets=(),
+        condition=Top(),
+        name="gap",
+    )
+    text = "p q r\n0 0 1\n0 0 1\n0 0 1\n0 0 1\n0 0 0\n0 1 0\n"
+    report, events, runners = _run_with_trace([automaton], text)
+    assert (report.reason, report.steps, report.fatal_runner) == ("deadlock", 4, "gap")
+    assert runners[0].exit_cubes(0) is None
+    assert automaton.complete == {0: False}  # decided once, without the checks
+    assert runners[0].step_count == 4
+    assert len(events) == 4
+
+
+def test_parked_runners_keep_run_loop_memory_flat_in_trace_length(tmp_path):
+    # the n=4 lock monitors, 32 runners parked and woken under up to 8
+    # cubes each: emptied groups and care masks are dropped, so the peak
+    # of a run ten times as long is no higher
+    automata = emit_monitors(4).automata
+    hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
+
+    def peak_bytes(length):
+        path = tmp_path / f"{length}.trace"
+        path.write_text(generate_trace(LockScenario(n=4, length=length, violations=4, seed=1)))
+        universe = build_universe(automata)
+        runners = prepare_runners(automata, universe, hooks)
+        for runner, automaton in zip(runners, automata):
+            runner.monitor = Monitor(automaton)
+        sources = resolve_bindings(universe, Config(default_driver=FileSpec(str(path))), seed=0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = run_loop(runners, sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.steps == length
+        return peak
+
+    small, large = peak_bytes(2_000), peak_bytes(20_000)
+    assert abs(large - small) < 100_000
 
 
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
