@@ -41,7 +41,18 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .automata import Automaton, covers_state
 from .hoa import HoaParseError, parse_named_label
-from .labels import CapacityError, Cover, Cube, LabelExpr, Valuation, cover, holds, hull, remap
+from .labels import (
+    CapacityError,
+    Cover,
+    Cube,
+    LabelExpr,
+    Valuation,
+    cover,
+    holds,
+    hull,
+    remap,
+    tautology,
+)
 from .monitoring import Monitor, Verdict
 
 
@@ -555,7 +566,12 @@ class Runner:
     step is taken in full. A step that leaves ``resting`` at ``unique[q]``
     for the state q it started from parks the runner when q has exit
     cubes: any such step when q has at most one, and only one taken on a
-    memo miss when it has several.
+    memo miss when it has several. A miss is the costly probe, and where
+    the memo has missed it is likely to miss again; once the memo holds
+    the inputs a runner meets at q, a hit costs less than filing it
+    under several cubes and taking it out again when it soon leaves. So
+    parking under several cubes pays while the memo is cold, and less
+    as it fills on a long run.
 
     ``exits[q]`` is q's exit cubes, at global bit positions, when q's
     labels all have covers and cover every input together: for each
@@ -564,12 +580,14 @@ class Runner:
     outside them keeps the runner at q; a sink has none. It is None when
     the runner is never parked at q, and ``_UNSEEN`` until
     ``exit_cubes`` works it out, the first time the loop would park the
-    runner at q. Whether q's labels cover
-    every input is the automaton's answer (``automata.covers_state``),
-    which monitor attach has already found for each state. A parked
-    runner stays at q, unprobed, until an input in one of those cubes
-    comes; its ``resting`` entry cannot change meanwhile, as only its own
-    steps and hooks move it or its monitor.
+    runner at q. Whether q's labels cover every input is the
+    automaton's answer (``automata.covers_state``), which monitor attach
+    has already found for each state; past the checks' proposition cap,
+    where the automaton keeps no answer, the runner's own cubes decide
+    (``labels.tautology``). A parked runner stays at q, unprobed, until
+    an input in one of those cubes comes; its ``resting`` entry cannot
+    change meanwhile, as only its own steps and hooks move it or its
+    monitor.
     """
 
     def __init__(self, automaton: Automaton, label: str, projection: tuple[int, ...]):
@@ -619,8 +637,8 @@ class Runner:
         if all(test.__class__ is tuple for test, _ in rows):
             try:
                 complete = covers_state(self.automaton, q)
-            except CapacityError:  # past the checks' cap: never parked
-                complete = False
+            except CapacityError:  # past the checks' cap: the runner's covers decide
+                complete = tautology([cube for test, _ in rows for cube in test])
             if complete:
                 filed: list[Cube] = []
                 for test, target in rows:
@@ -908,12 +926,14 @@ def run_loop(
     state has exit cubes (``Runner.exit_cubes``): every input outside
     them would leave it in place and unseen again. A memo hit parks it
     only at a state with at most one; a memo miss, the costly step, at
-    any. A parked runner is filed under ``watch[care][value]`` for each
-    of its cubes and costs nothing per step; each step looks up its
-    input once per care mask in ``watch``, and the runners it finds are
-    unparked, leave all their groups, so an input in two of a runner's
-    cubes wakes it once, and step with the busy ones, in runner order.
-    Groups and care masks left empty are dropped. A parked runner's steps
+    any (``Runner`` says why). A parked runner is filed under
+    ``watch[care][value]`` for each of its cubes and costs nothing per
+    step; each step looks up its input once per care mask in ``watch``,
+    and the runners it finds are unparked and leave all their groups,
+    which are those of the cubes in ``exits`` at the state they waited
+    in, so an input in two of a runner's cubes wakes it once; they step
+    with the busy ones, in runner order. Groups and care masks left
+    empty are dropped. A parked runner's steps
     are counted when it is unparked, and when the loop ends, however it
     ends."""
     ctx = _LoopContext(seed, on_event, interactive_in, interactive_out)
@@ -930,7 +950,6 @@ def run_loop(
     # state; an emptied group, and a care mask left without groups, go
     watch: dict[int, dict[int, list[int]]] = {}
     since: dict[int, int] = {}  # a parked runner's position: its first step not counted
-    spread: dict[int, tuple[Cube, ...]] = {}  # the cubes of each runner parked under several
     emptied: list[int] = []  # care masks that may have been left without groups
     # the position whose step was under way; the parked runners before it
     # have passed step ctx.step_index too
@@ -948,11 +967,13 @@ def run_loop(
                     if woken is None:
                         continue
                     for position in woken:
-                        runners[position].step_count += ctx.step_index - since.pop(position)
+                        runner = runners[position]
+                        runner.step_count += ctx.step_index - since.pop(position)
                         insort(busy, position)
-                        if position in spread:
+                        cubes = runner.exits[runner.current_state]
+                        if len(cubes) > 1:
                             # leave its other groups; the one that woke it is gone
-                            for other, value in spread.pop(position):
+                            for other, value in cubes:
                                 group = watch[other].get(value)
                                 if group is None:
                                     continue
@@ -985,13 +1006,9 @@ def run_loop(
                     if runner.resting is not runner.unique[state]:
                         continue
                     cubes = runner.exit_cubes(state)
-                    if cubes is None:
+                    # under several cubes only after a memo miss
+                    if cubes is None or found is not None and len(cubes) > 1:
                         continue
-                    if len(cubes) > 1:
-                        # parked under several cubes only after a memo miss
-                        if found is not None:
-                            continue
-                        spread[upto] = cubes
                 for care, value in cubes:
                     watch.setdefault(care, {}).setdefault(value, []).append(upto)
                 since[upto] = ctx.step_index + 1

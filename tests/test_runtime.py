@@ -957,6 +957,51 @@ def test_a_runner_woken_by_two_of_its_cubes_steps_once():
     assert runner.exit_cubes(0) == ((1, 1), (2, 2))
 
 
+def test_a_memo_hit_leaves_a_runner_with_several_cubes_unparked():
+    # the memo miss of step 0 parks the runner under both cubes of
+    # `p | q`, and p at step 2 wakes it and moves it to state 1; it comes
+    # back at step 3, and from step 4 the memo holds 0 with !p & !q: a
+    # hit does not file a runner under several cubes (filing and
+    # unfiling it costs more than hits when it soon leaves), so it is
+    # probed at steps 4 and 5
+    automaton = _over_pq("back", [(0, lor(P, Q), 1), (0, land(Not(P), Not(Q)), 0), (1, TRUE, 0)])
+    universe = build_universe([automaton])
+    (runner,) = prepare_runners([automaton], universe)
+    runner.memo = _ProbeCountingMemo()
+    text = "p q\n0 0\n0 0\n1 0\n0 0\n0 0\n0 0\n"
+    events = []
+    report = run_loop([runner], trace_sources(universe, text), on_event=events.append)
+    assert [e.states[0][1] for e in events] == [0, 0, 1, 0, 0, 0]
+    assert runner.step_count == report.steps == 6
+    assert runner.memo.probes == 5  # at every step but 1
+
+
+def test_a_state_past_the_checks_cap_is_parked_by_its_covers():
+    # state 0 loops on the complement of a 17-literal cube, one more
+    # proposition than the checks enumerate; its labels have covers, which
+    # hold on every input together, so the runner is parked after step 0
+    names = tuple(f"p{i}" for i in range(17))
+    wide = land(*(Ap(i) for i in range(17)))
+    automaton = Automaton(
+        aps=names,
+        num_states=2,
+        initial=frozenset({0}),
+        transitions=(Transition(0, wide, 1), Transition(0, Not(wide), 0), Transition(1, TRUE, 1)),
+        acc_sets=(frozenset({1}),),
+        condition=Inf(0),
+        name="wide",
+    )
+    universe = build_universe([automaton])
+    (runner,) = prepare_runners([automaton], universe)
+    runner.memo = _ProbeCountingMemo()
+    text = " ".join(names) + "\n" + ("0 " * 17 + "\n") * 50
+    report = run_loop([runner], trace_sources(universe, text))
+    assert runner.step_count == report.steps == 50
+    assert runner.memo.probes == 1
+    assert runner.exit_cubes(0) == ((sum(1 << i for i in range(17)),) * 2,)
+    assert automaton.complete == {}  # over the cap the automaton keeps no answer
+
+
 def test_an_incomplete_state_is_never_parked_and_deadlocks_where_it_did():
     # state 0 has two exit cubes, p and !p & q, and no transition for
     # !p & !q & !r; run without a monitor it is never completed, so the
