@@ -12,13 +12,14 @@ from typing import Iterable
 
 from .labels import (
     TRUE,
+    Diagrams,
     LabelExpr,
+    LabelTable,
     Not,
     chain,
-    covers_all,
     lor,
     occurring_aps,
-    pairwise_disjoint,
+    postorder,
 )
 
 
@@ -72,15 +73,7 @@ def acc_or(*children: AcceptanceCond) -> AcceptanceCond:
 
 def acc_set_refs(cond: AcceptanceCond) -> frozenset[int]:
     """All acceptance-set indices referenced by a condition."""
-    refs: set[int] = set()
-    stack: list[AcceptanceCond] = [cond]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Fin, Inf)):
-            refs.add(node.set_index)
-        elif isinstance(node, (AccAnd, AccOr)):
-            stack.extend(node.children)
-    return frozenset(refs)
+    return frozenset(node.set_index for node in postorder(cond) if isinstance(node, (Fin, Inf)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,14 +103,6 @@ class Automaton:
     tool: tuple[str, ...] | None = None
     properties: tuple[str, ...] = ()
     display_ids: tuple[int, ...] | None = field(default=None, compare=False)
-    # labels.cover's memo for these labels, shared by the checks and the
-    # runners; keyed by node ids, so it is only valid for this object
-    covers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the labels leaving each state, by state, grouped on first use
-    leaving: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # whether those labels cover every input, by state, for each state
-    # decided so far (covers_state)
-    complete: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.aps)) != len(self.aps):
@@ -172,42 +157,81 @@ def state_graph(automaton: Automaton) -> StateGraph:
     )
 
 
-def _labels_by_state(automaton: Automaton) -> list[list[LabelExpr]]:
-    """``automaton.leaving``, grouped the first time it is asked for."""
-    if not automaton.leaving:
-        out: list[list[LabelExpr]] = [[] for _ in range(automaton.num_states)]
+class Compiled:
+    """An automaton's labels compiled once, at load, into decision diagrams
+    in one store (:class:`labels.Diagrams`), for the checks and the runners.
+
+    ``edges[q]`` holds the transitions leaving state q, in order, and
+    ``tables[q]`` their labels' :class:`labels.LabelTable`, one for the
+    states whose labels are the same objects; its leaves are sets of
+    positions in ``edges[q]``, and ``targets[q]`` maps each to the sorted
+    distinct targets of its transitions, ``unique[t]`` for t alone.
+    ``exits[q]`` is the cubes outside which every input leads from q back
+    to q: for each label leaving q for another state, its hull, or its
+    paths when the hull holds every input. It is None when q's labels
+    leave an input without a transition, or have no table, or such a
+    label has more paths than nodes.
+    """
+
+    def __init__(self, automaton: Automaton):
+        self.automaton = automaton
+        store = self.diagrams = Diagrams()
+        edges: list[list[Transition]] = [[] for _ in range(automaton.num_states)]
         for t in automaton.transitions:
-            out[t.src].append(t.label)
-        automaton.leaving.extend(out)
-    return automaton.leaving
+            edges[t.src].append(t)
+        self.edges = tuple(tuple(out) for out in edges)
+        memo: dict = {}  # the labels' diagrams, by the ids of their nodes
+        tables: dict[tuple[int, ...], LabelTable] = {}
+        for out in self.edges:
+            key = tuple(id(t.label) for t in out)
+            if key not in tables:
+                tables[key] = LabelTable(store, (t.label for t in out), memo)
+        self.tables = tuple(tables[tuple(id(t.label) for t in out)] for out in self.edges)
+        self.unique = tuple((q,) for q in range(automaton.num_states))
+        self.targets = tuple(
+            {leaf: self._targets(out, leaf) for leaf in table.leaves or ()}
+            for table, out in zip(self.tables, self.edges)
+        )
+        filed: dict = {}  # the cubes filed for a label's node
+        self.exits = tuple(self._exit_cubes(q, filed) for q in range(automaton.num_states))
+
+    def _targets(self, out: tuple[Transition, ...], positions: frozenset[int]) -> tuple[int, ...]:
+        targets = sorted({out[j].dst for j in positions})
+        return self.unique[targets[0]] if len(targets) == 1 else tuple(targets)
+
+    def _exit_cubes(self, q: int, filed: dict) -> tuple[tuple[int, int], ...] | None:
+        table = self.tables[q]
+        if table.leaves is None or not all(table.leaves):
+            return None
+        store = self.diagrams
+        cubes = []
+        for t, (_, node) in zip(self.edges[q], table.labels):
+            if t.dst == q or node == store.false:
+                continue
+            if node not in filed:
+                care, value = store.hull(node)
+                filed[node] = [(care, value)] if care else store.paths(node)
+            if filed[node] is None:
+                return None
+            cubes.extend(filed[node])
+        return tuple(dict.fromkeys(cubes))
 
 
-def is_deterministic(automaton: Automaton) -> bool:
-    """Single initial state and pairwise-disjoint labels leaving every state."""
+def is_deterministic(automaton: Automaton, compiled: Compiled | None = None) -> bool:
+    """Single initial state and pairwise-disjoint labels leaving every
+    state (:meth:`labels.LabelTable.disjoint`), state by state; read from
+    ``compiled``, the automaton's :class:`Compiled`, made when not given."""
     if len(automaton.initial) != 1:
         return False
-    ap_count = len(automaton.aps)
-    return all(
-        pairwise_disjoint(labels, ap_count, automaton.covers)
-        for labels in _labels_by_state(automaton)
-    )
+    tables = (compiled or Compiled(automaton)).tables
+    return all(table.disjoint(len(automaton.aps)) for table in tables)
 
 
-def covers_state(automaton: Automaton, state: int) -> bool:
-    """Whether the labels leaving ``state`` cover every valuation:
-    :func:`covers_all`'s answer, worked out once per state and kept in
-    ``automaton.complete``. Over the cap it raises CapacityError every
-    time, and keeps nothing."""
-    complete = automaton.complete
-    if state not in complete:
-        labels = _labels_by_state(automaton)[state]
-        complete[state] = covers_all(labels, len(automaton.aps), automaton.covers)
-    return complete[state]
-
-
-def is_complete(automaton: Automaton) -> bool:
-    """The labels leaving each state jointly cover every valuation."""
-    return all(covers_state(automaton, state) for state in range(automaton.num_states))
+def is_complete(automaton: Automaton, compiled: Compiled | None = None) -> bool:
+    """The labels leaving each state jointly cover every valuation
+    (:meth:`labels.LabelTable.covering`), state by state; as above."""
+    tables = (compiled or Compiled(automaton)).tables
+    return all(table.covering(len(automaton.aps)) for table in tables)
 
 
 def complete_by_stuttering(automaton: Automaton) -> Automaton:
@@ -218,11 +242,12 @@ def complete_by_stuttering(automaton: Automaton) -> Automaton:
     complete and determinism is preserved. Returns the input unchanged
     when it is already complete.
     """
+    compiled = Compiled(automaton)
     added: list[Transition] = []
-    for state, labels in enumerate(_labels_by_state(automaton)):
-        if covers_state(automaton, state):
+    for state, (table, out) in enumerate(zip(compiled.tables, compiled.edges)):
+        if table.covering(len(automaton.aps)):
             continue
-        label = TRUE if not labels else Not(lor(*labels))
+        label = TRUE if not out else Not(lor(*(t.label for t in out)))
         added.append(Transition(state, label, state))
     if not added:
         return automaton

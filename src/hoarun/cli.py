@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .automata import Automaton, is_complete, is_deterministic, state_graph
+from .automata import Automaton, Compiled, is_complete, is_deterministic, state_graph
 from .hoa import HoaParseError, format_acceptance, parse, serialize
 from .labels import CapacityError
 from .locks import LockScenario, ScenarioError, ap_layout, emit_monitors, generate_trace
@@ -174,6 +174,7 @@ def _cmd_run(args) -> int:
         )
         return EXIT_ERROR
 
+    compiled = None  # the automata's compiled labels, made at attach when monitored
     if args.monitor:
         monitored = []
         for automaton in automata:
@@ -188,15 +189,16 @@ def _cmd_run(args) -> int:
                 return EXIT_ERROR
             monitored.append((completed, monitor))
         automata = [aut for aut, _ in monitored]
+        compiled = [monitor.compiled for _, monitor in monitored]
 
     universe = build_universe(automata)
     try:
-        runners = prepare_runners(automata, universe, config.hooks)
+        runners = prepare_runners(automata, universe, config.hooks, compiled)
         if args.monitor:
             for runner, (_, monitor) in zip(runners, monitored):
                 runner.monitor = monitor
         sources = resolve_bindings(universe, config, seed=seed)
-    except (ConfigError, TraceError, OSError) as exc:
+    except (ConfigError, CapacityError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -264,9 +266,10 @@ def _cmd_check(args) -> int:
             label = f"{path}[{idx}]"
             if automaton.name:
                 label += f" {automaton.name!r}"
+            compiled = Compiled(automaton)
             try:
-                deterministic = _yes_no(is_deterministic(automaton))
-                complete = _yes_no(is_complete(automaton))
+                deterministic = _yes_no(is_deterministic(automaton, compiled))
+                complete = _yes_no(is_complete(automaton, compiled))
             except CapacityError:
                 deterministic = complete = "capacity-exceeded"
             index = build_index(state_graph(automaton), automaton.initial)

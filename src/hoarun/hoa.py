@@ -43,6 +43,7 @@ from .labels import (
     Or,
     TrueLabel,
     minterm,
+    postorder,
 )
 
 _MAX_NESTING = 200
@@ -379,6 +380,7 @@ class _Parser:
         self._take()  # --END--
 
         resolved: dict[int, list[tuple[LabelExpr, int]]] = {}
+        minterms: list[LabelExpr] = []  # the implicit labels, one object per input for all states
         for sid, state_label, stok in states:
             out = edges[sid]
             if state_label is not None:
@@ -398,9 +400,9 @@ class _Parser:
                         f"expected {1 << ap_count}",
                         stok,
                     )
-                resolved[sid] = [
-                    (minterm(i, ap_count), tgt) for i, (_, tgt, _) in enumerate(out)
-                ]
+                if not minterms:
+                    minterms.extend(minterm(i, ap_count) for i in range(len(out)))
+                resolved[sid] = [(minterms[i], tgt) for i, (_, tgt, _) in enumerate(out)]
         return resolved, marks
 
     def _parse_acc_sig(self, acc_count: int) -> list[int]:
@@ -453,7 +455,7 @@ class _Parser:
 
     def _shared(self, cls: type, arg):
         """The document's one node ``cls(arg)``, so that equal labels are
-        one object and convert to cubes once; children are shared
+        one object and convert to a diagram once; children are shared
         already, so their identities make the key. Acceptance atoms are
         made afresh, so no two acceptance chains are ever one node."""
         if cls is Ap:
@@ -658,21 +660,29 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _format_formula(node, format_atom, and_cls: type, or_cls: type) -> str:
+def _format_formula(root, format_atom, and_cls: type, or_cls: type) -> str:
     """A label or acceptance condition as text; ``format_atom`` writes the
-    nodes that are not chains. `&` binds tighter than `|`, and a chain
-    inside a chain of the same operator keeps its parentheses."""
-    if isinstance(node, and_cls):
-        joint, nested, empty = " & ", (and_cls, or_cls), "t"
-    elif isinstance(node, or_cls):
-        joint, nested, empty = " | ", or_cls, "f"
-    else:
-        return format_atom(node)
-    parts = []
-    for child in node.children:
-        text = _format_formula(child, format_atom, and_cls, or_cls)
-        parts.append(f"({text})" if isinstance(child, nested) else text)
-    return joint.join(parts) if parts else empty
+    nodes that are neither chains nor negations. `&` binds tighter than
+    `|`, a chain inside a chain of the same operator keeps its
+    parentheses, and a negated chain takes them. The nodes are written
+    children first (:func:`labels.postorder`), so any depth prints."""
+    done: dict[int, str] = {}  # text by node id
+    for node in postorder(root):
+        if isinstance(node, Not):
+            text = done[id(node.child)]
+            done[id(node)] = f"!({text})" if isinstance(node.child, (And, Or)) else "!" + text
+        elif isinstance(node, (and_cls, or_cls)):
+            conjunction = isinstance(node, and_cls)
+            nested = (and_cls, or_cls) if conjunction else or_cls
+            parts = [
+                f"({done[id(child)]})" if isinstance(child, nested) else done[id(child)]
+                for child in node.children
+            ]
+            empty = "t" if conjunction else "f"
+            done[id(node)] = (" & " if conjunction else " | ").join(parts) or empty
+        else:
+            done[id(node)] = format_atom(node)
+    return done[id(root)]
 
 
 def _format_label_atom(expr: LabelExpr) -> str:
@@ -682,14 +692,6 @@ def _format_label_atom(expr: LabelExpr) -> str:
         return "f"
     if isinstance(expr, Ap):
         return str(expr.index)
-    if isinstance(expr, Not):
-        # a chain of negations takes one frame, however long
-        bangs = 0
-        while isinstance(expr, Not):
-            bangs += 1
-            expr = expr.child
-        child = _format_formula(expr, _format_label_atom, And, Or)
-        return "!" * bangs + (f"({child})" if isinstance(expr, (And, Or)) else child)
     raise TypeError(f"not a label expression: {expr!r}")
 
 

@@ -1,24 +1,30 @@
 """Boolean formulas over atomic propositions, used as transition labels.
 
 A formula is an immutable tree; a valuation assigns one bit per
-proposition index. The checks and the runtime use one compiled form of
-a formula, its cover (:func:`cover`): a disjunction of cubes. A formula
-whose cover would exceed ``CUBE_CAP`` cubes is walked (:func:`holds`),
-and the checks enumerate assignments for it. Either way the checks
-refuse more than ``DEFAULT_ENUM_CAP`` occurring propositions, so their
-answers do not depend on the way taken. :func:`evaluate` is the
-tree-walking reference.
+proposition index, and :func:`evaluate` is the tree-walking reference.
+The checks and the runtime use one compiled form, decision diagrams
+(:class:`Diagrams`): one per label, and per state a table of the labels
+that hold on each input (:class:`LabelTable`), which determinism and
+completeness are read off. The checks refuse more than
+``DEFAULT_ENUM_CAP`` occurring propositions, as a rule, and no step in
+building a diagram adds more than ``NODE_BUDGET`` nodes, which within
+the cap none reaches.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 DEFAULT_ENUM_CAP = 16
 
-# cubes a cover may hold: past it a formula is walked, not covered
-CUBE_CAP = 64
+# the nodes that one operation on decision diagrams may add to their store:
+# more than a diagram over DEFAULT_ENUM_CAP propositions can have (fewer
+# than 2 ** (cap + 1), leaves included), so no operation within the cap
+# ever reaches it, and past it the diagrams of some labels grow
+# exponentially with the order of their propositions
+NODE_BUDGET = 2 << DEFAULT_ENUM_CAP
 
 
 class LabelError(Exception):
@@ -147,161 +153,260 @@ def evaluate(expr: LabelExpr, valuation: Valuation) -> bool:
     raise TypeError(f"not a label expression: {expr!r}")
 
 
-def occurring_aps(*exprs: LabelExpr) -> frozenset[int]:
-    """Indices of all propositions occurring in the given formulas."""
-    found: set[int] = set()
-    stack: list[LabelExpr] = list(exprs)
+def postorder(*roots, skip: Container[int] = ()) -> Iterator:
+    """Every node of the formulas ``roots`` once, after its children (a
+    ``child`` or ``children``), from an explicit stack: any depth is
+    walked without recursion, and a shared node is visited once. Nodes
+    whose ids are in ``skip`` are left out, with all below them."""
+    seen: set[int] = set()
+    stack = list(roots)
     while stack:
-        node = stack.pop()
-        if isinstance(node, Ap):
-            found.add(node.index)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.children)
-    return frozenset(found)
-
-
-# a cube (care, value) holds on the valuation bits b with b & care ==
-# value, and a cover, a tuple of cubes, where one of them holds
-Cube = tuple[int, int]
-Cover = tuple[Cube, ...]
-_TRUE_COVER: Cover = ((0, 0),)
-
-
-def _nnf_fold(
-    expr: LabelExpr, literal: Callable, conjoin: Callable, disjoin: Callable, done: dict
-):
-    """Fold ``expr`` with its negations pushed to the literals (De Morgan).
-
-    ``(node, positive)`` is the node, or its negation when not positive:
-    ``literal(index, positive)`` values a proposition, ``conjoin`` or
-    ``disjoin`` the values of a node's children (none for a constant).
-    Each is valued once, from an explicit stack, so any depth folds
-    without recursion; ``done`` keeps them by ``(id(node), positive)``.
-    """
-    stack = [(expr, True)]
-    while stack:
-        node, positive = stack[-1]
-        if (id(node), positive) in done:
+        node = stack[-1]
+        if id(node) in seen or id(node) in skip:
             stack.pop()
             continue
-        if isinstance(node, Not):
-            children: tuple = ((node.child, not positive),)
-        else:
-            children = tuple((child, positive) for child in getattr(node, "children", ()))
-        pending = [item for item in children if (id(item[0]), item[1]) not in done]
+        children = (node.child,) if isinstance(node, Not) else getattr(node, "children", ())
+        pending = [child for child in children if id(child) not in seen and id(child) not in skip]
         if pending:
             stack.extend(pending)
             continue
+        seen.add(id(node))
         stack.pop()
-        values = [done[id(child), sign] for child, sign in children]
-        if isinstance(node, Not):
-            done[id(node), positive] = values[0]
-        elif isinstance(node, Ap):
-            done[id(node), positive] = literal(node.index, positive)
-        elif isinstance(node, (And, Or, TrueLabel, FalseLabel)):
-            fold = conjoin if isinstance(node, (And, TrueLabel)) == positive else disjoin
-            done[id(node), positive] = fold(values)
-        else:
-            raise TypeError(f"not a label expression: {node!r}")
-    return done[id(expr), True]
+        yield node
 
 
-def holds(expr: LabelExpr, bits: int, positions: Sequence[int] | None = None) -> bool:
-    """:func:`evaluate` by one walk, without recursion or width check;
-    ``Ap(i)`` reads bit ``positions[i]``, or bit ``i`` when it is None."""
-
-    def literal(index: int, positive: bool) -> bool:
-        return bool(bits >> (index if positions is None else positions[index]) & 1) == positive
-
-    return _nnf_fold(expr, literal, all, any, {})
+def occurring_aps(*exprs: LabelExpr) -> frozenset[int]:
+    """Indices of all propositions occurring in the given formulas."""
+    return frozenset(node.index for node in postorder(*exprs) if isinstance(node, Ap))
 
 
-def cover(expr: LabelExpr, memo: dict | None = None) -> tuple[int, Cover | None]:
-    """The mask of the propositions in ``expr``, and its cover over bit i
-    for proposition i, or None when a subformula's has over CUBE_CAP cubes.
+# a cube (care, value) holds on the valuation bits b with b & care == value
+Cube = tuple[int, int]
 
-    ``memo`` keeps the result of every node by id: give the labels of one
-    automaton one memo, which they outlive, so each node converts once.
+# the proposition a leaf counts as testing: past every real one, so the
+# least that some nodes test is an inner node's unless all are leaves
+_LEAF = sys.maxsize
+
+
+class Diagrams:
+    """Reduced ordered decision diagrams (Bryant, IEEE TC 1986) over the
+    propositions 0, 1, ..., tested in that order and hash-consed in one
+    store: a node is an int, and equal diagrams are the same int.
+
+    ``nodes[n]`` is ``(var, low, high)`` for an inner node, which tests
+    proposition var and goes on to low when it is false, to high when it
+    is true, and ``(_LEAF, value, None)`` for a leaf. A leaf's value may
+    be anything (the multi-terminal diagrams of Bahar et al., ICCAD
+    1993): a label's diagram has the leaves ``false`` and ``true``, a
+    table sets of labels (:meth:`table`). No pass recurses, and the
+    passes that may grow large run :meth:`bounded`.
     """
-    return _nnf_fold(expr, _literal, _conjoin, _disjoin, {} if memo is None else memo)
 
+    def __init__(self) -> None:
+        self.nodes: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._limit = sys.maxsize  # the length past which node refuses to grow the store
+        self.false = self.leaf(False)
+        self.true = self.leaf(True)
 
-def _literal(index: int, positive: bool) -> tuple[int, Cover]:
-    return 1 << index, ((1 << index, positive << index),)
+    def leaf(self, value) -> int:
+        """The leaf holding ``value``."""
+        return self.node(_LEAF, value, None)
 
+    def node(self, var, low, high) -> int:
+        """The node testing ``var``, or ``low`` when both children are it."""
+        if low == high:
+            return low
+        node = self._ids.get((var, low, high))
+        if node is None:
+            if len(self.nodes) >= self._limit:
+                raise CapacityError(f"over {NODE_BUDGET} new decision diagram nodes")
+            node = self._ids[var, low, high] = len(self.nodes)
+            self.nodes.append((var, low, high))
+        return node
 
-def _conjoin(children: list[tuple[int, Cover | None]]) -> tuple[int, Cover | None]:
-    mask, result = 0, _TRUE_COVER
-    for child_mask, cubes in children:
-        mask |= child_mask
-        result = None if result is None or cubes is None else _capped(
-            (care_a | care_b, value_a | value_b)
-            for care_a, value_a in result
-            for care_b, value_b in cubes
-            if not (value_a ^ value_b) & care_a & care_b
+    def bounded(self, build: Callable, *args):
+        """``build(*args)``, or None, with the store as it was, when that
+        would add more than NODE_BUDGET nodes to it."""
+        start = len(self.nodes)
+        self._limit = start + NODE_BUDGET
+        try:
+            return build(*args)
+        except CapacityError:
+            for key in self.nodes[start:]:
+                del self._ids[key]
+            del self.nodes[start:]
+            return None
+        finally:
+            self._limit = sys.maxsize
+
+    def fold(self, root: int, at_leaf: Callable, at_node: Callable, done: dict):
+        """``root``'s value, from its leaves up: ``at_leaf(value)`` values a
+        leaf and ``at_node(var, low's value, high's value)`` an inner node,
+        each once, kept in ``done`` (which may hold some already)."""
+        nodes = self.nodes
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node in done:
+                continue
+            var, low, high = nodes[node]
+            if var == _LEAF:
+                done[node] = at_leaf(low)
+            elif low in done and high in done:
+                done[node] = at_node(var, done[low], done[high])
+            else:
+                stack += (node, low, high)
+        return done[root]
+
+    def label(self, expr: LabelExpr, memo: dict) -> tuple[int, int | None]:
+        """The mask of the propositions in ``expr``, and its diagram, or
+        None when a step in building it is over the budget (:meth:`bounded`),
+        as it never is within the cap; ``memo`` keeps each formula node's
+        by its id, so give the labels of one automaton one memo, which
+        they outlive."""
+        for node in postorder(expr, skip=memo):
+            if isinstance(node, Ap):
+                memo[id(node)] = 1 << node.index, self.node(node.index, self.false, self.true)
+            elif isinstance(node, Not):
+                mask, child = memo[id(node.child)]
+                if child is not None:
+                    child = self.bounded(
+                        self.fold, child, lambda value: self.leaf(not value), self.node, {}
+                    )
+                memo[id(node)] = mask, child
+            elif isinstance(node, (And, Or, TrueLabel, FalseLabel)):
+                children = [memo[id(child)] for child in getattr(node, "children", ())]
+                memo[id(node)] = self._joined(isinstance(node, (And, TrueLabel)), children)
+            else:
+                raise TypeError(f"not a label expression: {node!r}")
+        return memo[id(expr)]
+
+    def _joined(self, both: bool, values: list[tuple]) -> tuple[int, int | None]:
+        """The union of the masks in ``values``, and their diagrams joined
+        (:meth:`join`) from those testing the last propositions, so that a
+        conjunction of literals grows a node at a time; None when one of
+        them is None or a join is over the budget."""
+        mask, result = 0, self.true if both else self.false
+        for child_mask, _ in values:
+            mask |= child_mask
+        if any(node is None for _, node in values):
+            return mask, None
+        for _, node in sorted(values, key=lambda value: -self.nodes[value[1]][0]):
+            result = self.bounded(self.join, result, node, both)
+            if result is None:
+                break
+        return mask, result
+
+    def apply(self, a: int, b: int, known: Callable) -> int:
+        """The diagram that combines ``a`` and ``b`` input by input:
+        ``known(x, y, done)`` is the node for a pair of their subdiagrams,
+        from ``done`` if the pass has made it, or None where both are
+        expanded on the least proposition either tests."""
+        nodes, done = self.nodes, {}
+        stack = [(a, b)]
+        while known(a, b, done) is None:
+            x, y = stack[-1]
+            var = min(nodes[x][0], nodes[y][0])
+            x0, x1 = nodes[x][1:] if nodes[x][0] == var else (x, x)
+            y0, y1 = nodes[y][1:] if nodes[y][0] == var else (y, y)
+            low, high = known(x0, y0, done), known(x1, y1, done)
+            if low is None:
+                stack.append((x0, y0))
+            if high is None:
+                stack.append((x1, y1))
+            if low is not None and high is not None:
+                done[stack.pop()] = self.node(var, low, high)
+        return known(a, b, done)
+
+    def join(self, a: int, b: int, both: bool) -> int:
+        """The label diagram of ``a & b`` when ``both``, else of ``a | b``."""
+        stop, unit = (self.false, self.true) if both else (self.true, self.false)
+
+        def known(x: int, y: int, done: dict) -> int | None:
+            if x == stop or y == stop:
+                return stop
+            if x == unit or x == y:
+                return y
+            return x if y == unit else done.get((x, y))
+
+        return self.apply(a, b, known)
+
+    def table(self, roots: Sequence[int]) -> tuple[int, frozenset] | None:
+        """The diagram that maps each input to the frozenset of the
+        positions j at which the label diagram ``roots[j]`` is true, and
+        the values of its leaves; None when adding a label to the table
+        of those before it (:meth:`added`) is over the budget."""
+        table = self.leaf(frozenset())
+        for j, root in enumerate(roots):
+            if root != self.false:
+                table = self.bounded(self.added, table, root, j)
+                if table is None:
+                    return None
+        leaves: set[frozenset] = set()
+        self.fold(table, leaves.add, lambda *_: None, {})
+        return table, frozenset(leaves)
+
+    def added(self, table: int, label: int, j: int) -> int:
+        """The table ``table`` with position ``j`` put in the leaves it
+        reaches on the inputs where the label diagram ``label`` is true;
+        the label's false branches are not walked."""
+        nodes, false, true = self.nodes, self.false, self.true
+
+        def known(x: int, y: int, done: dict) -> int | None:
+            if y == false:
+                return x
+            if y == true and nodes[x][0] == _LEAF:
+                return self.leaf(nodes[x][1] | {j})
+            return done.get((x, y))
+
+        return self.apply(table, label, known)
+
+    def hull(self, root: int) -> Cube:
+        """The smallest cube holding the inputs on which the label diagram
+        ``root`` is true, of which there is one at least."""
+        return self.fold(root, lambda value: (0, 0) if value else None, _hull_node, {})
+
+    def paths(self, root: int) -> list[Cube] | None:
+        """A cube per path from ``root``, a label diagram, to ``true``; None
+        when there are more such paths than nodes reachable from it."""
+        reachable: dict = {}
+        if self.fold(root, int, lambda _, low, high: low + high, reachable) > len(reachable):
+            return None
+        return self.fold(root, lambda value: [(0, 0)] if value else [], _paths_node, {})
+
+    def placed(self, root: int, positions: Sequence[int], done: dict):
+        """``root``'s diagram as nested lists for :func:`walk`, reading bit
+        ``positions[i]`` of a wider input for proposition i: an inner node
+        as ``[1 << positions[var], low, high]``, a leaf as its value;
+        ``done`` keeps them by node, for diagrams that share parts."""
+        return self.fold(
+            root, lambda value: value, lambda var, low, high: [1 << positions[var], low, high], done
         )
-    return mask, result
 
 
-def _disjoin(children: list[tuple[int, Cover | None]]) -> tuple[int, Cover | None]:
-    mask, result = 0, ()
-    for child_mask, cubes in children:
-        mask |= child_mask
-        result = None if result is None or cubes is None else _capped(result + cubes)
-    return mask, result
+def _hull_node(var: int, low: Cube | None, high: Cube | None) -> Cube | None:
+    bit = 1 << var
+    if low is None or high is None:
+        care, value = low or high
+        return care | bit, value | (bit if low is None else 0)
+    care = low[0] & high[0] & ~(low[1] ^ high[1])
+    return care, low[1] & care
 
 
-def _capped(cubes: Iterable[Cube]) -> Cover | None:
-    """The distinct cubes that no other one contains; None past CUBE_CAP."""
-    distinct = dict.fromkeys(cubes)
-    if len(distinct) > CUBE_CAP:
-        return None
-    return tuple(
-        (care, value)
-        for care, value in distinct
-        if not any(c != care and c & care == c and value & c == v for c, v in distinct)
-    )
+def _paths_node(var: int, low: list[Cube], high: list[Cube]) -> list[Cube]:
+    bit = 1 << var
+    return [(care | bit, value) for care, value in low] + [
+        (care | bit, value | bit) for care, value in high
+    ]
 
 
-def remap(cubes: Cover, positions: Sequence[int]) -> Cover:
-    """``cubes`` with bit i moved to bit ``positions[i]``."""
-
-    def move(bits: int) -> int:
-        return sum(1 << position for i, position in enumerate(positions) if bits >> i & 1)
-
-    return tuple((move(care), move(value)) for care, value in cubes)
-
-
-def hull(cubes: Cover) -> Cube:
-    """The smallest cube that contains each of ``cubes``, of which there
-    is at least one: the literals they all share."""
-    care, value = cubes[0]
-    for other_care, other_value in cubes[1:]:
-        care &= other_care & ~(other_value ^ value)
-    return care, value & care
-
-
-def tautology(cubes: list[Cube]) -> bool:
-    """True iff the cubes hold on every valuation, by Shannon splitting on
-    a proposition with literals of both signs until a branch has a cube
-    without care bits. A branch with no such proposition fails, as the
-    valuation opposing every literal satisfies none of its cubes: the
-    unate recursive paradigm of Espresso."""
-    stack = [cubes]
-    while stack:
-        cubes = stack.pop()
-        if all(care for care, _ in cubes):
-            positive = negative = 0
-            for care, value in cubes:
-                positive, negative = positive | value, negative | care & ~value
-            if not positive & negative:
-                return False
-            bit = positive & negative & -(positive & negative)
-            stack.append([(care & ~bit, value) for care, value in cubes if not value & bit])
-            stack.append([(c & ~bit, v & ~bit) for c, v in cubes if not c & ~v & bit])
-    return True
+def walk(node, bits: int):
+    """The value of the leaf that a placed diagram (:meth:`Diagrams.placed`)
+    reaches on the input ``bits``."""
+    while node.__class__ is list:
+        node = node[2] if bits & node[0] else node[1]
+    return node
 
 
 def _check_mask(mask: int, ap_count: int) -> None:
@@ -318,40 +423,54 @@ def _check_mask(mask: int, ap_count: int) -> None:
         )
 
 
-def _assignments(mask: int) -> Iterator[int]:
-    """Every valuation whose true propositions lie within ``mask``."""
-    bits = 0
-    while True:
-        yield bits
-        if bits == mask:
-            return
-        bits = (bits - mask) & mask  # next subset of mask, in increasing order
-
-
-def pairwise_disjoint(
-    labels: Iterable[LabelExpr], ap_count: int, memo: dict | None = None
-) -> bool:
-    """True iff no valuation satisfies two of the labels.
-
-    Every pair's union mask goes through the cap, in order. Two covers
-    (:func:`cover`, through ``memo``) meet iff two of their cubes agree
-    where both care; a pair with a label that has none is enumerated.
+class LabelTable:
+    """The labels leaving one state, as diagrams in ``store`` converted
+    through ``memo``: ``labels`` holds each one's ``(mask, node)``, in
+    order, ``mask`` their union, and ``root`` and ``leaves`` their table
+    (:meth:`Diagrams.table`), or None when a label's diagram or the table
+    is over the budget (:meth:`Diagrams.bounded`). They are pairwise
+    disjoint when no leaf has two positions, and cover every input when
+    none is empty; the checks read those answers through the cap, within
+    which nothing is over the budget, so they do not depend on the
+    diagrams' shape.
     """
-    labels = tuple(labels)
-    compiled = [cover(label, memo) for label in labels]
-    for i, (mask_a, cubes_a) in enumerate(compiled):
-        for label_b, (mask_b, cubes_b) in zip(labels[i + 1 :], compiled[i + 1 :]):
-            _check_mask(mask_a | mask_b, ap_count)
-            if cubes_a is None or cubes_b is None:
-                meet = any(
-                    holds(labels[i], bits) and holds(label_b, bits)
-                    for bits in _assignments(mask_a | mask_b)
-                )
-            else:
-                meet = any(not (va ^ vb) & ca & cb for ca, va in cubes_a for cb, vb in cubes_b)
-            if meet:
-                return False
-    return True
+
+    def __init__(self, store: Diagrams, exprs: Iterable[LabelExpr], memo: dict):
+        self.store = store
+        self.labels = tuple(store.label(expr, memo) for expr in exprs)
+        self.mask = 0
+        for mask, _ in self.labels:
+            self.mask |= mask
+        roots = [node for _, node in self.labels]
+        table = None if None in roots else store.table(roots)
+        self.root, self.leaves = table or (None, None)
+
+    def disjoint(self, ap_count: int) -> bool:
+        """True iff no valuation satisfies two of the labels. Each pair's
+        union mask goes through the cap, in order, and the first pair that
+        meets or is refused decides: the table answers when all the labels
+        together are within the cap, and so is every pair; past it, a pair
+        the cap lets through has both diagrams."""
+        mask = self.mask
+        if mask.bit_length() <= ap_count and mask.bit_count() <= DEFAULT_ENUM_CAP:
+            return all(len(leaf) < 2 for leaf in self.leaves)
+        for i, (mask_a, a) in enumerate(self.labels):
+            for mask_b, b in self.labels[i + 1 :]:
+                _check_mask(mask_a | mask_b, ap_count)
+                if self.store.join(a, b, True) != self.store.false:
+                    return False
+        return True
+
+    def covering(self, ap_count: int) -> bool:
+        """True iff every valuation satisfies one of the labels; their
+        union mask goes through the cap."""
+        _check_mask(self.mask, ap_count)
+        return all(self.leaves)
+
+
+def pairwise_disjoint(labels: Iterable[LabelExpr], ap_count: int) -> bool:
+    """True iff no valuation satisfies two of the labels (LabelTable)."""
+    return LabelTable(Diagrams(), labels, {}).disjoint(ap_count)
 
 
 def are_disjoint(a: LabelExpr, b: LabelExpr, ap_count: int) -> bool:
@@ -359,22 +478,9 @@ def are_disjoint(a: LabelExpr, b: LabelExpr, ap_count: int) -> bool:
     return pairwise_disjoint((a, b), ap_count)
 
 
-def covers_all(labels: Iterable[LabelExpr], ap_count: int, memo: dict | None = None) -> bool:
-    """True iff every valuation satisfies at least one of the labels.
-
-    Their union mask goes through the cap; their covers (:func:`cover`,
-    through ``memo``) are checked for a tautology, labels of which one
-    has none by enumeration.
-    """
-    labels = tuple(labels)
-    compiled = [cover(label, memo) for label in labels]
-    mask = 0
-    for label_mask, _ in compiled:
-        mask |= label_mask
-    _check_mask(mask, ap_count)
-    if any(cubes is None for _, cubes in compiled):
-        return all(any(holds(label, bits) for label in labels) for bits in _assignments(mask))
-    return tautology([cube for _, cubes in compiled for cube in cubes])
+def covers_all(labels: Iterable[LabelExpr], ap_count: int) -> bool:
+    """True iff every valuation satisfies one of the labels (LabelTable)."""
+    return LabelTable(Diagrams(), labels, {}).covering(ap_count)
 
 
 def minterm(index: int, ap_count: int) -> LabelExpr:

@@ -20,6 +20,7 @@ from .automata import (
     AcceptanceCond,
     Automaton,
     Bot,
+    Compiled,
     Fin,
     Inf,
     StateGraph,
@@ -201,6 +202,7 @@ class Monitor:
 
     def __init__(self, automaton: Automaton) -> None:
         self.automaton = automaton
+        self.compiled: Compiled | None = None  # set by attach_monitor
         graph = state_graph(automaton)
         index = build_index(graph, automaton.initial)
         by_comp = component_verdicts(index, graph, automaton.condition, automaton.acc_sets)
@@ -230,17 +232,22 @@ def attach_monitor(
     Refuses nondeterministic automata outright. Incomplete automata are
     refused unless ``complete`` is set, in which case stuttering
     self-loops are added and the completed automaton is returned for the
-    caller to execute.
+    caller to execute. The monitor's ``compiled`` holds the returned
+    automaton's compiled labels, for its runner.
     """
-    if not is_deterministic(automaton):
+    compiled = Compiled(automaton)
+    if not is_deterministic(automaton, compiled):
         raise MonitorAttachError("automaton is nondeterministic")
-    if not is_complete(automaton):
+    if not is_complete(automaton, compiled):
         if not complete:
             raise MonitorAttachError(
                 "automaton is incomplete; enable stuttering completion to monitor it"
             )
         automaton = complete_by_stuttering(automaton)
-    return automaton, Monitor(automaton)
+        compiled = Compiled(automaton)
+    monitor = Monitor(automaton)
+    monitor.compiled = compiled
+    return automaton, monitor
 
 
 class VerdictOracle:

@@ -2,30 +2,16 @@
 hooks react to nondeterminism, deadlock, verdict changes and user conditions.
 
 Atomic propositions are shared across automata by name: every step one
-global valuation is collected, as one int with a bit per proposition,
-and each runner holds its transition labels and ``cond:`` formulas as
-cubes (``labels.cover``) moved to the global positions of the names they
-use, so it reads those bits directly; a label without a cover is walked.
-A trace record is decoded once, straight to those bits. Each runner
-memoises its candidate states per (state, input restricted to its own
-propositions); a memo that reaches ``MEMO_CAP`` entries is emptied, so it
-never holds more, however long the run and however many propositions the
-automaton has. The loop is the only reader of that memo: when the entry
-says the runner stays put and nothing would observe it (no state or
-cond: hook, and a monitor, if any, that the state cannot move), the step
-is counted and nothing else is called. A step of either kind that
-leaves the runner resting where it was also parks it when the state's
-labels cover every input and a few cubes of inputs are all that can
-move it from there (at most one after a memo hit, any number after a
-miss): the loop then files it under each of those cubes and
-stops probing it, until an input in one of them comes, and counts the
-steps it skipped when it unparks it or ends. So a runner the input
-leaves in place costs nothing per step once parked, and one memo probe
-otherwise. Every other step, a successor chosen by a hook included, goes
-through ``step``, the only code that takes a step: it moves the runner,
-counts the step and shows the monitor the new state. All randomness
-flows from per-purpose streams derived from the global seed, so
-identical inputs replay identically.
+global valuation is collected, as one int with a bit per proposition.
+Each runner reads its automaton's compiled labels (``automata.Compiled``),
+a decision diagram per state, and its ``cond:`` formulas as diagrams,
+at the global bits of their names, and memoises its candidate states per
+(state, input) in at most ``MEMO_CAP`` entries. The loop counts a step
+that its memo says changes nothing and calls nothing for it, and parks a
+runner that only a few cubes of inputs can move until one of them comes;
+every other step goes through ``step``. All randomness flows from
+per-purpose streams derived from the global seed, so identical inputs
+replay identically.
 """
 
 from __future__ import annotations
@@ -39,20 +25,9 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .automata import Automaton, covers_state
+from .automata import Automaton, Compiled
 from .hoa import HoaParseError, parse_named_label
-from .labels import (
-    CapacityError,
-    Cover,
-    Cube,
-    LabelExpr,
-    Valuation,
-    cover,
-    holds,
-    hull,
-    remap,
-    tautology,
-)
+from .labels import NODE_BUDGET, CapacityError, Diagrams, LabelExpr, Valuation, walk
 from .monitoring import Monitor, Verdict
 
 
@@ -536,62 +511,41 @@ MEMO_CAP = 1 << 14
 
 # the resting entry where a step has to be taken in full: no memo entry is it
 _MOVES = object()
-_UNSEEN = object()  # an exits entry not worked out yet
 _UNKNOWN = Verdict.UNKNOWN  # compared by identity on the per-step path
 
 
 class Runner:
     """Tracks one automaton's current state through the execution loop.
 
-    ``projection[i]`` is the bit of the global valuation that holds the
-    automaton's proposition i, and ``mask`` has those bits set.
-    ``rows[q]`` holds a ``(test, target)`` pair per label leaving state q:
-    the test is the label's cubes at global bit positions, or the label
-    itself when it has no cover. ``memo`` is the successor memo: it maps
-    ``q << shift | bits``, for a state q and an input given as the global
-    valuation bits within ``mask``, to the sorted candidate states for
-    that input at q. ``run_loop`` probes it; on a miss ``step`` works the
-    entry out from ``rows[q]`` and fills it, emptying the memo first when
-    it holds ``MEMO_CAP`` entries.
+    ``projection[i]`` is the global bit of the automaton's proposition i,
+    and ``mask`` has those bits set. ``walks[q]`` is state q's table
+    (``Compiled.tables``) placed at those bits, and ``targets[q]`` maps
+    the leaf it reaches on an input to the sorted candidate states,
+    ``unique[t]`` for t alone. ``memo`` maps ``q << shift | bits``, with
+    the input's bits within ``mask``, to those candidates: ``run_loop``
+    probes it, and on a miss ``step`` walks ``walks[q]`` and fills it,
+    emptying it first when it holds ``MEMO_CAP`` entries. A state without
+    a table, one over the node budget (``labels.NODE_BUDGET``), refuses
+    the runner with ``CapacityError``.
 
     ``resting`` is the memo entry of a step that would change nothing but
     ``step_count``: ``unique[q]`` at the current state q when the runner
     has no state or cond: hook and observing q again is a no-op (no
-    monitor, a latched verdict, or an unknown verdict at q), and
-    otherwise an object no memo entry is. The loop counts a step whose
-    entry is ``resting`` and calls nothing for it. Every other step is
-    taken in full by ``_step_runner``, which sets ``resting`` again by
-    that rule once the step and its hooks are done; ``run_loop`` sets it
-    to the object no memo entry is when it starts, so each runner's first
-    step is taken in full. A step that leaves ``resting`` at ``unique[q]``
-    for the state q it started from parks the runner when q has exit
-    cubes: any such step when q has at most one, and only one taken on a
-    memo miss when it has several. A miss is the costly probe, and where
-    the memo has missed it is likely to miss again; once the memo holds
-    the inputs a runner meets at q, a hit costs less than filing it
-    under several cubes and taking it out again when it soon leaves. So
-    parking under several cubes pays while the memo is cold, and less
-    as it fills on a long run.
+    monitor, a latched verdict, or an unknown verdict at q), and otherwise
+    an object no memo entry is, as when the loop starts. The loop counts a
+    step whose entry is ``resting``; ``_step_runner`` takes the others.
 
-    ``exits[q]`` is q's exit cubes, at global bit positions, when q's
-    labels all have covers and cover every input together: for each
-    label that leaves q for another state, the smallest cube holding all
-    of its cubes, or those cubes when that is every input. Every input
-    outside them keeps the runner at q; a sink has none. It is None when
-    the runner is never parked at q, and ``_UNSEEN`` until
-    ``exit_cubes`` works it out, the first time the loop would park the
-    runner at q. Whether q's labels cover every input is the
-    automaton's answer (``automata.covers_state``), which monitor attach
-    has already found for each state; past the checks' proposition cap,
-    where the automaton keeps no answer, the runner's own cubes decide
-    (``labels.tautology``). A parked runner stays at q, unprobed, until
-    an input in one of those cubes comes; its ``resting`` entry cannot
-    change meanwhile, as only its own steps and hooks move it or its
-    monitor.
+    ``exits[q]`` is q's exit cubes (``Compiled.exits``) at the global
+    bits, or None where the runner is never parked. A step that leaves
+    ``resting`` at ``unique[q]`` for the state q it started from parks
+    the runner under them until an input in one comes: any such step when
+    q has at most one, only a memo miss when it has several, as where the
+    memo missed it is likely to miss again, while once it is warm a hit
+    costs less than filing the runner and taking it out when it leaves.
     """
 
-    def __init__(self, automaton: Automaton, label: str, projection: tuple[int, ...]):
-        self.automaton = automaton
+    def __init__(self, compiled: Compiled, label: str, projection: tuple[int, ...]):
+        automaton = self.automaton = compiled.automaton
         self.label = label
         self.start_state = min(automaton.initial)
         self.current_state = self.start_state
@@ -599,55 +553,36 @@ class Runner:
         self.monitor: Monitor | None = None
         # the hooks in scope, by trigger class, in configuration order
         self.triggered: dict[type, list[HookSpec]] = {}
-        # ((test, global positions of its propositions), hook) per cond:
-        # hook, the test as in rows
-        self.conditions: tuple[
-            tuple[tuple[Cover | LabelExpr, tuple[int, ...]], HookSpec], ...
-        ] = ()
+        # (placed diagram, hook) per cond: hook, True where the hook fires
+        self.conditions: tuple[tuple[object, HookSpec], ...] = ()
         # whether any state or cond: hook has to be checked after a move
         self.poststep = False
-        self.projection = projection
-        self.rows: list[list[tuple[Cover | LabelExpr, int]]] = [
-            [] for _ in range(automaton.num_states)
-        ]
-        moved: dict[int, Cover] = {}  # by id of the automaton's own cover
-        for t in automaton.transitions:
-            _, cubes = cover(t.label, automaton.covers)
-            if cubes is not None and id(cubes) not in moved:
-                moved[id(cubes)] = remap(cubes, projection)
-            self.rows[t.src].append((t.label if cubes is None else moved[id(cubes)], t.dst))
+        for state, table in enumerate(compiled.tables):
+            if table.root is None:
+                raise CapacityError(
+                    f"cannot run {label}: the labels leaving state "
+                    f"{automaton.display_id(state)} take a decision diagram of over "
+                    f"{NODE_BUDGET} nodes"
+                )
+        placed: dict = {}  # shared by the states, whose tables share nodes
+        self.walks = tuple(
+            compiled.diagrams.placed(table.root, projection, placed) for table in compiled.tables
+        )
+        self.targets = compiled.targets
+
+        def moved(bits: int) -> int:
+            return sum(1 << at for i, at in enumerate(projection) if bits >> i & 1)
+
+        placed_exits = {
+            cubes: tuple((moved(care), moved(value)) for care, value in cubes)
+            for cubes in set(compiled.exits) - {None}
+        }
+        self.exits = tuple(placed_exits.get(cubes) for cubes in compiled.exits)
         self.mask = sum(1 << position for position in projection)
         self.shift = self.mask.bit_length()
         self.memo: dict[int, tuple[int, ...]] = {}
-        # one shared tuple per state for a unique candidate
-        self.unique = tuple((q,) for q in range(automaton.num_states))
+        self.unique = compiled.unique
         self.resting: object = _MOVES
-        self.exits: list[tuple[Cube, ...] | None | object] = [_UNSEEN] * automaton.num_states
-
-    def exit_cubes(self, q: int) -> tuple[Cube, ...] | None:
-        """``exits[q]``, worked out on first use: when q's labels all have
-        covers and cover every input together, one cube for each label
-        that leaves q for another state, the smallest that holds all of
-        its cubes, or those cubes when it would hold every input; without
-        repeats. Otherwise None."""
-        if self.exits[q] is not _UNSEEN:
-            return self.exits[q]
-        rows = self.rows[q]
-        found = None
-        if all(test.__class__ is tuple for test, _ in rows):
-            try:
-                complete = covers_state(self.automaton, q)
-            except CapacityError:  # past the checks' cap: the runner's covers decide
-                complete = tautology([cube for test, _ in rows for cube in test])
-            if complete:
-                filed: list[Cube] = []
-                for test, target in rows:
-                    if target != q and test:
-                        care, value = hull(test)
-                        filed.extend(test if not care else ((care, value),))
-                found = tuple(dict.fromkeys(filed))
-        self.exits[q] = found
-        return found
 
 
 def step(runner: Runner, bits: int, found: tuple[int, ...] | None = None) -> tuple[int, ...]:
@@ -658,25 +593,13 @@ def step(runner: Runner, bits: int, found: tuple[int, ...] | None = None) -> tup
     monitor's view); none (a deadlock) or several (nondeterminism) leave
     the runner untouched until hooks decide. ``found`` is the memo entry
     the loop found for this input at the current state, or ``unique[c]``
-    for the candidate c a hook chose among several; without it the
-    candidates are worked out from ``rows`` and stored in the memo.
+    for the candidate c a hook chose among several; without it they are
+    walked to and memoised.
     """
     if found is None:
         state = runner.current_state
         bits &= runner.mask
-        targets = []
-        for test, target in runner.rows[state]:
-            if test.__class__ is not tuple:  # a label without a cover
-                if holds(test, bits, runner.projection):
-                    targets.append(target)
-                continue
-            for care, value in test:
-                if bits & care == value:
-                    targets.append(target)
-                    break
-        if len(targets) > 1:
-            targets = sorted(set(targets))
-        found = runner.unique[targets[0]] if len(targets) == 1 else tuple(targets)
+        found = runner.targets[state][walk(runner.walks[state], bits)]
         memo = runner.memo
         if len(memo) >= MEMO_CAP:
             memo.clear()
@@ -850,16 +773,19 @@ def prepare_runners(
     automata: Sequence[Automaton],
     universe: Sequence[str],
     hooks: Sequence[HookSpec] = (),
+    compiled: Sequence[Compiled] | None = None,
 ) -> list[Runner]:
-    """Create runners, with their labels and ``cond:`` formulas as cubes at
-    the universe's positions, and attach scoped hooks, with the HOA text's
-    state ids in ``state:`` and ``goto:`` turned into state numbers."""
+    """Create runners, reading ``compiled[i]`` (a monitor's ``compiled``,
+    as attach_monitor leaves it; made here when not given) for
+    ``automata[i]`` at the universe's positions, and attach scoped hooks,
+    with ``cond:`` formulas as diagrams and the HOA text's state ids in
+    ``state:`` and ``goto:`` turned into state numbers."""
     runners = []
     positions = {name: i for i, name in enumerate(universe)}
     for index, automaton in enumerate(automata):
         label = automaton.name if automaton.name else str(index)
         projection = tuple(positions[name] for name in automaton.aps)
-        runner = Runner(automaton, label, projection)
+        runner = Runner(compiled[index] if compiled else Compiled(automaton), label, projection)
         ids = automaton.display_ids or range(automaton.num_states)
         conditions = []
         for hook in hooks:
@@ -883,10 +809,15 @@ def prepare_runners(
                         f"hook {hook.ident}: condition references unbound "
                         f"proposition {unbound[0]!r}"
                     )
-                cond_positions = tuple(positions[n] for n in trigger.ap_names)
-                _, cubes = cover(trigger.expr)
-                test = trigger.expr if cubes is None else remap(cubes, cond_positions)
-                conditions.append(((test, cond_positions), hook))
+                store = Diagrams()
+                _, node = store.label(trigger.expr, {})
+                if node is None:
+                    raise ConfigError(
+                        f"hook {hook.ident}: condition takes a decision diagram of over "
+                        f"{NODE_BUDGET} nodes"
+                    )
+                places = tuple(positions[n] for n in trigger.ap_names)
+                conditions.append((store.placed(node, places, {}), hook))
             runner.triggered.setdefault(type(trigger), []).append(hook)
         runner.conditions = tuple(conditions)
         runner.poststep = bool(conditions) or StateTrigger in runner.triggered
@@ -922,20 +853,14 @@ def run_loop(
     trace readers gives one record per step, and the first to end ends
     the run.
 
-    A step that leaves a runner resting where it was parks it when its
-    state has exit cubes (``Runner.exit_cubes``): every input outside
-    them would leave it in place and unseen again. A memo hit parks it
-    only at a state with at most one; a memo miss, the costly step, at
-    any (``Runner`` says why). A parked runner is filed under
-    ``watch[care][value]`` for each of its cubes and costs nothing per
-    step; each step looks up its input once per care mask in ``watch``,
-    and the runners it finds are unparked and leave all their groups,
-    which are those of the cubes in ``exits`` at the state they waited
-    in, so an input in two of a runner's cubes wakes it once; they step
-    with the busy ones, in runner order. Groups and care masks left
-    empty are dropped. A parked runner's steps
-    are counted when it is unparked, and when the loop ends, however it
-    ends."""
+    A runner parked by the rule of ``Runner`` is filed under
+    ``watch[care][value]`` for each of its exit cubes and costs nothing
+    per step: each step looks its input up once per care mask, and the
+    runners found are unparked and leave all their groups, so an input in
+    two of a runner's cubes wakes it once; they step with the busy ones,
+    in runner order. Groups and care masks left empty are dropped. A
+    parked runner's steps are counted when it is unparked, and when the
+    loop ends, however it ends."""
     ctx = _LoopContext(seed, on_event, interactive_in, interactive_out)
     reason = "steps-exhausted"
     halt_code: int | None = None
@@ -996,8 +921,6 @@ def run_loop(
                 if found is runner.resting:
                     runner.step_count += 1
                     cubes = runner.exits[state]
-                    if cubes is _UNSEEN:
-                        cubes = runner.exit_cubes(state)
                     if cubes is None or len(cubes) > 1:
                         continue
                 else:
@@ -1005,7 +928,7 @@ def run_loop(
                     states[upto] = runner.current_state
                     if runner.resting is not runner.unique[state]:
                         continue
-                    cubes = runner.exit_cubes(state)
+                    cubes = runner.exits[state]
                     # under several cubes only after a memo miss
                     if cubes is None or found is not None and len(cubes) > 1:
                         continue
@@ -1091,13 +1014,8 @@ def _fire_poststep_hooks(runner: Runner, ctx: _LoopContext) -> None:
         if runner.current_state == hook.trigger.state:
             _apply_action(runner, hook, (), ctx)
             break
-    bits = ctx.bits
-    for (test, positions), hook in runner.conditions:
-        if (
-            any(bits & care == value for care, value in test)
-            if test.__class__ is tuple
-            else holds(test, bits, positions)
-        ):
+    for test, hook in runner.conditions:
+        if walk(test, ctx.bits):
             _apply_action(runner, hook, (), ctx)
             break
 

@@ -646,6 +646,45 @@ def test_interactive_stream_closing_is_an_error(tmp_path):
     assert b"interactive input stream closed" in result.stderr
 
 
+def _budget_inputs(tmp_path):
+    # a state whose label's diagram, and a state whose table, pass the
+    # node budget in the fixed proposition order: p_i & p_(20+i) for
+    # each i, and twenty labels of one proposition each
+    n = 20
+    bus = " | ".join(f"({i} & {n + i})" for i in range(n))
+    names = " ".join(f'"p{i}"' for i in range(2 * n))
+    head = "HOA: v1\nStart: 0\nAcceptance: 1 Inf(0)\n"
+    wide = write(tmp_path, "bus.hoa", head + f"States: 1\nAP: {2 * n} {names}\n--BODY--\n"
+                 f"State: 0 {{0}}\n[{bus}] 0\n[!({bus})] 0\n--END--\n")
+    edges = "".join(f"[{i}] {i % 2}\n" for i in range(n))
+    names = " ".join(f'"p{i}"' for i in range(n))
+    nondet = write(tmp_path, "nd.hoa", head + f"States: 2\nAP: {n} {names}\n--BODY--\n"
+                   f"State: 0 {{0}}\n{edges}State: 1 {{0}}\n[t] 1\n--END--\n")
+    return wide, nondet
+
+
+def test_check_and_run_past_the_node_budget_end_promptly(tmp_path):
+    wide, nondet = _budget_inputs(tmp_path)
+    hoarun = [sys.executable, "-m", "hoarun"]
+    checked = subprocess.run([*hoarun, "check", wide, nondet], capture_output=True,
+                             text=True, timeout=60)
+    assert checked.returncode == 0
+    lines = checked.stdout.splitlines()
+    refused = "deterministic=capacity-exceeded complete=capacity-exceeded"
+    assert f"states=1 edges=2 {refused}" in lines[0]
+    # one pair of the labels meets within the cap, but completeness takes
+    # all twenty propositions, and one refusal answers both
+    assert f"states=2 edges=21 {refused}" in lines[1]
+    for path in (wide, nondet):
+        ran = subprocess.run([*hoarun, "run", "--steps", "1", path], capture_output=True,
+                             text=True, timeout=60)
+        assert ran.returncode == 1
+        assert ran.stderr == (
+            "error: cannot run 0: the labels leaving state 0 take a decision diagram of "
+            "over 131072 nodes\n"
+        )
+
+
 def test_stdout_bytes_identical_across_runs(tmp_path):
     trace = write(tmp_path, "t.trace", "p\n1\n0\n1\n0\n")
     args = ["run", "--trace", trace, "--monitor", "--verbose", "--seed", "3", BADTRAP]

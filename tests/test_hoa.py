@@ -380,6 +380,27 @@ def test_format_label_precedence():
     assert format_label(deep) == "!" * 900 + "0"
 
 
+def test_format_label_alternating_negations_and_chains_without_recursion():
+    # `!(!(0 & 1) & 1)`, ..., 2,000 levels of `!` and `&` by turns, as
+    # aliases can nest them; each level is one more chain or negation
+    deep, expected = Ap(0), "0"
+    for level in range(2000):
+        if level % 2:
+            deep, expected = Not(deep), f"!({expected})"
+        else:
+            deep, expected = land(deep, Ap(1)), f"{expected} & 1"
+    assert format_label(deep) == expected
+    # acceptance conditions go through the same printer: a conjunction
+    # inside a disjunction needs no parentheses, and the reverse does
+    cond, text = acc_and(Fin(0), Inf(1)), "Fin(0) & Inf(1)"
+    for level in range(1, 2000):
+        if level % 2:
+            cond, text = acc_or(cond, Inf(1)), f"{text} | Inf(1)"
+        else:
+            cond, text = acc_and(cond, Inf(1)), f"({text}) & Inf(1)"
+    assert format_acceptance(cond) == text
+
+
 def test_nested_same_operator_shapes_survive_round_trips():
     from hoarun.labels import Or
 

@@ -11,21 +11,22 @@ from hoarun.labels import (
     And,
     Ap,
     CapacityError,
+    Diagrams,
+    NODE_BUDGET,
+    LabelTable,
     Not,
     Or,
     Valuation,
     ValuationWidthError,
     are_disjoint,
-    cover,
     covers_all,
     evaluate,
-    holds,
-    hull,
     land,
     lor,
     minterm,
     occurring_aps,
-    remap,
+    pairwise_disjoint,
+    walk,
 )
 
 
@@ -96,6 +97,87 @@ def test_capacity_cap():
         is_complete(aut)
 
 
+def _one_state(labels, ap_count):
+    return Automaton(
+        aps=tuple(f"p{i}" for i in range(ap_count)),
+        num_states=1,
+        initial=frozenset({0}),
+        transitions=tuple(Transition(0, label, 0) for label in labels),
+        acc_sets=(frozenset({0}),),
+        condition=Inf(0),
+    )
+
+
+def test_the_cap_applies_to_pairs_in_order():
+    # determinism goes through the pairs in order, and the first pair
+    # that meets or is over the cap decides: Ap(0) meets 0 & 1 before
+    # either is paired with the 17-proposition label
+    wide = land(*(Ap(i) for i in range(17)))
+    early = [Ap(0), land(Ap(0), Ap(1)), wide]
+    assert pairwise_disjoint(early, 20) is False
+    assert is_deterministic(_one_state(early, 20)) is False
+    late = [wide, Ap(0), land(Ap(0), Ap(1))]
+    with pytest.raises(CapacityError):
+        pairwise_disjoint(late, 20)
+    with pytest.raises(CapacityError):
+        is_deterministic(_one_state(late, 20))
+    # completeness takes all the state's labels at once: two halves of
+    # the 17 propositions are over the cap together, though the first
+    # two labels already hold on every input
+    halves = [
+        Ap(0),
+        Not(Ap(0)),
+        land(*(Ap(i) for i in range(9))),
+        land(*(Ap(i) for i in range(9, 17))),
+    ]
+    with pytest.raises(CapacityError):
+        covers_all(halves, 20)
+    with pytest.raises(CapacityError):
+        is_complete(_one_state(halves, 20))
+
+
+def _bus(n):
+    # p_i & p_(n+i) for each i: with the inputs numbered before the
+    # outputs, the diagram of the disjunction in the fixed proposition
+    # order has about 2 ** n nodes
+    return lor(*(land(Ap(i), Ap(n + i)) for i in range(n)))
+
+
+def test_diagrams_past_the_node_budget_are_refused():
+    store = Diagrams()
+    mask, node = store.label(_bus(20), {})
+    assert mask == (1 << 40) - 1 and node is None
+    # the joins before the last one are kept; the last is taken back
+    # whole, and the store stays hash-consed
+    size = len(store.nodes)
+    assert size < 3 * NODE_BUDGET
+    assert all(store.node(*key) == n for n, key in enumerate(store.nodes) if key[2] is not None)
+    # within the cap no operation reaches the budget
+    assert store.label(_bus(8), {})[1] is not None
+    # twenty labels of one proposition each meet in 2 ** 20 ways
+    singles = [Ap(i) for i in range(20)]
+    table = LabelTable(store, singles, {})
+    assert table.root is None and table.leaves is None
+    assert len(store.nodes) < size + 2 * NODE_BUDGET
+
+
+def test_checks_past_the_node_budget_answer_through_the_cap():
+    # the checks answer as if every diagram were there: a pair the cap
+    # lets through has its diagrams, and the cap refuses the others
+    bus = _bus(20)
+    with pytest.raises(CapacityError):
+        is_deterministic(_one_state([bus, Not(bus)], 40))
+    with pytest.raises(CapacityError):
+        is_complete(_one_state([bus, Not(bus)], 40))
+    singles = [Ap(i) for i in range(20)]
+    assert is_deterministic(_one_state(singles, 20)) is False
+    with pytest.raises(CapacityError):
+        covers_all(singles, 20)
+    bus = _bus(8)
+    assert is_deterministic(_one_state([bus, Not(bus)], 16))
+    assert is_complete(_one_state([bus, Not(bus)], 16))
+
+
 def test_precondition_on_ap_count():
     with pytest.raises(ValueError):
         are_disjoint(Ap(4), TRUE, 2)
@@ -124,59 +206,82 @@ def test_covering_matches_enumeration(labels):
     assert covers_all(labels, 5) == expected
 
 
-def _satisfies(cubes, bits):
-    return any(bits & care == value for care, value in cubes)
+def _nodes(store, root):
+    reachable = {}
+    store.fold(root, lambda value: None, lambda var, low, high: None, reachable)
+    return len(reachable)
 
 
 @given(exprs())
-def test_hull_is_the_smallest_cube_holding_a_cover(expr):
-    # the bits that every valuation satisfying the cover shares, with
-    # their values; a cover without cubes has no hull
-    assert hull(((3, 1), (3, 3), (7, 1))) == (1, 1)
-    _, cubes = cover(expr)
-    satisfying = [bits for bits in range(32) if cubes is not None and _satisfies(cubes, bits)]
+def test_hull_is_the_smallest_cube_holding_a_label(expr):
+    # the bits that every valuation satisfying the label shares, with
+    # their values; an unsatisfiable label has no hull
+    store = Diagrams()
+    _, node = store.label(expr, {})
+    satisfying = [bits for bits in range(32) if evaluate(expr, Valuation(bits, 5))]
     if not satisfying:
+        assert node == store.false
         return
     care = 31
     for bits in satisfying:
         care &= ~(bits ^ satisfying[0])
-    assert hull(cubes) == (care, satisfying[0] & care)
+    assert store.hull(node) == (care, satisfying[0] & care)
+    # one disjoint cube per path to true, unless there are more paths
+    # than nodes
+    paths = store.paths(node)
+    if paths is not None:
+        assert len(paths) <= _nodes(store, node)
+        for bits in range(32):
+            assert sum(bits & c == v for c, v in paths) == (bits in satisfying)
 
 
-@given(exprs(), valuations(), st.permutations(range(8)), st.integers(0, 255))
-def test_compiled_agrees_with_evaluate(expr, valuation, order, noise):
-    expected = evaluate(expr, valuation)
-    mask, cubes = cover(expr)
-    assert mask == sum(1 << i for i in occurring_aps(expr))
-    # the runtime's cubes and its walk read Ap(i) from bit positions[i]
-    # of a wider vector whose other bits are noise
+@given(
+    st.lists(exprs(), max_size=5),
+    st.integers(0, 31),
+    st.permutations(range(8)),
+    st.integers(0, 255),
+)
+def test_a_state_table_holds_the_labels_that_evaluate_true(labels, bits, order, noise):
+    # the table of a state's labels, placed at permuted positions of a
+    # wider input whose other bits are noise, reaches the set of the
+    # positions of the labels that hold
+    store = Diagrams()
+    table = LabelTable(store, labels, {})
+    valuation = Valuation(bits, 5)
+    holding = frozenset(j for j, label in enumerate(labels) if evaluate(label, valuation))
     positions = tuple(order[:5])
     wide = noise
     for i, position in enumerate(positions):
         wide &= ~(1 << position)
-        wide |= (valuation.bits >> i & 1) << position
-    if cubes is not None:
-        assert _satisfies(cubes, valuation.bits) == expected
-        moved = remap(cubes, positions)
-        assert _satisfies(moved, wide) == expected
-    # the walk, taken for labels past the cube cap
-    assert holds(expr, valuation.bits) == expected
-    assert holds(expr, wide, positions) == expected
+        wide |= (bits >> i & 1) << position
+    assert walk(store.placed(table.root, positions, {}), wide) == holding
+    assert holding in table.leaves
+    for (mask, node), label in zip(table.labels, labels):
+        assert mask == sum(1 << i for i in occurring_aps(label))
+        assert walk(store.placed(node, positions, {}), wide) == evaluate(label, valuation)
+    # the read-offs are the brute-force answers
+    every = [
+        frozenset(j for j, label in enumerate(labels) if evaluate(label, Valuation(b, 5)))
+        for b in range(32)
+    ]
+    assert table.leaves == set(every)
+    assert table.disjoint(5) == all(len(hold) < 2 for hold in every)
+    assert table.covering(5) == all(every)
 
 
-def test_compiled_deep_negation_chain():
+def test_deep_negation_chain():
     # 300 nested negations, as aliases can build: deeper than Python's
     # recursion takes
     expr = Ap(0)
     for _ in range(300):
         expr = Not(expr)
-    assert cover(expr) == (1, ((1, 1),))
-    assert cover(Not(expr)) == (1, ((1, 0),))
-    assert holds(expr, 1) is True
-    assert holds(Not(expr), 1) is False
+    store = Diagrams()
+    mask, node = store.label(expr, {})
+    assert (mask, node) == (1, store.node(0, store.false, store.true))
+    assert store.label(Not(expr), {}) == (1, store.node(0, store.true, store.false))
 
 
-def test_compiled_deep_alternation_through_aliases(tmp_path, capsys):
+def test_deep_alternation_through_aliases(tmp_path, capsys):
     # `0 & (1 | (0 & ...))` 190 levels deep in each of two stacked aliases
     # and in the label: 570 levels, too deep to convert or walk by
     # recursion
@@ -192,15 +297,17 @@ def test_compiled_deep_alternation_through_aliases(tmp_path, capsys):
         f"Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {{0}}\n[{label}] 0\n[!({label})] 0\n--END--\n"
     )
     (automaton,) = parse(text).automata
-    _, cubes = cover(automaton.transitions[0].label)
+    store = Diagrams()
+    table = LabelTable(store, [t.label for t in automaton.transitions], {})
+    placed = store.placed(table.root, (0, 1), {})
     for bits in range(4):
         p, q = bits & 1, bits >> 1 & 1
         expected = p
         for _ in range(3):
             for level in range(190):
                 expected = (p and expected) if level % 2 == 0 else (q or expected)
-        assert _satisfies(cubes, bits) == bool(expected)
-        assert holds(automaton.transitions[0].label, bits) == bool(expected)
+        assert walk(placed, bits) == frozenset({0 if expected else 1})
+    assert _nodes(store, table.root) <= 5
     hoa = tmp_path / "deep.hoa"
     hoa.write_text(text)
     trace = tmp_path / "deep.trace"

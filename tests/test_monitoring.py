@@ -266,6 +266,9 @@ def test_attach_monitor_refusals():
     completed, monitor = attach_monitor(partial, complete=True)
     assert len(completed.transitions) == 2
     assert monitor.automaton is completed
+    # the labels the runner reads are the completed automaton's
+    assert monitor.compiled.automaton is completed
+    assert monitor.compiled.tables[0].leaves == {frozenset({0}), frozenset({1})}
 
 
 def test_oracle_good_needs_all_infinity_sets():

@@ -16,7 +16,7 @@ from helpers import brute_successors, random_det_complete_automaton, random_labe
 from hoarun import runtime
 from hoarun.automata import Automaton, Inf, Top, Transition
 from hoarun.hoa import parse
-from hoarun.labels import TRUE, Ap, Not, Valuation, cover, evaluate, land, lor
+from hoarun.labels import TRUE, Ap, Diagrams, Not, Valuation, evaluate, land, lor
 from hoarun.locks import LockScenario, emit_monitors, generate_trace, replay_check
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
@@ -531,14 +531,18 @@ def test_step_matches_brute_successors(seed):
     assert len(runner.memo) <= aut.num_states << len(aut.aps)
 
 
-def test_step_walks_labels_past_the_cube_cap():
-    # `(0|1) & (2|3) & ... & (18|19)` has 2**10 cubes, past the cube cap,
-    # so the runner walks it and its negation, reading its propositions
-    # at their global positions: here those of another automaton, one
-    # place further on
+def test_step_walks_wide_labels():
+    # `(0|1) & (2|3) & ... & (18|19)` takes 2**10 cubes but a diagram of
+    # 20 inner nodes; the runner walks it and its negation, reading their
+    # propositions at their global positions: here those of another
+    # automaton, one place further on
     names = tuple(f"p{i}" for i in range(20))
     label = land(*(lor(Ap(2 * i), Ap(2 * i + 1)) for i in range(10)))
-    assert cover(label) == ((1 << 20) - 1, None)
+    store = Diagrams()
+    mask, node = store.label(label, {})
+    inner: dict = {}
+    store.fold(node, lambda value: 0, lambda var, low, high: 1 + low + high, inner)
+    assert (mask, len(inner)) == ((1 << 20) - 1, 22)  # and the two leaves
     toggle = Automaton(
         aps=names[1:] + names[:1],
         num_states=2,
@@ -861,7 +865,7 @@ P, Q = Ap(0), Ap(1)
         (_over_pq("two-exits", [(0, P, 1), (0, land(Not(P), Q), 2),
                                 (0, land(Not(P), Not(Q)), 0), (1, TRUE, 1), (2, TRUE, 2)], 3),
          "p q\n0 0\n0 0\n0 0\n0 1\n0 0\n", "end-of-input"),
-        # labels past the cube cap, which have no cover
+        # a label with more paths than nodes, which is not filed
         (parse(load_fixture("wide.hoa")).automata[0],
          " ".join(f"p{i}" for i in range(20)) + "\n"
          + "".join(f"{' '.join([bit] * 20)}\n" for bit in "0001000110"), "end-of-input"),
@@ -940,21 +944,36 @@ class _ProbeCountingMemo(dict):
 
 
 def test_a_runner_woken_by_two_of_its_cubes_steps_once():
-    # `p | q` leaves state 0 as two cubes, and the runner is parked under
-    # both after the memo miss of step 0; p & q at step 3 is in both, and
-    # wakes, steps and counts it once
-    automaton = _over_pq("either", [(0, lor(P, Q), 1), (0, land(Not(P), Not(Q)), 0), (1, TRUE, 1)])
+    # `p & (q | r) & !(q & r)` leaves state 0 for 1 and `q & r` for 2;
+    # their hulls, p and q & r, overlap, and the runner is parked under
+    # both after the memo miss of step 0; p & q & r at step 3 is in both,
+    # and wakes, steps and counts it once
+    R = Ap(2)
+    odd = land(P, lor(Q, R), Not(land(Q, R)))
+    automaton = Automaton(
+        aps=("p", "q", "r"),
+        num_states=3,
+        initial=frozenset({0}),
+        transitions=(
+            Transition(0, odd, 1),
+            Transition(0, land(Q, R), 2),
+            Transition(0, Not(lor(odd, land(Q, R))), 0),
+            Transition(1, TRUE, 1),
+            Transition(2, TRUE, 2),
+        ),
+        acc_sets=(),
+        condition=Top(),
+    )
     universe = build_universe([automaton])
     (runner,) = prepare_runners([automaton], universe)
+    assert runner.exits[0] == ((1, 1), (6, 6))
     runner.memo = _ProbeCountingMemo()
     events = []
-    report = run_loop(
-        [runner], trace_sources(universe, "p q\n0 0\n0 0\n0 0\n1 1\n0 0\n"), on_event=events.append
-    )
-    assert [e.states[0][1] for e in events] == [0, 0, 0, 1, 1]
+    text = "p q r\n0 0 0\n0 0 0\n0 0 0\n1 1 1\n0 0 0\n"
+    report = run_loop([runner], trace_sources(universe, text), on_event=events.append)
+    assert [e.states[0][1] for e in events] == [0, 0, 0, 2, 2]
     assert runner.step_count == report.steps == 5
     assert runner.memo.probes == 3  # at steps 0, 3 and 4
-    assert runner.exit_cubes(0) == ((1, 1), (2, 2))
 
 
 def test_a_memo_hit_leaves_a_runner_with_several_cubes_unparked():
@@ -976,10 +995,10 @@ def test_a_memo_hit_leaves_a_runner_with_several_cubes_unparked():
     assert runner.memo.probes == 5  # at every step but 1
 
 
-def test_a_state_past_the_checks_cap_is_parked_by_its_covers():
+def test_a_state_past_the_checks_cap_is_parked_by_its_diagram():
     # state 0 loops on the complement of a 17-literal cube, one more
-    # proposition than the checks enumerate; its labels have covers, which
-    # hold on every input together, so the runner is parked after step 0
+    # proposition than the checks take; its table has no empty leaf all
+    # the same, so the runner is parked after step 0
     names = tuple(f"p{i}" for i in range(17))
     wide = land(*(Ap(i) for i in range(17)))
     automaton = Automaton(
@@ -998,8 +1017,7 @@ def test_a_state_past_the_checks_cap_is_parked_by_its_covers():
     report = run_loop([runner], trace_sources(universe, text))
     assert runner.step_count == report.steps == 50
     assert runner.memo.probes == 1
-    assert runner.exit_cubes(0) == ((sum(1 << i for i in range(17)),) * 2,)
-    assert automaton.complete == {}  # over the cap the automaton keeps no answer
+    assert runner.exits[0] == ((sum(1 << i for i in range(17)),) * 2,)
 
 
 def test_an_incomplete_state_is_never_parked_and_deadlocks_where_it_did():
@@ -1024,8 +1042,7 @@ def test_an_incomplete_state_is_never_parked_and_deadlocks_where_it_did():
     text = "p q r\n0 0 1\n0 0 1\n0 0 1\n0 0 1\n0 0 0\n0 1 0\n"
     report, events, runners = _run_with_trace([automaton], text)
     assert (report.reason, report.steps, report.fatal_runner) == ("deadlock", 4, "gap")
-    assert runners[0].exit_cubes(0) is None
-    assert automaton.complete == {0: False}  # decided once, without the checks
+    assert runners[0].exits[0] is None
     assert runners[0].step_count == 4
     assert len(events) == 4
 
@@ -1232,6 +1249,25 @@ def test_cond_trigger_validation_against_universe():
     (runner,) = prepare_runners([aut], build_universe([aut]), bound)
     assert runner.triggered == {CondTrigger: list(bound)}
     assert [hook for _, hook in runner.conditions] == list(bound)
+
+
+def test_runners_refuse_diagrams_past_the_node_budget():
+    # p_i & p_(20+i) for each i: about 2 ** 20 nodes in the fixed order
+    bus = lor(*(land(Ap(i), Ap(20 + i)) for i in range(20)))
+    aut = Automaton(
+        aps=tuple(f"p{i}" for i in range(40)),
+        num_states=1,
+        initial=frozenset({0}),
+        transitions=(Transition(0, bus, 0), Transition(0, Not(bus), 0)),
+        acc_sets=(frozenset({0}),),
+        condition=Inf(0),
+    )
+    with pytest.raises(runtime.CapacityError, match="cannot run m: .* state 0 "):
+        prepare_runners([replace(aut, name="m")], build_universe([aut]))
+    small = pq_automaton("m")
+    watch = (HookSpec("watch", CondTrigger(bus, aut.aps), LogAction("seen")),)
+    with pytest.raises(ConfigError, match="hook watch: condition takes a decision diagram"):
+        prepare_runners([small], build_universe([small, aut]), watch)
 
 
 def test_resolve_bindings_requires_default():
