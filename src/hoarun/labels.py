@@ -225,6 +225,12 @@ class Diagrams:
             self.nodes.append((var, low, high))
         return node
 
+    def truncate(self, length: int) -> None:
+        """Take back every node past the first ``length``."""
+        for key in self.nodes[length:]:
+            del self._ids[key]
+        del self.nodes[length:]
+
     def bounded(self, build: Callable, *args):
         """``build(*args)``, or None, with the store as it was, when that
         would add more than NODE_BUDGET nodes to it."""
@@ -233,9 +239,7 @@ class Diagrams:
         try:
             return build(*args)
         except CapacityError:
-            for key in self.nodes[start:]:
-                del self._ids[key]
-            del self.nodes[start:]
+            self.truncate(start)
             return None
         finally:
             self._limit = sys.maxsize
@@ -262,9 +266,11 @@ class Diagrams:
     def label(self, expr: LabelExpr, memo: dict) -> tuple[int, int | None]:
         """The mask of the propositions in ``expr``, and its diagram, or
         None when a step in building it is over the budget (:meth:`bounded`),
-        as it never is within the cap; ``memo`` keeps each formula node's
-        by its id, so give the labels of one automaton one memo, which
-        they outlive."""
+        as it never is within the cap; then every node the label added is
+        taken back, with the entries of ``memo`` that held them. ``memo``
+        keeps each formula node's by its id, so give the labels of one
+        automaton one memo, which they outlive."""
+        start = len(self.nodes)
         for node in postorder(expr, skip=memo):
             if isinstance(node, Ap):
                 memo[id(node)] = 1 << node.index, self.node(node.index, self.false, self.true)
@@ -280,6 +286,10 @@ class Diagrams:
                 memo[id(node)] = self._joined(isinstance(node, (And, TrueLabel)), children)
             else:
                 raise TypeError(f"not a label expression: {node!r}")
+        if memo[id(expr)][1] is None:
+            self.truncate(start)
+            for key in [key for key, (_, n) in memo.items() if n is not None and n >= start]:
+                del memo[key]
         return memo[id(expr)]
 
     def _joined(self, both: bool, values: list[tuple]) -> tuple[int, int | None]:
@@ -335,13 +345,16 @@ class Diagrams:
     def table(self, roots: Sequence[int]) -> tuple[int, frozenset] | None:
         """The diagram that maps each input to the frozenset of the
         positions j at which the label diagram ``roots[j]`` is true, and
-        the values of its leaves; None when adding a label to the table
-        of those before it (:meth:`added`) is over the budget."""
+        the values of its leaves; None, with every node the table added
+        taken back, when adding a label to the table of those before it
+        (:meth:`added`) is over the budget."""
+        start = len(self.nodes)
         table = self.leaf(frozenset())
         for j, root in enumerate(roots):
             if root != self.false:
                 table = self.bounded(self.added, table, root, j)
                 if table is None:
+                    self.truncate(start)
                     return None
         leaves: set[frozenset] = set()
         self.fold(table, leaves.add, lambda *_: None, {})

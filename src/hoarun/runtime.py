@@ -73,7 +73,7 @@ class TraceReader:
     propositions, every following significant line holds one 0/1 token
     per name. One record is consumed per step regardless of how many
     propositions read from it. Each record is checked and decoded once,
-    to one int (:meth:`record_for_step`). Columns no proposition is
+    to one int (:meth:`next_record`). Columns no proposition is
     bound to are checked but otherwise ignored. The file, standard input
     for the path ``-``, is read one line at a time, so memory does not
     grow with its length, and closed at its end or when the reader is
@@ -94,18 +94,12 @@ class TraceReader:
             raise TraceError("trace has no header line")
         _, header_line = header
         self.header: tuple[str, ...] = tuple(header_line.split())
-        self._step = -1
-        self._record: int | None = None
 
-    def record_for_step(self, step: int) -> int | None:
-        """Record for ``step``, column i at bit ``len(header) - 1 - i``,
-        advancing at most once; None at end of input."""
-        if step == self._step:
-            return self._record
+    def next_record(self) -> int | None:
+        """The next record, column i at bit ``len(header) - 1 - i``; None
+        at end of input."""
         entry = next(self._lines, None)
         if entry is None:
-            self._record = None
-            self._step = step
             return None
         number, line = entry
         tokens = line.split()
@@ -118,9 +112,7 @@ class TraceReader:
         if len(row) != len(tokens) or row.strip("01"):
             bad = next(token for token in tokens if token not in ("0", "1"))
             raise TraceError(f"expected 0 or 1, found {bad!r}", number)
-        self._record = int(row, 2)
-        self._step = step
-        return self._record
+        return int(row, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,7 @@ def collect_valuation(sources: ValuationSources, step: int) -> int | None:
     _, readers, others = sources
     bits = 0
     for reader, tables in readers:
-        record = reader.record_for_step(step)
+        record = reader.next_record()
         if record is None:
             return None
         for low, table in tables:
@@ -541,7 +533,7 @@ class Runner:
     the runner under them until an input in one comes: any such step when
     q has at most one, only a memo miss when it has several, as where the
     memo missed it is likely to miss again, while once it is warm a hit
-    costs less than filing the runner and taking it out when it leaves.
+    costs less than filing the runner and waking it when it leaves.
     """
 
     def __init__(self, compiled: Compiled, label: str, projection: tuple[int, ...]):
@@ -778,17 +770,19 @@ def prepare_runners(
     """Create runners, reading ``compiled[i]`` (a monitor's ``compiled``,
     as attach_monitor leaves it; made here when not given) for
     ``automata[i]`` at the universe's positions, and attach scoped hooks,
-    with ``cond:`` formulas as diagrams and the HOA text's state ids in
-    ``state:`` and ``goto:`` turned into state numbers."""
+    with ``cond:`` formulas as diagrams, one per hook that the runners in
+    its scope share, and the HOA text's state ids in ``state:`` and
+    ``goto:`` turned into state numbers."""
     runners = []
     positions = {name: i for i, name in enumerate(universe)}
+    tests: dict[int, object] = {}  # by hook number, the placed diagram of its condition
     for index, automaton in enumerate(automata):
         label = automaton.name if automaton.name else str(index)
         projection = tuple(positions[name] for name in automaton.aps)
         runner = Runner(compiled[index] if compiled else Compiled(automaton), label, projection)
         ids = automaton.display_ids or range(automaton.num_states)
         conditions = []
-        for hook in hooks:
+        for number, hook in enumerate(hooks):
             if hook.scope not in ("*", label, str(index)):
                 continue
             trigger, action = hook.trigger, hook.action
@@ -803,21 +797,23 @@ def prepare_runners(
             if isinstance(action, GotoAction):
                 hook = replace(hook, action=GotoAction(ids.index(action.state)))
             if isinstance(trigger, CondTrigger):
-                unbound = [n for n in trigger.ap_names if n not in positions]
-                if unbound:
-                    raise ConfigError(
-                        f"hook {hook.ident}: condition references unbound "
-                        f"proposition {unbound[0]!r}"
-                    )
-                store = Diagrams()
-                _, node = store.label(trigger.expr, {})
-                if node is None:
-                    raise ConfigError(
-                        f"hook {hook.ident}: condition takes a decision diagram of over "
-                        f"{NODE_BUDGET} nodes"
-                    )
-                places = tuple(positions[n] for n in trigger.ap_names)
-                conditions.append((store.placed(node, places, {}), hook))
+                if number not in tests:
+                    unbound = [n for n in trigger.ap_names if n not in positions]
+                    if unbound:
+                        raise ConfigError(
+                            f"hook {hook.ident}: condition references unbound "
+                            f"proposition {unbound[0]!r}"
+                        )
+                    store = Diagrams()
+                    _, node = store.label(trigger.expr, {})
+                    if node is None:
+                        raise ConfigError(
+                            f"hook {hook.ident}: condition takes a decision diagram of "
+                            f"over {NODE_BUDGET} nodes"
+                        )
+                    places = tuple(positions[n] for n in trigger.ap_names)
+                    tests[number] = store.placed(node, places, {})
+                conditions.append((tests[number], hook))
             runner.triggered.setdefault(type(trigger), []).append(hook)
         runner.conditions = tuple(conditions)
         runner.poststep = bool(conditions) or StateTrigger in runner.triggered
@@ -854,13 +850,14 @@ def run_loop(
     the run.
 
     A runner parked by the rule of ``Runner`` is filed under
-    ``watch[care][value]`` for each of its exit cubes and costs nothing
-    per step: each step looks its input up once per care mask, and the
-    runners found are unparked and leave all their groups, so an input in
-    two of a runner's cubes wakes it once; they step with the busy ones,
-    in runner order. Groups and care masks left empty are dropped. A
-    parked runner's steps are counted when it is unparked, and when the
-    loop ends, however it ends."""
+    ``watch[care][value]`` for each of its exit cubes, with the step its
+    parking began, and costs nothing per step: each step looks its input
+    up once per care mask and takes the groups it finds out of the index.
+    A runner in one of them is unparked, and steps with the busy ones in
+    runner order, when its entry is of the parking under way; an entry of
+    a parking that another group has ended is dropped, so an input in two
+    of a runner's cubes wakes it once. A parked runner's steps are counted
+    when it is unparked, and when the loop ends, however it ends."""
     ctx = _LoopContext(seed, on_event, interactive_in, interactive_out)
     reason = "steps-exhausted"
     halt_code: int | None = None
@@ -871,11 +868,14 @@ def run_loop(
         runner.resting = _MOVES
     states = [runner.current_state for runner in runners]
     busy = list(range(len(runners)))  # the positions of the runners not parked, in order
-    # the parked positions by exit cube, each under every exit cube of its
-    # state; an emptied group, and a care mask left without groups, go
-    watch: dict[int, dict[int, list[int]]] = {}
+    # by exit cube, the parked positions and the step each parking began: a
+    # runner is filed under every exit cube of its state, and keeps its
+    # entry in the others when one of them wakes it. Filing overwrites a
+    # position's entry and a woken group goes, so the index holds at most
+    # one entry per runner and exit cube of its automaton, however long the
+    # trace.
+    watch: dict[int, dict[int, dict[int, int]]] = {}
     since: dict[int, int] = {}  # a parked runner's position: its first step not counted
-    emptied: list[int] = []  # care masks that may have been left without groups
     # the position whose step was under way; the parked runners before it
     # have passed step ctx.step_index too
     upto = 0
@@ -891,29 +891,11 @@ def run_loop(
                     woken = parked.pop(bits & care, None)
                     if woken is None:
                         continue
-                    for position in woken:
-                        runner = runners[position]
-                        runner.step_count += ctx.step_index - since.pop(position)
-                        insort(busy, position)
-                        cubes = runner.exits[runner.current_state]
-                        if len(cubes) > 1:
-                            # leave its other groups; the one that woke it is gone
-                            for other, value in cubes:
-                                group = watch[other].get(value)
-                                if group is None:
-                                    continue
-                                if len(group) > 1:
-                                    group.remove(position)
-                                    continue
-                                del watch[other][value]
-                                emptied.append(other)
-                    if not parked:
-                        emptied.append(care)
-                if emptied:
-                    for care in emptied:
-                        if care in watch and not watch[care]:
-                            del watch[care]
-                    emptied.clear()
+                    for position, first in woken.items():
+                        if since.get(position) == first:
+                            del since[position]
+                            runners[position].step_count += ctx.step_index - first
+                            insort(busy, position)
             for upto in busy[:]:
                 runner = runners[upto]
                 state = runner.current_state
@@ -932,9 +914,9 @@ def run_loop(
                     # under several cubes only after a memo miss
                     if cubes is None or found is not None and len(cubes) > 1:
                         continue
+                first = since[upto] = ctx.step_index + 1
                 for care, value in cubes:
-                    watch.setdefault(care, {}).setdefault(value, []).append(upto)
-                since[upto] = ctx.step_index + 1
+                    watch.setdefault(care, {}).setdefault(value, {})[upto] = first
                 busy.remove(upto)
             upto = len(runners)
             ctx.on_event(StepEvent(ctx.step_index, bits, width, runners, tuple(states)))

@@ -12,7 +12,6 @@ from hoarun.labels import (
     Ap,
     CapacityError,
     Diagrams,
-    NODE_BUDGET,
     LabelTable,
     Not,
     Or,
@@ -145,20 +144,27 @@ def _bus(n):
 
 def test_diagrams_past_the_node_budget_are_refused():
     store = Diagrams()
-    mask, node = store.label(_bus(20), {})
-    assert mask == (1 << 40) - 1 and node is None
-    # the joins before the last one are kept; the last is taken back
-    # whole, and the store stays hash-consed
     size = len(store.nodes)
-    assert size < 3 * NODE_BUDGET
+    memo: dict = {}
+    mask, node = store.label(_bus(20), memo)
+    assert mask == (1 << 40) - 1 and node is None
+    # every node the label added is taken back, with the memo entries that
+    # held them, and the store stays hash-consed
+    assert len(store.nodes) == size
+    assert all(n is None or n < size for _, n in memo.values())
     assert all(store.node(*key) == n for n, key in enumerate(store.nodes) if key[2] is not None)
     # within the cap no operation reaches the budget
     assert store.label(_bus(8), {})[1] is not None
-    # twenty labels of one proposition each meet in 2 ** 20 ways
+    # twenty labels of one proposition each meet in 2 ** 20 ways; the
+    # table gives back its nodes, the labels' stay
     singles = [Ap(i) for i in range(20)]
-    table = LabelTable(store, singles, {})
+    memo = {}
+    for single in singles:
+        store.label(single, memo)
+    size = len(store.nodes)
+    table = LabelTable(store, singles, memo)
     assert table.root is None and table.leaves is None
-    assert len(store.nodes) < size + 2 * NODE_BUDGET
+    assert len(store.nodes) == size
 
 
 def test_checks_past_the_node_budget_answer_through_the_cap():

@@ -116,27 +116,26 @@ def test_trace_reader_rows(tmp_path):
     path.write_text(TRACE)
     reader = TraceReader(str(path))
     assert reader.header == ("a", "b")
-    assert reader.record_for_step(0) == 0b10
-    assert reader.record_for_step(0) == 0b10  # idempotent per step
-    assert reader.record_for_step(1) == 0b01
-    assert reader.record_for_step(2) == 0b11
-    assert reader.record_for_step(3) is None
+    assert reader.next_record() == 0b10
+    assert reader.next_record() == 0b01
+    assert reader.next_record() == 0b11
+    assert reader.next_record() is None
 
 
 def test_trace_reader_crlf_and_comments():
     reader = TraceReader("inline", text="# c\r\na b\r\n0 1\r\n")
     assert reader.header == ("a", "b")
-    assert reader.record_for_step(0) == 0b01
+    assert reader.next_record() == 0b01
 
 
 def test_trace_reader_bad_rows(tmp_path):
     reader = TraceReader("inline", text="a b\n1\n")
     with pytest.raises(TraceError) as err:
-        reader.record_for_step(0)
+        reader.next_record()
     assert err.value.line == 2
     reader = TraceReader("inline", text="a b\n1 x\n")
     with pytest.raises(TraceError):
-        reader.record_for_step(0)
+        reader.next_record()
     with pytest.raises(TraceError):
         TraceReader("inline", text="")
     # line numbers count comments and blank lines; a column that no
@@ -157,7 +156,8 @@ def test_trace_reader_bad_rows(tmp_path):
             sources = resolve_bindings(("a",), config, seed=0, trace_text=trace_text)
             read = partial(collect_valuation, sources)
         else:
-            read = TraceReader(path, text=trace_text).record_for_step
+            reader = TraceReader(path, text=trace_text)
+            read = lambda step: reader.next_record()  # noqa: E731
         read(0)
         for step, line, message in (
             (1, 6, "expected 0 or 1, found '10'"),
@@ -185,7 +185,7 @@ def test_trace_reader_memory_does_not_grow_with_length(tmp_path, monkeypatch):
         try:
             reader = TraceReader(str(path))
             step = 0
-            while reader.record_for_step(step) is not None:
+            while reader.next_record() is not None:
                 step += 1
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -209,7 +209,7 @@ def test_a_dropped_trace_reader_closes_its_file(tmp_path):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             reader = TraceReader(str(path))
-            assert reader.record_for_step(0) == 0b01
+            assert reader.next_record() == 0b01
             del reader
             gc.collect()
     finally:
@@ -976,6 +976,39 @@ def test_a_runner_woken_by_two_of_its_cubes_steps_once():
     assert runner.memo.probes == 3  # at steps 0, 3 and 4
 
 
+def test_a_group_left_by_an_ended_parking_wakes_nobody():
+    # state 0 has two exit cubes, p and !p & q, and the runner is parked
+    # under both after step 0; p wakes it at step 1 and moves it to state
+    # 1, where it is parked under r after step 2. The q of step 3 falls in
+    # the group that state 0's parking left behind, and must not probe it
+    R = Ap(2)
+    automaton = Automaton(
+        aps=("p", "q", "r"),
+        num_states=3,
+        initial=frozenset({0}),
+        transitions=(
+            Transition(0, P, 1),
+            Transition(0, land(Not(P), Q), 2),
+            Transition(0, land(Not(P), Not(Q)), 0),
+            Transition(1, R, 0),
+            Transition(1, Not(R), 1),
+            Transition(2, TRUE, 2),
+        ),
+        acc_sets=(),
+        condition=Top(),
+    )
+    universe = build_universe([automaton])
+    (runner,) = prepare_runners([automaton], universe)
+    assert len(runner.exits[0]) == 2
+    runner.memo = _ProbeCountingMemo()
+    events = []
+    text = "p q r\n0 0 0\n1 0 0\n0 0 0\n0 1 0\n0 0 1\n"
+    report = run_loop([runner], trace_sources(universe, text), on_event=events.append)
+    assert [e.states[0][1] for e in events] == [0, 1, 1, 1, 0]
+    assert runner.step_count == report.steps == 5
+    assert runner.memo.probes == 4  # at steps 0, 1, 2 and 4
+
+
 def test_a_memo_hit_leaves_a_runner_with_several_cubes_unparked():
     # the memo miss of step 0 parks the runner under both cubes of
     # `p | q`, and p at step 2 wakes it and moves it to state 1; it comes
@@ -1049,8 +1082,8 @@ def test_an_incomplete_state_is_never_parked_and_deadlocks_where_it_did():
 
 def test_parked_runners_keep_run_loop_memory_flat_in_trace_length(tmp_path):
     # the n=4 lock monitors, 32 runners parked and woken under up to 8
-    # cubes each: emptied groups and care masks are dropped, so the peak
-    # of a run ten times as long is no higher
+    # cubes each: a woken group is dropped and a runner has one entry per
+    # group, so the peak of a run ten times as long is no higher
     automata = emit_monitors(4).automata
     hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
 
@@ -1249,6 +1282,13 @@ def test_cond_trigger_validation_against_universe():
     (runner,) = prepare_runners([aut], build_universe([aut]), bound)
     assert runner.triggered == {CondTrigger: list(bound)}
     assert [hook for _, hook in runner.conditions] == list(bound)
+
+
+def test_runners_in_scope_share_their_condition_diagram():
+    automata = [pq_automaton("first"), pq_automaton("second")]
+    hooks = (HookSpec("watch", CondTrigger(*parse_condition("!p")), LogAction("quiet")),)
+    first, second = prepare_runners(automata, build_universe(automata), hooks)
+    assert first.conditions[0][0] is second.conditions[0][0]
 
 
 def test_runners_refuse_diagrams_past_the_node_budget():
