@@ -203,18 +203,21 @@ def _cmd_run(args) -> int:
         return EXIT_ERROR
 
     good_word = "VIOLATION" if args.negated else None
+    verbose = args.verbose
 
     def on_event(event) -> None:
-        if isinstance(event, VerdictEvent):
+        # one StepEvent per step; the other events are rare
+        if isinstance(event, StepEvent):
+            if verbose:
+                states = " ".join(f"{label}:{state}" for label, state in event.states)
+                print(f"STEP {event.step} {event.bits} | {states}")
+        elif isinstance(event, VerdictEvent):
             if good_word and event.verdict is Verdict.GOOD:
                 print(f"VIOLATION {event.runner} @{event.step}")
             else:
                 print(f"VERDICT {event.runner} {event.verdict.value} @{event.step}")
         elif isinstance(event, LogEvent):
             print(f"LOG {event.message}")
-        elif args.verbose and isinstance(event, StepEvent):
-            states = " ".join(f"{label}:{state}" for label, state in event.states)
-            print(f"STEP {event.step} {event.bits} | {states}")
 
     try:
         report = run_loop(runners, sources, seed=seed, max_steps=max_steps, on_event=on_event)

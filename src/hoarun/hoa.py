@@ -660,22 +660,28 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _format_formula(root, format_atom, and_cls: type, or_cls: type) -> str:
+def _format_formula(root, format_atom, and_cls: type, or_cls: type, names=None) -> str:
     """A label or acceptance condition as text; ``format_atom`` writes the
-    nodes that are neither chains nor negations. `&` binds tighter than
+    nodes that are neither chains nor negations, and a node whose id is in
+    ``names`` is written as that name, an atom. `&` binds tighter than
     `|`, a chain inside a chain of the same operator keeps its
     parentheses, and a negated chain takes them. The nodes are written
     children first (:func:`labels.postorder`), so any depth prints."""
-    done: dict[int, str] = {}  # text by node id
-    for node in postorder(root):
+    names = names or {}
+    done: dict[int, str] = dict(names)  # text by node id
+
+    def chain(node, kinds) -> bool:
+        return isinstance(node, kinds) and id(node) not in names
+
+    for node in postorder(root, skip=names):
         if isinstance(node, Not):
             text = done[id(node.child)]
-            done[id(node)] = f"!({text})" if isinstance(node.child, (And, Or)) else "!" + text
+            done[id(node)] = f"!({text})" if chain(node.child, (And, Or)) else "!" + text
         elif isinstance(node, (and_cls, or_cls)):
             conjunction = isinstance(node, and_cls)
             nested = (and_cls, or_cls) if conjunction else or_cls
             parts = [
-                f"({done[id(child)]})" if isinstance(child, nested) else done[id(child)]
+                f"({done[id(child)]})" if chain(child, nested) else done[id(child)]
                 for child in node.children
             ]
             empty = "t" if conjunction else "f"
@@ -683,6 +689,38 @@ def _format_formula(root, format_atom, and_cls: type, or_cls: type) -> str:
         else:
             done[id(node)] = format_atom(node)
     return done[id(root)]
+
+
+def _alias_cuts(labels) -> list[LabelExpr]:
+    """The subtrees of ``labels`` to write as aliases, each after those
+    below it, so that no label or alias body written nests past
+    ``_MAX_NESTING`` levels of `!` and parentheses, and a document that
+    nests deeper only through its aliases reparses. A child whose text
+    would take its parent's past the limit is cut: written as an alias
+    name, an atom. Nothing is cut from labels within the limit."""
+    order: dict[int, int] = {}  # by node id, its place in postorder
+    depth: dict[int, int] = {}  # by node id, the levels its text nests
+    cuts: dict[int, LabelExpr] = {}
+    for place, node in enumerate(postorder(*labels)):
+        order[id(node)] = place
+        if isinstance(node, Not):  # `!x`, or `!(x)` for a chain x
+            below, children, parenthesized = 1, (node.child,), (And, Or)
+        elif isinstance(node, (And, Or)):
+            below, children = 0, node.children
+            parenthesized = (And, Or) if isinstance(node, And) else Or
+        else:
+            depth[id(node)] = 0
+            continue
+        deepest = below
+        for child in children:
+            if id(child) not in cuts:
+                level = below + depth[id(child)] + isinstance(child, parenthesized)
+                if level > _MAX_NESTING:
+                    cuts[id(child)] = child
+                else:
+                    deepest = max(deepest, level)
+        depth[id(node)] = deepest
+    return sorted(cuts.values(), key=lambda node: order[id(node)])
 
 
 def _format_label_atom(expr: LabelExpr) -> str:
@@ -718,7 +756,8 @@ def serialize_automaton(automaton: Automaton) -> str:
     """Emit normalized HOA v1 text for one automaton.
 
     Labels are always explicit and state ids are the dense internal ones,
-    so reparsing yields a structurally equal automaton.
+    so reparsing yields a structurally equal automaton. Subtrees that would
+    nest a label past the parser's limit are written as `Alias:` headers.
     """
     lines = ["HOA: v1"]
     if automaton.name is not None:
@@ -732,6 +771,11 @@ def serialize_automaton(automaton: Automaton) -> str:
         f"AP: {len(automaton.aps)}"
         + "".join(" " + _quote(name) for name in automaton.aps)
     )
+    names: dict[int, str] = {}  # the aliases written so far, by node id
+    for node in _alias_cuts([t.label for t in automaton.transitions]):
+        body = _format_formula(node, _format_label_atom, And, Or, names)
+        names[id(node)] = f"@a{len(names)}"
+        lines.append(f"Alias: {names[id(node)]} {body}")
     if automaton.acc_name is not None:
         lines.append(f"acc-name: {automaton.acc_name}")
     lines.append(
@@ -748,7 +792,8 @@ def serialize_automaton(automaton: Automaton) -> str:
         sig = " {" + " ".join(str(k) for k in sets) + "}" if sets else ""
         lines.append(f"State: {q}{sig}")
         for t in by_state[q]:
-            lines.append(f"[{format_label(t.label)}] {t.dst}")
+            label = _format_formula(t.label, _format_label_atom, And, Or, names)
+            lines.append(f"[{label}] {t.dst}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 

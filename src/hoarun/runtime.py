@@ -2,16 +2,18 @@
 hooks react to nondeterminism, deadlock, verdict changes and user conditions.
 
 Atomic propositions are shared across automata by name: every step one
-global valuation is collected, as one int with a bit per proposition.
-Each runner reads its automaton's compiled labels (``automata.Compiled``),
-a decision diagram per state, and its ``cond:`` formulas as diagrams,
-at the global bits of their names, and memoises its candidate states per
-(state, input) in at most ``MEMO_CAP`` entries. The loop counts a step
-that its memo says changes nothing and calls nothing for it, and parks a
-runner that only a few cubes of inputs can move until one of them comes;
-every other step goes through ``step``. All randomness flows from
-per-purpose streams derived from the global seed, so identical inputs
-replay identically.
+global valuation is collected, as one int with a bit per proposition;
+a trace reader decodes each distinct line once. Each runner reads its
+automaton's compiled labels (``automata.Compiled``), a decision diagram
+per state, and its ``cond:`` formulas as diagrams, at the global bits of
+their names, and memoises its candidate states per (state, input) in at
+most ``MEMO_CAP`` entries. The loop counts a step that its memo says
+changes nothing and calls nothing for it, and parks a runner that only a
+few cubes of inputs can move until one of them comes. A memo hit that
+moves a runner goes straight to ``_advance``, which every move shares;
+a miss goes through ``step``, which walks the table first. All
+randomness flows from per-purpose streams derived from the global seed,
+so identical inputs replay identically.
 """
 
 from __future__ import annotations
@@ -51,17 +53,22 @@ class InputClosedError(Exception):
 # Trace files
 
 
-def _significant_lines(path: str, source: TextIO) -> Iterator[tuple[int, str]]:
-    """Number and text of each line of ``source``, the trace ``path``, that
-    is not blank or a comment, read one at a time. ``source`` is closed at
-    its end, or when the generator is dropped: it does not refer to its
-    reader, so dropping the reader drops it without the cycle collector."""
+# distinct lines a trace reader keeps decoded before it empties its memo:
+# a trace over k columns has at most 2**k distinct records, and the lock
+# traces up to n = 16 (10 columns) stay under it
+LINE_CAP = 1 << 12
+
+_SKIP = object()  # the record of a blank or comment line
+
+
+def _lines(path: str, source: TextIO) -> Iterator[str]:
+    """The lines of ``source``, the trace ``path``, read one at a time.
+    ``source`` is closed at its end, or when the generator is dropped: it
+    does not refer to its reader, so dropping the reader drops it without
+    the cycle collector."""
     with source:
         try:
-            for number, line in enumerate(source, start=1):
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    yield number, stripped
+            yield from source
         except UnicodeDecodeError as exc:
             raise TraceError(f"trace {path!r} is not valid UTF-8 ({exc.reason})") from None
 
@@ -72,12 +79,14 @@ class TraceReader:
     Format: '#' lines are comments, the first significant line names the
     propositions, every following significant line holds one 0/1 token
     per name. One record is consumed per step regardless of how many
-    propositions read from it. Each record is checked and decoded once,
-    to one int (:meth:`next_record`). Columns no proposition is
-    bound to are checked but otherwise ignored. The file, standard input
-    for the path ``-``, is read one line at a time, so memory does not
-    grow with its length, and closed at its end or when the reader is
-    dropped.
+    propositions read from it. Each distinct line is checked and decoded
+    once, to one int (:meth:`next_record`), and kept in a memo from line
+    text to record, emptied when it holds ``LINE_CAP`` lines; a line that
+    fails its check is not kept, so each of its occurrences raises.
+    Columns no proposition is bound to are checked but otherwise ignored.
+    The file, standard input for the path ``-``, is read one line at a
+    time, so memory does not grow with its length, and closed at its end
+    or when the reader is dropped.
     """
 
     def __init__(self, path: str, text: str | None = None):
@@ -88,31 +97,45 @@ class TraceReader:
             source = open(sys.stdin.fileno(), encoding="utf-8", closefd=False)
         else:
             source = open(path, encoding="utf-8")
-        self._lines = _significant_lines(path, source)
-        header = next(self._lines, None)
-        if header is None:
+        # (line number, line); the generator, not the reader, holds the file
+        self._lines = enumerate(_lines(path, source), start=1)
+        self._records: dict[str, int | object] = {}
+        for _, line in self._lines:
+            names = line.split()
+            if names and not names[0].startswith("#"):
+                self.header: tuple[str, ...] = tuple(names)
+                break
+        else:
             raise TraceError("trace has no header line")
-        _, header_line = header
-        self.header: tuple[str, ...] = tuple(header_line.split())
 
     def next_record(self) -> int | None:
         """The next record, column i at bit ``len(header) - 1 - i``; None
         at end of input."""
-        entry = next(self._lines, None)
-        if entry is None:
-            return None
-        number, line = entry
-        tokens = line.split()
-        if len(tokens) != len(self.header):
-            raise TraceError(
-                f"expected {len(self.header)} columns, found {len(tokens)}", number
-            )
-        row = "".join(tokens)
-        # every token is one character, and each of them is 0 or 1
-        if len(row) != len(tokens) or row.strip("01"):
-            bad = next(token for token in tokens if token not in ("0", "1"))
-            raise TraceError(f"expected 0 or 1, found {bad!r}", number)
-        return int(row, 2)
+        records = self._records
+        for number, line in self._lines:
+            record = records.get(line)
+            if record is None:
+                # a line not seen since the memo was last emptied
+                tokens = line.split()
+                if not tokens or tokens[0].startswith("#"):
+                    record = _SKIP
+                else:
+                    if len(tokens) != len(self.header):
+                        raise TraceError(
+                            f"expected {len(self.header)} columns, found {len(tokens)}", number
+                        )
+                    row = "".join(tokens)
+                    # every token is one character, and each of them is 0 or 1
+                    if len(row) != len(tokens) or row.strip("01"):
+                        bad = next(token for token in tokens if token not in ("0", "1"))
+                        raise TraceError(f"expected 0 or 1, found {bad!r}", number)
+                    record = int(row, 2)
+                if len(records) >= LINE_CAP:
+                    records.clear()
+                records[line] = record
+            if record is not _SKIP:
+                return record
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +547,10 @@ class Runner:
     ``step_count``: ``unique[q]`` at the current state q when the runner
     has no state or cond: hook and observing q again is a no-op (no
     monitor, a latched verdict, or an unknown verdict at q), and otherwise
-    an object no memo entry is, as when the loop starts. The loop counts a
-    step whose entry is ``resting``; ``_step_runner`` takes the others.
+    an object no memo entry is, as when the loop starts, or after a hook
+    moved the runner. The loop counts a step whose entry is ``resting``;
+    the others go to ``_advance``, or on a miss or with no or several
+    candidates to ``_step_in_full``.
 
     ``exits[q]`` is q's exit cubes (``Compiled.exits``) at the global
     bits, or None where the runner is never parked. A step that leaves
@@ -577,31 +602,57 @@ class Runner:
         self.resting: object = _MOVES
 
 
-def step(runner: Runner, bits: int, found: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Evaluate one input, the global valuation ``bits``, on a runner;
-    returns its candidate states, sorted.
+def step(runner: Runner, bits: int, ctx: _LoopContext | None = None) -> tuple[int, ...]:
+    """Evaluate one input, the global valuation ``bits``, on a runner by
+    walking its current state's table, and memoise the result; returns
+    its candidate states, sorted.
 
-    Exactly one candidate advances the runner (state, step count, and the
-    monitor's view); none (a deadlock) or several (nondeterminism) leave
-    the runner untouched until hooks decide. ``found`` is the memo entry
-    the loop found for this input at the current state, or ``unique[c]``
-    for the candidate c a hook chose among several; without it they are
-    walked to and memoised.
+    Exactly one candidate advances the runner (:func:`_advance`); none (a
+    deadlock) or several (nondeterminism) leave the runner untouched
+    until hooks decide. ``ctx`` is the loop's: without it the advance
+    moves the runner and its monitor but reports nothing and runs no hook.
     """
-    if found is None:
-        state = runner.current_state
-        bits &= runner.mask
-        found = runner.targets[state][walk(runner.walks[state], bits)]
-        memo = runner.memo
-        if len(memo) >= MEMO_CAP:
-            memo.clear()
-        memo[state << runner.shift | bits] = found
+    state = runner.current_state
+    bits &= runner.mask
+    found = runner.targets[state][walk(runner.walks[state], bits)]
+    memo = runner.memo
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[state << runner.shift | bits] = found
     if len(found) == 1:
-        runner.current_state = found[0]
-        runner.step_count += 1
-        if runner.monitor is not None:
-            runner.monitor.observe(found[0])
+        _advance(runner, found[0], ctx)
     return found
+
+
+def _advance(runner: Runner, state: int, ctx: _LoopContext | None) -> None:
+    """Move the runner into ``state``, its one candidate, found by a memo
+    hit, a walk or a hook's choice: count the step, let the monitor
+    observe the state, report a latch that has just moved, run the
+    post-step hooks, and set ``resting`` for the state the runner is left
+    in. Without ``ctx`` nothing is reported and no hook runs. The next
+    step may be counted without a call only when nothing would see it:
+    no post-step hook, and no monitor that observing the state latches."""
+    runner.current_state = state
+    runner.step_count += 1
+    monitor = runner.monitor
+    if monitor is not None:
+        latched = monitor.current_verdict
+        if monitor.observe(state) is not latched and ctx is not None:
+            _emit_verdict_change(runner, ctx)
+    if runner.poststep:
+        if ctx is not None:
+            _fire_poststep_hooks(runner, ctx)
+        runner.resting = _MOVES
+        return
+    state = runner.current_state
+    if (
+        monitor is not None
+        and monitor.current_verdict is _UNKNOWN
+        and monitor.verdicts[state] is not _UNKNOWN
+    ):
+        runner.resting = _MOVES
+    else:
+        runner.resting = runner.unique[state]
 
 
 @dataclass(frozen=True, slots=True)
@@ -849,6 +900,11 @@ def run_loop(
     trace readers gives one record per step, and the first to end ends
     the run.
 
+    A runner that is not parked is probed in its memo once per step. A
+    hit with one candidate is advanced by one call, :func:`_advance`; a
+    miss goes through :func:`step`, and no or several candidates to the
+    hooks (``_step_in_full``).
+
     A runner parked by the rule of ``Runner`` is filed under
     ``watch[care][value]`` for each of its exit cubes, with the step its
     parking began, and costs nothing per step: each step looks its input
@@ -906,7 +962,10 @@ def run_loop(
                     if cubes is None or len(cubes) > 1:
                         continue
                 else:
-                    _step_runner(runner, bits, found, ctx)
+                    if found is not None and len(found) == 1:
+                        _advance(runner, found[0], ctx)
+                    else:
+                        _step_in_full(runner, bits, found, ctx)
                     states[upto] = runner.current_state
                     if runner.resting is not runner.unique[state]:
                         continue
@@ -950,30 +1009,17 @@ def run_loop(
     )
 
 
-def _step_runner(
+def _step_in_full(
     runner: Runner, bits: int, found: tuple[int, ...] | None, ctx: _LoopContext
 ) -> None:
-    monitor = runner.monitor
-    before = monitor.current_verdict if monitor is not None else None
-    candidates = step(runner, bits, found)
-    if len(candidates) == 1:
-        if monitor is not None and monitor.current_verdict is not before:
-            _emit_verdict_change(runner, ctx)
-        if runner.poststep:
-            _fire_poststep_hooks(runner, ctx)
-    elif not _fire_resolution_hooks(runner, candidates, ctx):
-        raise _Fatal("nondeterminism" if candidates else "deadlock", runner.label)
-    # the step and its hooks are all that move this runner or its latch;
-    # observing a state whose verdict is conclusive latches it
-    state = runner.current_state
-    if runner.poststep or (
-        monitor is not None
-        and monitor.current_verdict is _UNKNOWN
-        and monitor.verdicts[state] is not _UNKNOWN
-    ):
-        runner.resting = _MOVES
-    else:
-        runner.resting = runner.unique[state]
+    """A step that is not a memo hit with one candidate: a miss, which
+    :func:`step` walks, or no or several candidates, which hooks resolve."""
+    if found is None:
+        found = step(runner, bits, ctx)
+        if len(found) == 1:
+            return
+    if not _fire_resolution_hooks(runner, found, ctx):
+        raise _Fatal("nondeterminism" if found else "deadlock", runner.label)
 
 
 def _emit_verdict_change(runner: Runner, ctx: _LoopContext) -> None:
@@ -1028,15 +1074,19 @@ def _apply_action(
             choice = candidates[ctx.hook_rng.randrange(len(candidates))]
         else:
             choice = _prompt_choice(runner, candidates, ctx)
-        _step_runner(runner, ctx.bits, runner.unique[choice], ctx)
+        _advance(runner, choice, ctx)
         return True
+    # a reset or a goto moves the runner without an advance, so the next
+    # step is taken in full
     if isinstance(action, ResetAction):
         runner.current_state = runner.start_state
+        runner.resting = _MOVES
         if runner.monitor is not None:
             runner.monitor.reset()
         return True
     if isinstance(action, GotoAction):
         runner.current_state = action.state
+        runner.resting = _MOVES
         monitor = runner.monitor
         if monitor is not None:
             before = monitor.current_verdict

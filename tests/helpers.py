@@ -7,6 +7,7 @@ independent references.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 from hoarun.automata import (
@@ -311,3 +312,42 @@ def reachable_from(graph: StateGraph, state: int) -> set[int]:
 def all_valuations(ap_count: int):
     for bits in range(1 << ap_count):
         yield Valuation(bits, ap_count)
+
+
+# ---------------------------------------------------------------------------
+# Structural equality past the recursion limit
+
+
+def same_labels(first: LabelExpr, second: LabelExpr) -> bool:
+    """``first == second`` for labels, compared from an explicit stack:
+    the dataclasses' ``==`` recurses, and fails a few hundred levels down."""
+    stack = [(first, second)]
+    seen: set[tuple[int, int]] = set()
+    while stack:
+        a, b = stack.pop()
+        if (id(a), id(b)) in seen:
+            continue
+        seen.add((id(a), id(b)))
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Not):
+            stack.append((a.child, b.child))
+        elif isinstance(a, (And, Or)):
+            if len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        elif a != b:
+            return False
+    return True
+
+
+def same_automata(first: Automaton, second: Automaton) -> bool:
+    """``first == second``, with the labels compared by :func:`same_labels`."""
+    edges = [(t.src, t.dst) for t in first.transitions]
+    return (
+        replace(first, transitions=()) == replace(second, transitions=())
+        and edges == [(t.src, t.dst) for t in second.transitions]
+        and all(
+            same_labels(t.label, u.label) for t, u in zip(first.transitions, second.transitions)
+        )
+    )

@@ -1,8 +1,11 @@
+from random import Random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, load_fixture
+from helpers import same_automata
 from hoarun.automata import BOT, TOP, AccAnd, AccOr, Fin, Inf, Top, acc_and, acc_or
 from hoarun.hoa import HoaParseError, format_acceptance, format_label, parse, serialize
 from hoarun.labels import Ap, Not, land, lor, minterm
@@ -471,3 +474,92 @@ def test_round_trip_random_automata(seed):
 
     doc = HoaDocument((random_det_complete_automaton(Random(seed)),))
     assert parse(serialize(doc)).automata == doc.automata
+
+
+def _deep_operand(rng, inner, chain, levels):
+    """``inner``, a formula (a chain when ``chain``), under ``levels`` more
+    levels of `!` and parentheses, chosen by ``rng``: returns the text and
+    whether it is a chain."""
+    while levels:
+        kind = rng.randrange(3)
+        if kind == 0 and levels >= 2 - (not chain):
+            inner = f"!({inner})" if chain else "!" + inner
+            levels -= 2 if chain else 1
+            chain = False
+        elif kind == 1:
+            inner, chain = f"({inner}) & {rng.randrange(2)}", True
+            levels -= 1
+        else:
+            inner, chain = f"{rng.randrange(2)} | ({inner})", True
+            levels -= 1
+    return inner, chain
+
+
+def alias_deep_document(rng) -> str:
+    """An automaton whose aliases each nest up to the parser's limit of
+    200 levels, each over the one before, so that its labels nest far
+    past it once the aliases are written inline."""
+    aliases = []
+    last = "0"
+    for k in range(rng.randint(1, 4)):
+        body, _ = _deep_operand(rng, last, False, rng.randint(150, 200))
+        aliases.append(f"Alias: @x{k} {body}\n")
+        last = f"@x{k}"
+    lines = []
+    for q in range(2):
+        lines.append(f"State: {q}{' {0}' if q == 0 else ''}\n")
+        for _ in range(rng.randint(1, 3)):
+            label, _ = _deep_operand(rng, last, False, rng.randint(0, 200))
+            lines.append(f"[{label}] {rng.randrange(2)}\n")
+    return (
+        'HOA: v1\nStates: 2\nStart: 0\nAP: 2 "p" "q"\n' + "".join(aliases)
+        + "Acceptance: 1 Inf(0)\n--BODY--\n" + "".join(lines) + "--END--\n"
+    )
+
+
+def _round_trips(text: str) -> str:
+    """The serialized text of ``text``, after checking that it reparses to
+    structurally equal automata and serializes again to itself."""
+    doc = parse(text)
+    written = serialize(doc)
+    again = parse(written)
+    assert len(again.automata) == len(doc.automata)
+    assert all(same_automata(a, b) for a, b in zip(doc.automata, again.automata))
+    assert serialize(again) == written
+    return written
+
+
+def test_labels_nested_past_the_limit_through_aliases_round_trip():
+    # 150 + 150 `!` through two aliases: 301 levels written inline, where
+    # the parser stops at 200
+    text = MINIMAL.replace(
+        "Acceptance:", f"Alias: @a {'!' * 150}0\nAlias: @b {'!' * 150}@a\nAcceptance:"
+    ).replace("[0] 0\n[!0] 0", "[@b] 0\n[!@b] 0")
+    written = _round_trips(text)
+    assert written.count("Alias:") == 1
+    # `0 & (1 | (0 & ...))` 190 levels deep in each of two stacked aliases
+    # and in the label: 570 levels
+    def chain(inner):
+        for level in range(190):
+            inner = f"0 & ({inner})" if level % 2 == 0 else f"1 | ({inner})"
+        return inner
+
+    label = chain("@b")
+    text = MINIMAL.replace('AP: 1 "p"', 'AP: 2 "p" "q"').replace(
+        "Acceptance:", f"Alias: @a {chain('0')}\nAlias: @b {chain('@a')}\nAcceptance:"
+    ).replace("[0] 0\n[!0] 0", f"[{label}] 0\n[!({label})] 0")
+    assert "Alias:" in _round_trips(text)
+    # within the limit, nothing is written as an alias
+    label = chain("0")
+    text = MINIMAL.replace('AP: 1 "p"', 'AP: 2 "p" "q"').replace(
+        "[0] 0\n[!0] 0", f"[{label}] 0\n[!({label})] 0"
+    )
+    assert "Alias:" not in _round_trips(text)
+
+
+def test_alias_deep_documents_round_trip():
+    rng = Random(2024)
+    aliased = 0
+    for _ in range(40):
+        aliased += "Alias:" in _round_trips(alias_deep_document(rng))
+    assert aliased > 20  # most are too deep to write inline

@@ -20,6 +20,7 @@ from hoarun.labels import TRUE, Ap, Diagrams, Not, Valuation, evaluate, land, lo
 from hoarun.locks import LockScenario, emit_monitors, generate_trace, replay_check
 from hoarun.monitoring import Monitor, Verdict
 from hoarun.runtime import (
+    LINE_CAP,
     MEMO_CAP,
     Config,
     ConfigError,
@@ -215,6 +216,75 @@ def test_a_dropped_trace_reader_closes_its_file(tmp_path):
     finally:
         gc.enable()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_trace_reader_raises_at_each_occurrence_of_a_bad_line():
+    # a line that fails its check is not kept decoded: each of its
+    # occurrences raises with its own line number, and reading goes on
+    # after each; a good line repeated decodes as it did the first time
+    reader = TraceReader("inline", text="a b\n0 1\n1 x\n1 0\n1 x\n1 x\n0 1\n\n1\n0 1\n")
+    read = []
+    for _ in range(9):
+        try:
+            read.append(reader.next_record())
+        except TraceError as exc:
+            read.append(str(exc))
+    assert read == [
+        0b01,
+        "line 3: expected 0 or 1, found 'x'",
+        0b10,
+        "line 5: expected 0 or 1, found 'x'",
+        "line 6: expected 0 or 1, found 'x'",
+        0b01,
+        "line 9: expected 2 columns, found 1",
+        0b01,
+        None,
+    ]
+
+
+def test_trace_reader_decodes_more_distinct_rows_than_it_keeps(tmp_path):
+    # 16 columns: rows of 2 ** 16 kinds, 16 times as many as the decoded
+    # lines a reader keeps; every row decodes as its tokens read in base
+    # 2, and the reader's memory is no more for 2 ** 16 kinds than for
+    # twice the cap
+    width = 16
+    rng = Random(5)
+
+    def peak_bytes(kinds):
+        rows = [rng.randrange(kinds) for _ in range(2 * kinds)] + list(range(kinds))
+        lines = [" ".join(format(row, f"0{width}b")) for row in rows]
+        path = tmp_path / f"{kinds}.trace"
+        path.write_text(" ".join(f"c{i}" for i in range(width)) + "\n" + "\n".join(lines) + "\n")
+        expected = [int("".join(line.split()), 2) for line in lines]
+        wrong = 0
+        tracemalloc.start()
+        try:
+            reader = TraceReader(str(path))
+            for value in expected:
+                wrong += reader.next_record() != value
+            assert reader.next_record() is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wrong == 0
+        return peak
+
+    assert LINE_CAP < 1 << width
+    small, large = peak_bytes(2 * LINE_CAP), peak_bytes(1 << width)
+    assert large < 1.5 * small
+
+
+def test_trace_reader_last_line_without_newline():
+    # the last line, without its newline, is another line's text, and
+    # decodes as the equal line before it; so does a bad one
+    reader = TraceReader("inline", text="a b\n0 1\n1 0\n0 1")
+    assert [reader.next_record() for _ in range(4)] == [0b01, 0b10, 0b01, None]
+    reader = TraceReader("inline", text="a b\n0 2\n0 2")
+    for line in (2, 3):
+        with pytest.raises(TraceError) as err:
+            reader.next_record()
+        assert err.value.line == line
+    assert reader.next_record() is None
 
 
 def test_collect_valuation_from_shared_file():
@@ -1107,6 +1177,45 @@ def test_parked_runners_keep_run_loop_memory_flat_in_trace_length(tmp_path):
 
     small, large = peak_bytes(2_000), peak_bytes(20_000)
     assert abs(large - small) < 100_000
+
+
+def test_a_memo_hit_advances_as_a_miss_does(monkeypatch):
+    # the n=4 lock monitors with a reset on each conclusive verdict, on a
+    # trace with enough faults that the same step into a verdict recurs
+    # as a memo hit, run as they are and with a memo of one entry, so
+    # that a probe finds at most its runner's last walk: verdicts, states
+    # and step counts agree
+    automata = emit_monitors(4).automata
+    trace = generate_trace(LockScenario(n=4, length=1_000, violations=100, seed=1))
+    hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
+    walked = []  # per run, the steps walked, as run_loop calls step only on a miss
+    walk_step = runtime.step
+
+    def counted(*args):
+        walked[-1] += 1
+        return walk_step(*args)
+
+    monkeypatch.setattr(runtime, "step", counted)
+
+    def run():
+        walked.append(0)
+        report, events, _ = _run_with_trace(
+            automata, trace, hooks=hooks, monitors=[Monitor(aut) for aut in automata]
+        )
+        return (
+            [e for e in events if isinstance(e, VerdictEvent)],
+            [e.states for e in events if isinstance(e, StepEvent)],
+            [r.step_count for r in report.runners],
+        )
+
+    hits = run()
+    monkeypatch.setattr(runtime, "MEMO_CAP", 1)
+    misses = run()
+    assert hits == misses
+    assert len(hits[0]) == replay_check(trace, 4).total
+    # the second run walks about three times as often as the first (3,583
+    # and 1,244 walks of 1,000 events)
+    assert 2 * walked[0] < walked[1]
 
 
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
