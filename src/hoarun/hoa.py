@@ -12,6 +12,14 @@ Edge and state labels, `Alias:` bodies, `cond:` formulas (through
 :func:`parse_named_label`) and `Acceptance:` conditions are read by one
 grammar, `|`-chains of `&`-chains nested at most 200 levels, and written
 by one printer; each kind brings only its atoms.
+
+Each distinct text between a body label's `[` and `]` is parsed once per
+document; later occurrences take the label it parsed to from a memo,
+which is the object a second parse would build, since the parser shares
+equal nodes. A text holding a comment (`/*`, which may hide a `]`), a
+string (`"`) or an alias (`@`, which means what its own automaton
+defines) is never kept, nor is one that fails to parse, so every
+diagnostic is raised where it always was.
 """
 
 from __future__ import annotations
@@ -168,6 +176,14 @@ class _Tokenizer:
 # Parser
 
 class _Parser:
+    """Recursive-descent reader of a document, or with ``names`` of one
+    named formula. Formula nodes are made once per document
+    (:meth:`_shared`), so equal labels are one object. ``_texts`` maps the
+    text between a body label's brackets to that label
+    (:meth:`_parse_bracketed`), for texts that parsed up to their first
+    `]` and hold no `/*`, `"` or `@`; it holds at most one entry per
+    distinct label text and goes with the parser."""
+
     def __init__(self, text: str, allow_empty_acc_sets: bool, names: list[str] | None = None):
         self._tz = _Tokenizer(text)
         self.tok = self._tz.next_token()
@@ -177,6 +193,7 @@ class _Parser:
         self.names = names
         self.warnings: list[ParseDiagnostic] = []
         self._labels: dict[tuple, LabelExpr] = {}
+        self._texts: dict[str, LabelExpr] = {}
 
     def _take(self) -> _Token:
         tok = self.tok
@@ -340,11 +357,7 @@ class _Parser:
                 self._fail("automaton aborted by --ABORT--")
             if self.tok.kind == "header":  # State:
                 stok = self._take()
-                label = None
-                if self.tok.kind == "[":
-                    self._take()
-                    label = self._parse_formula(_LABEL, aliases)
-                    self._expect("]", "']'")
+                label = self._parse_bracketed(aliases) if self.tok.kind == "[" else None
                 sid, _ = self._expect_int("state id")
                 if sid in defined:
                     self._fail(f"state {sid} defined twice", stok)
@@ -361,11 +374,7 @@ class _Parser:
                 if current is None:
                     self._fail("edge before any State: definition")
                 etok = self.tok
-                label = None
-                if self.tok.kind == "[":
-                    self._take()
-                    label = self._parse_formula(_LABEL, aliases)
-                    self._expect("]", "']'")
+                label = self._parse_bracketed(aliases) if self.tok.kind == "[" else None
                 target, _ = self._expect_int("target state")
                 if self.tok.kind == "&":
                     self._fail("universal branching is not supported")
@@ -404,6 +413,29 @@ class _Parser:
                     minterms.extend(minterm(i, ap_count) for i in range(len(out)))
                 resolved[sid] = [(minterms[i], tgt) for i, (_, tgt, _) in enumerate(out)]
         return resolved, marks
+
+    def _parse_bracketed(self, aliases: dict[str, LabelExpr]) -> LabelExpr:
+        """The label from the current ``[`` to its ``]``, taking both. A
+        text between them that the document has parsed before is not read
+        again: its label comes from ``_texts`` and the tokenizer goes on
+        past the ``]``."""
+        tz = self._tz
+        start = tz.pos  # just after the "["
+        close = tz.text.find("]", start)
+        text = tz.text[start:close]
+        label = self._texts.get(text) if close >= 0 else None
+        if label is not None:
+            tz.pos = close + 1
+            self.tok = tz.next_token()
+            return label
+        self._take()
+        label = self._parse_formula(_LABEL, aliases)
+        # a comment may hide a "]", a string is no label atom, and an
+        # alias means what its own automaton defines
+        if self.tok.offset == close and not ("/*" in text or '"' in text or "@" in text):
+            self._texts[text] = label
+        self._expect("]", "']'")
+        return label
 
     def _parse_acc_sig(self, acc_count: int) -> list[int]:
         self._expect("{", "'{'")

@@ -44,37 +44,92 @@ class ValuationWidthError(LabelError):
 
 
 class LabelExpr:
-    """Base class for formula nodes. Instances are immutable and shareable."""
+    """Base class for formula nodes. Instances are immutable and shareable.
+
+    Equality, hashing and ``repr`` are structural, as a dataclass's, but
+    read the formula from an explicit stack, so that labels nested past
+    the recursion limit (which `Alias:` bodies reach) compare, hash and
+    print; a shared node is hashed and printed once."""
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabelExpr):
+            return NotImplemented
+        pairs = [(self, other)]
+        seen: set[tuple[int, int]] = set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.__class__ is not b.__class__:
+                return False
+            if isinstance(a, Ap):
+                if a.index != b.index:
+                    return False
+                continue
+            children, others = _children(a), _children(b)
+            if len(children) != len(others):
+                return False
+            pairs.extend(zip(children, others))
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        done: dict[int, int] = {}  # hash by node id
+        for node in postorder(self):
+            if isinstance(node, Ap):
+                done[id(node)] = hash((Ap, node.index))
+            else:
+                done[id(node)] = hash((node.__class__, *(done[id(c)] for c in _children(node))))
+        return done[id(self)]
+
+    def __repr__(self) -> str:
+        done: dict[int, str] = {}  # text by node id
+        for node in postorder(self):
+            name = node.__class__.__qualname__
+            if isinstance(node, Ap):
+                done[id(node)] = f"{name}(index={node.index!r})"
+            elif isinstance(node, Not):
+                done[id(node)] = f"{name}(child={done[id(node.child)]})"
+            elif isinstance(node, (And, Or)):
+                parts = [done[id(child)] for child in node.children]
+                comma = "," if len(parts) == 1 else ""  # as a 1-tuple prints
+                done[id(node)] = f"{name}(children=({', '.join(parts)}{comma}))"
+            else:
+                done[id(node)] = f"{name}()"
+        return done[id(self)]
+
+
+# eq and repr come from LabelExpr, and with eq=False so does the hash
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class TrueLabel(LabelExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FalseLabel(LabelExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Ap(LabelExpr):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(LabelExpr):
     child: LabelExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(LabelExpr):
     children: tuple[LabelExpr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(LabelExpr):
     children: tuple[LabelExpr, ...]
 
@@ -165,7 +220,7 @@ def postorder(*roots, skip: Container[int] = ()) -> Iterator:
         if id(node) in seen or id(node) in skip:
             stack.pop()
             continue
-        children = (node.child,) if isinstance(node, Not) else getattr(node, "children", ())
+        children = _children(node)
         pending = [child for child in children if id(child) not in seen and id(child) not in skip]
         if pending:
             stack.extend(pending)
@@ -173,6 +228,11 @@ def postorder(*roots, skip: Container[int] = ()) -> Iterator:
         seen.add(id(node))
         stack.pop()
         yield node
+
+
+def _children(node) -> tuple:
+    """The nodes right below a formula node: a ``child`` or ``children``."""
+    return (node.child,) if isinstance(node, Not) else getattr(node, "children", ())
 
 
 def occurring_aps(*exprs: LabelExpr) -> frozenset[int]:

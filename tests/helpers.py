@@ -7,7 +7,6 @@ independent references.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from random import Random
 
 from hoarun.automata import (
@@ -315,12 +314,13 @@ def all_valuations(ap_count: int):
 
 
 # ---------------------------------------------------------------------------
-# Structural equality past the recursion limit
+# Structural equality, apart from the labels' own
 
 
 def same_labels(first: LabelExpr, second: LabelExpr) -> bool:
-    """``first == second`` for labels, compared from an explicit stack:
-    the dataclasses' ``==`` recurses, and fails a few hundred levels down."""
+    """``first == second`` for labels, compared pair by pair from an
+    explicit stack: the reference that ``LabelExpr.__eq__`` is checked
+    against, and that checks parsed labels without it."""
     stack = [(first, second)]
     seen: set[tuple[int, int]] = set()
     while stack:
@@ -336,18 +336,6 @@ def same_labels(first: LabelExpr, second: LabelExpr) -> bool:
             if len(a.children) != len(b.children):
                 return False
             stack.extend(zip(a.children, b.children))
-        elif a != b:
+        elif isinstance(a, Ap) and a.index != b.index:
             return False
     return True
-
-
-def same_automata(first: Automaton, second: Automaton) -> bool:
-    """``first == second``, with the labels compared by :func:`same_labels`."""
-    edges = [(t.src, t.dst) for t in first.transitions]
-    return (
-        replace(first, transitions=()) == replace(second, transitions=())
-        and edges == [(t.src, t.dst) for t in second.transitions]
-        and all(
-            same_labels(t.label, u.label) for t, u in zip(first.transitions, second.transitions)
-        )
-    )

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, load_fixture
-from helpers import same_automata
+from helpers import same_labels
 from hoarun.automata import BOT, TOP, AccAnd, AccOr, Fin, Inf, Top, acc_and, acc_or
 from hoarun.hoa import HoaParseError, format_acceptance, format_label, parse, serialize
 from hoarun.labels import Ap, Not, land, lor, minterm
@@ -523,8 +524,7 @@ def _round_trips(text: str) -> str:
     doc = parse(text)
     written = serialize(doc)
     again = parse(written)
-    assert len(again.automata) == len(doc.automata)
-    assert all(same_automata(a, b) for a, b in zip(doc.automata, again.automata))
+    assert again.automata == doc.automata
     assert serialize(again) == written
     return written
 
@@ -563,3 +563,115 @@ def test_alias_deep_documents_round_trip():
     for _ in range(40):
         aliased += "Alias:" in _round_trips(alias_deep_document(rng))
     assert aliased > 20  # most are too deep to write inline
+
+
+def test_labels_past_the_recursion_limit_compare_hash_and_print():
+    # two aliases of 200 `!` each: labels 401 levels deep, which the
+    # dataclasses' recursive ==, hash and repr could not take
+    text = MINIMAL.replace(
+        "Acceptance:", f"Alias: @a {'!' * 200}0\nAlias: @b {'!' * 200}@a\nAcceptance:"
+    ).replace("[0] 0\n[!0] 0", "[@b] 0\n[!@b] 0")
+    first, second = parse(text).automata, parse(text).automata
+    assert first == second and hash(first) == hash(second)
+    label = first[0].transitions[0].label
+    assert repr(label) == "Not(child=" * 400 + "Ap(index=0)" + ")" * 400
+    assert label != first[0].transitions[1].label
+
+
+# -- the document's memo from label text to label
+
+
+def _automaton(body: str, header: str = 'AP: 2 "p" "q"\n') -> str:
+    return (
+        "HOA: v1\nStates: 1\nStart: 0\n" + header
+        + "Acceptance: 1 Inf(0)\n--BODY--\nState: 0 {0}\n" + body + "--END--\n"
+    )
+
+
+def test_repeated_label_texts_are_one_object():
+    state_label = _automaton("0\n").replace("State: 0 {0}", "State: [0 & !1] 0 {0}")
+    text = (
+        _automaton("[0 & !1] 0\n[0 & !1] 0\n")
+        + _automaton("[0 & !1] 0\n", 'AP: 3 "a" "b" "c"\n')
+        + state_label
+    )
+    labels = [t.label for a in parse(text).automata for t in a.transitions]
+    assert len(labels) == 4 and all(label is labels[0] for label in labels)
+    assert labels[0] == land(Ap(0), Not(Ap(1)))
+
+
+def test_each_automaton_reads_its_own_alias():
+    text = _automaton("[@a] 0\n[!@a] 0\n", 'AP: 2 "p" "q"\nAlias: @a 0\n') + _automaton(
+        "[@a] 0\n[!@a] 0\n", 'AP: 2 "p" "q"\nAlias: @a 1 | 0\n'
+    )
+    first, second = parse(text).automata
+    assert [t.label for t in first.transitions] == [Ap(0), Not(Ap(0))]
+    assert [t.label for t in second.transitions] == [lor(Ap(1), Ap(0)), Not(lor(Ap(1), Ap(0)))]
+
+
+def test_a_comment_may_hide_a_closing_bracket():
+    (automaton,) = parse(_automaton("[0 /* ] */ & 1] 0\n[0 /* ] */ & 1] 0\n")).automata
+    assert [t.label for t in automaton.transitions] == [land(Ap(0), Ap(1))] * 2
+    # the text before the first `]` is the same, but the comment is not closed
+    with pytest.raises(HoaParseError) as err:
+        parse(_automaton("[0 /* ] */ & 1] 0\n[0 /* ] 0\n"))
+    assert str(err.value) == "9:4: error: unterminated comment"
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # the second label is a memo hit; the error is in what follows it
+        ("[0 & 1] 0\n[0 & 1] x\n", "9:9: error: expected target state, found 'x'"),
+        ("[0 & 1] 0\n[0 & 1]\n", "10:1: error: expected target state, found '--END--'"),
+        ("[0 & 1] 0\n[0 & 1] 0 {0}\n", "9:11: error: transition-based acceptance unsupported (edge of state 0 to 0)"),
+        ("[0 & 1] 0\n[0 & 1 0\n", "9:8: error: expected ']', found '0'"),
+    ],
+)
+def test_diagnostics_after_a_memo_hit_are_unchanged(body, expected):
+    with pytest.raises(HoaParseError) as err:
+        parse(_automaton(body))
+    assert str(err.value) == expected
+
+
+def test_a_label_out_of_range_in_one_automaton_only_is_refused():
+    text = _automaton("[1] 0\n") + _automaton("[0] 0\n[1] 0\n", 'AP: 1 "p"\n')
+    with pytest.raises(HoaParseError) as err:
+        parse(text)
+    assert str(err.value) == "10:1: error: label references undeclared proposition 1"
+
+
+_BLANKS = ("", " ", " ", "  ", "\t", "\n", " /* ] */ ")
+
+
+def _spaced(rng, label_text: str) -> str:
+    """``label_text`` with random blanks around its tokens, and its atoms
+    `1` as the alias `@a` now and then."""
+    tokens = re.findall(r"[0-9]+|[tf]|[!&|()]", label_text)
+    tokens = ["@a" if tok == "1" and rng.random() < 0.4 else tok for tok in tokens]
+    return "".join(rng.choice(_BLANKS) + tok for tok in tokens) + rng.choice(_BLANKS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_repeated_label_texts_parse_as_each_on_its_own(seed):
+    # a few label texts, repeated across the edges and automata of one
+    # document, each automaton with its own alias @a: every label must
+    # equal its text parsed in a one-edge document of its own
+    from helpers import random_label
+
+    rng = Random(seed)
+    pool = [_spaced(rng, format_label(random_label(rng, 2, 3))) for _ in range(rng.randint(1, 4))]
+    headers, written = [], []
+    for _ in range(rng.randint(1, 3)):
+        headers.append(f'AP: 2 "p" "q"\nAlias: @a {format_label(random_label(rng, 2, 2))}\n')
+        written.append([rng.choice(pool) for _ in range(rng.randint(1, 6))])
+    text = "".join(
+        _automaton("".join(f"[{label}] 0\n" for label in labels), header)
+        for header, labels in zip(headers, written)
+    )
+    for automaton, header, labels in zip(parse(text).automata, headers, written):
+        assert len(automaton.transitions) == len(labels)
+        for t, label in zip(automaton.transitions, labels):
+            (alone,) = parse(_automaton(f"[{label}] 0\n", header)).automata
+            assert same_labels(t.label, alone.transitions[0].label)

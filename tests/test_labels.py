@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import same_labels
 from hoarun.automata import Automaton, Inf, Transition, is_complete, is_deterministic
 from hoarun.cli import main
 from hoarun.hoa import parse
@@ -341,6 +342,21 @@ def test_constructors_flatten_nested_same_op():
     assert lor(lor(Ap(0)), Ap(1)) == Or((Ap(0), Ap(1)))
     assert land() is TRUE and lor() is FALSE
     assert land(Ap(1)) == Ap(1)
+
+
+@given(exprs(2), exprs(2))
+def test_equality_and_hash_are_structural(a, b):
+    # the explicit-stack == against the pairwise reference, on small labels
+    # where equal ones occur
+    assert (a == b) == same_labels(a, b) == (not a != b)
+    assert hash(a) == hash(b) or a != b
+
+
+def test_repr_is_the_dataclass_form():
+    assert repr(Ap(0)) == "Ap(index=0)" and repr(TRUE) == "TrueLabel()"
+    assert repr(And((Not(Ap(1)),))) == "And(children=(Not(child=Ap(index=1)),))"
+    assert repr(Or((FALSE, And(())))) == "Or(children=(FalseLabel(), And(children=())))"
+    assert repr(Transition(0, Ap(2), 1)) == "Transition(src=0, label=Ap(index=2), dst=1)"
 
 
 def test_occurring_aps():
