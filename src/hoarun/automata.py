@@ -7,7 +7,6 @@ Fin/Inf atoms over acceptance-set indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .labels import (
@@ -21,6 +20,7 @@ from .labels import (
     occurring_aps,
     postorder,
 )
+from .records import Uncompared, record, replace, set_field
 
 
 class AcceptanceCond:
@@ -29,32 +29,32 @@ class AcceptanceCond:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Top(AcceptanceCond):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Bot(AcceptanceCond):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Fin(AcceptanceCond):
     set_index: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Inf(AcceptanceCond):
     set_index: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AccAnd(AcceptanceCond):
     children: tuple[AcceptanceCond, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AccOr(AcceptanceCond):
     children: tuple[AcceptanceCond, ...]
 
@@ -76,14 +76,19 @@ def acc_set_refs(cond: AcceptanceCond) -> frozenset[int]:
     return frozenset(node.set_index for node in postorder(cond) if isinstance(node, (Fin, Inf)))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Transition:
     src: int
     label: LabelExpr
     dst: int
 
+    def __init__(self, src: int, label: LabelExpr, dst: int):  # built per edge
+        set_field(self, "src", src)
+        set_field(self, "label", label)
+        set_field(self, "dst", dst)
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class Automaton:
     """Immutable automaton over Boolean-formula transition labels.
 
@@ -102,7 +107,7 @@ class Automaton:
     acc_name: str | None = None
     tool: tuple[str, ...] | None = None
     properties: tuple[str, ...] = ()
-    display_ids: tuple[int, ...] | None = field(default=None, compare=False)
+    display_ids: tuple[int, ...] | None = Uncompared(None)
 
     def __post_init__(self) -> None:
         if len(set(self.aps)) != len(self.aps):
@@ -131,7 +136,7 @@ class Automaton:
         return state if self.display_ids is None else self.display_ids[state]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StateGraph:
     """Label-erased view of the transition relation."""
 
@@ -151,10 +156,22 @@ class StateGraph:
 
 
 def state_graph(automaton: Automaton) -> StateGraph:
-    """Graph with an edge (q, q') iff some transition connects q to q'."""
-    return StateGraph.from_edges(
-        automaton.num_states, ((t.src, t.dst) for t in automaton.transitions)
-    )
+    """Graph with an edge (q, q') iff some transition connects q to q'.
+
+    The targets of one run of transitions from the same source are
+    gathered at a time, so that one set is held, not one per state; a
+    parsed automaton lists its transitions by source, one run each."""
+    succ: list[tuple[int, ...]] = [()] * automaton.num_states
+    q, targets = -1, set()
+    for t in automaton.transitions:
+        if t.src != q:
+            if targets:
+                succ[q] = tuple(sorted(targets.union(succ[q])))
+            q, targets = t.src, set()
+        targets.add(t.dst)
+    if targets:
+        succ[q] = tuple(sorted(targets.union(succ[q])))
+    return StateGraph(automaton.num_states, tuple(succ))
 
 
 class Compiled:

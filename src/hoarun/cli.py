@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .automata import Automaton, Compiled, is_complete, is_deterministic, state_graph
 from .hoa import HoaParseError, format_acceptance, parse, serialize
 from .labels import CapacityError
-from .locks import LockScenario, ScenarioError, ap_layout, emit_monitors, generate_trace
 from .monitoring import MonitorAttachError, Verdict, attach_monitor
+from .records import replace
 from .runtime import (
     Config,
     ConfigError,
@@ -287,6 +286,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen_locks(args) -> int:
+    # imported here: only this command uses the lock scenario
+    from .locks import LockScenario, ScenarioError, ap_layout, emit_monitors, generate_trace
+
     try:
         scenario = LockScenario(
             n=args.n,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 from .automata import (
     AccAnd,
@@ -53,11 +52,12 @@ from .labels import (
     minterm,
     postorder,
 )
+from .records import Uncompared, record
 
 _MAX_NESTING = 200
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ParseDiagnostic:
     line: int
     column: int
@@ -76,12 +76,12 @@ class HoaParseError(Exception):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HoaDocument:
     """Parsed automata in source order, plus non-fatal diagnostics."""
 
     automata: tuple[Automaton, ...]
-    warnings: tuple[ParseDiagnostic, ...] = field(default=(), compare=False)
+    warnings: tuple[ParseDiagnostic, ...] = Uncompared(())
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +93,13 @@ class HoaDocument:
 # tab included, is one column.
 
 
-@dataclass(slots=True)
 class _Token:
-    kind: str
-    value: str
-    offset: int
+    __slots__ = ("kind", "value", "offset")
+
+    def __init__(self, kind: str, value: str, offset: int):
+        self.kind = kind
+        self.value = value
+        self.offset = offset
 
 
 # m.lastgroup names the token's kind and its group holds the value; the

@@ -14,8 +14,9 @@ the cap none reaches.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, Sequence
+
+from .records import record, set_field
 
 DEFAULT_ENUM_CAP = 16
 
@@ -46,7 +47,7 @@ class ValuationWidthError(LabelError):
 class LabelExpr:
     """Base class for formula nodes. Instances are immutable and shareable.
 
-    Equality, hashing and ``repr`` are structural, as a dataclass's, but
+    Equality, hashing and ``repr`` are structural, as a record's, but
     read the formula from an explicit stack, so that labels nested past
     the recursion limit (which `Alias:` bodies reach) compare, hash and
     print; a shared node is hashed and printed once."""
@@ -101,37 +102,51 @@ class LabelExpr:
         return done[id(self)]
 
 
-# eq and repr come from LabelExpr, and with eq=False so does the hash
+# eq, hash and repr come from LabelExpr; the nodes are built in bulk (an
+# implicit-labelled automaton's minterms, every parsed label), so each
+# has a plain constructor
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class TrueLabel(LabelExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class FalseLabel(LabelExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Ap(LabelExpr):
     index: int
 
+    def __init__(self, index: int):
+        set_field(self, "index", index)
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
+@record
 class Not(LabelExpr):
     child: LabelExpr
 
+    def __init__(self, child: LabelExpr):
+        set_field(self, "child", child)
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
+@record
 class And(LabelExpr):
     children: tuple[LabelExpr, ...]
 
+    def __init__(self, children: tuple[LabelExpr, ...]):
+        set_field(self, "children", children)
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+
+@record
 class Or(LabelExpr):
     children: tuple[LabelExpr, ...]
+
+    def __init__(self, children: tuple[LabelExpr, ...]):
+        set_field(self, "children", children)
 
 
 TRUE = TrueLabel()
@@ -163,7 +178,7 @@ def lor(*children: LabelExpr) -> LabelExpr:
     return chain(Or, children, FALSE)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Valuation:
     """Truth assignment as a bit vector: bit i holds proposition i's value."""
 

@@ -17,12 +17,12 @@ record are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 
 from .automata import Automaton, Inf, Transition
 from .hoa import HoaDocument
 from .labels import TRUE, Ap, LabelExpr, Not, land, lor
+from .records import record
 
 FAULT_DOUBLE_ACQUIRE = "double-acquire"
 FAULT_UNRELEASED = "unreleased-at-end"
@@ -33,7 +33,7 @@ class ScenarioError(Exception):
     """The requested scenario is invalid or infeasible."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LockScenario:
     """Parameters of one generated trace."""
 
@@ -238,7 +238,7 @@ def generate_trace(scenario: LockScenario) -> str:
 # Replay checker (independent of the automata machinery)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReplayCounts:
     double_acquires: int
     unreleased: int

@@ -23,7 +23,6 @@ import io
 import re
 import sys
 from bisect import insort
-from dataclasses import dataclass, replace
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -31,6 +30,7 @@ from .automata import Automaton, Compiled
 from .hoa import HoaParseError, parse_named_label
 from .labels import NODE_BUDGET, CapacityError, Diagrams, LabelExpr, Valuation, walk
 from .monitoring import Monitor, Verdict
+from .records import record, replace, set_field
 
 
 class ConfigError(Exception):
@@ -145,17 +145,17 @@ _TRUE_TOKENS = {"1", "t", "true"}
 _FALSE_TOKENS = {"0", "f", "false"}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InteractiveSpec:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FileSpec:
     path: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RandomSpec:
     bias: float = 0.5
     seed: int | None = None
@@ -290,17 +290,17 @@ def collect_valuation(sources: ValuationSources, step: int) -> int | None:
 # Hooks
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NondetTrigger:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DeadlockTrigger:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VerdictTrigger:
     kind: str  # good | bad | ugly | conclusive
 
@@ -308,12 +308,12 @@ class VerdictTrigger:
         return self.kind == "conclusive" or self.kind == verdict.value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StateTrigger:
     state: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CondTrigger:
     """Fires when the step's global valuation satisfies the condition."""
 
@@ -321,32 +321,32 @@ class CondTrigger:
     ap_names: tuple[str, ...]  # Ap(i) in expr refers to ap_names[i]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RandomChoiceAction:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PromptAction:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResetAction:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GotoAction:
     state: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LogAction:
     template: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HaltAction:
     code: int
 
@@ -357,7 +357,7 @@ Action = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HookSpec:
     ident: str
     trigger: Trigger
@@ -440,7 +440,7 @@ def parse_action(text: str, ident: str) -> Action:
 # Configuration
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     """Loaded run configuration: driver bindings, hooks, seed, step bound."""
 
@@ -655,18 +655,28 @@ def _advance(runner: Runner, state: int, ctx: _LoopContext | None) -> None:
         runner.resting = runner.unique[state]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VerdictEvent:
     step: int
     runner: str
     verdict: Verdict
 
+    def __init__(self, step: int, runner: str, verdict: Verdict):  # one per verdict change
+        set_field(self, "step", step)
+        set_field(self, "runner", runner)
+        set_field(self, "verdict", verdict)
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class LogEvent:
     step: int
     runner: str
     message: str
+
+    def __init__(self, step: int, runner: str, message: str):  # one per log action
+        set_field(self, "step", step)
+        set_field(self, "runner", runner)
+        set_field(self, "message", message)
 
 
 class StepEvent:
@@ -703,15 +713,23 @@ class StepEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RunnerSummary:
     label: str
     final_state: int
     step_count: int
     final_verdict: Verdict | None
 
+    def __init__(  # one per runner
+        self, label: str, final_state: int, step_count: int, final_verdict: Verdict | None
+    ):
+        set_field(self, "label", label)
+        set_field(self, "final_state", final_state)
+        set_field(self, "step_count", step_count)
+        set_field(self, "final_verdict", final_verdict)
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class ExitReport:
     """Outcome of a run: why it stopped, and how many BAD verdicts it
     reported; the verdicts themselves go to ``on_event`` only."""

@@ -9,13 +9,13 @@ SCC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automata import StateGraph
+from .records import record
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TrapSet:
     """Smallest trap set containing some queried state.
 
@@ -140,16 +140,14 @@ def build_index(graph: StateGraph, initial: Iterable[int] = ()) -> TrapIndex:
     for ci, comp in enumerate(components):
         for q in comp:
             state_to_comp[q] = ci
-    edges: list[set[int]] = [set() for _ in components]
-    for q in range(graph.num_states):
-        cq = state_to_comp[q]
-        for t in graph.succ[q]:
-            ct = state_to_comp[t]
-            if cq != ct:
-                edges[cq].add(ct)
-    comp_succ = tuple(tuple(sorted(e)) for e in edges)
+    succ = graph.succ
+    comp_succ = []  # one component's set of successors at a time
+    for ci, comp in enumerate(components):
+        reached = {state_to_comp[t] for q in comp for t in succ[q]}
+        reached.discard(ci)
+        comp_succ.append(tuple(sorted(reached)))
     return TrapIndex(
-        graph, components, tuple(state_to_comp), comp_succ, tuple(order), frozenset(initial)
+        graph, components, tuple(state_to_comp), tuple(comp_succ), tuple(order), frozenset(initial)
     )
 
 

@@ -11,6 +11,7 @@ from helpers import (
     random_det_complete_automaton,
     random_labelled_automaton,
 )
+from hoarun import replace
 from hoarun.automata import (
     Automaton,
     Inf,
@@ -223,6 +224,19 @@ def test_validation_rejects_bad_structures():
 def test_graph_from_edges():
     graph = StateGraph.from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2), (0, 1)])
     assert graph.succ == ((1,), (1, 2), (2,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_graph_matches_one_set_per_state(seed):
+    rng = Random(seed)
+    aut = random_labelled_automaton(rng, ("p", "q"), max_states=6)
+    shuffled = list(aut.transitions)
+    rng.shuffle(shuffled)
+    aut = replace(aut, transitions=tuple(shuffled))
+    # from_edges holds one set per state, all at once
+    edges = [(t.src, t.dst) for t in aut.transitions]
+    assert state_graph(aut) == StateGraph.from_edges(aut.num_states, edges)
 
 
 def test_unsatisfiable_labels_stay_in_the_graph():

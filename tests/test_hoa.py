@@ -567,7 +567,7 @@ def test_alias_deep_documents_round_trip():
 
 def test_labels_past_the_recursion_limit_compare_hash_and_print():
     # two aliases of 200 `!` each: labels 401 levels deep, which the
-    # dataclasses' recursive ==, hash and repr could not take
+    # a recursive ==, hash and repr could not take
     text = MINIMAL.replace(
         "Acceptance:", f"Alias: @a {'!' * 200}0\nAlias: @b {'!' * 200}@a\nAcceptance:"
     ).replace("[0] 0\n[!0] 0", "[@b] 0\n[!@b] 0")

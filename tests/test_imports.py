@@ -3,10 +3,13 @@ private function, method and class it defines is named somewhere else.
 
 ``__init__.py`` is left out of the import check, because its imports are
 the package's re-exports; an import whose line carries ``# noqa`` is kept
-on purpose.
+on purpose. The command line starts without ``dataclasses`` and without the
+lock scenario, which only ``gen-locks`` imports.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -92,3 +95,20 @@ def test_unused_private_definitions_are_found():
     }
     found = unused_private_definitions(sources)
     assert found == ["a.py:2: _gone", "a.py:6: _left", "a.py:7: __hidden"]
+
+
+def test_the_cli_starts_without_dataclasses_or_the_lock_scenario(tmp_path):
+    # a fresh interpreter: this one has loaded dataclasses for pytest
+    probe = "import sys, hoarun.cli; print({'dataclasses', 'hoarun.locks'} & set(sys.modules))"
+    started = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert started.stdout == "set()\n"
+    generated = subprocess.run(
+        [sys.executable, "-m", "hoarun", "gen-locks", "--n", "2", "--len", "8",
+         "--out-trace", "t.txt", "--out-monitors", "m.hoa"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert (generated.returncode, generated.stderr) == (0, "")
+    assert generated.stdout == "APs: end a i0 l0\n"
+    assert (tmp_path / "m.hoa").read_text().startswith("HOA: v1")

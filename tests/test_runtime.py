@@ -3,7 +3,6 @@ import io
 import itertools
 import tracemalloc
 import warnings
-from dataclasses import replace
 from functools import partial
 from random import Random
 
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture
 from helpers import brute_successors, random_det_complete_automaton, random_labelled_automaton
-from hoarun import runtime
+from hoarun import replace, runtime
 from hoarun.automata import Automaton, Inf, Top, Transition
 from hoarun.hoa import parse
 from hoarun.labels import TRUE, Ap, Diagrams, Not, Valuation, evaluate, land, lor
@@ -377,6 +376,16 @@ def test_driver_spec_parsing():
         parse_driver_spec("telepathy")
     with pytest.raises(ConfigError):
         parse_driver_spec("random(bias=2.0)")
+
+
+def test_replace_validates_specs_again():
+    assert replace(RandomSpec(), seed=3) == RandomSpec(0.5, 3)
+    with pytest.raises(ConfigError, match="bias"):
+        replace(RandomSpec(), bias=2)
+    hook = HookSpec("h", NondetTrigger(), PromptAction())
+    assert replace(hook, scope="m").scope == "m"
+    with pytest.raises(ConfigError, match="only valid for the nondeterminism trigger"):
+        replace(hook, trigger=DeadlockTrigger())
 
 
 # ---------------------------------------------------------------------------

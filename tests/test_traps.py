@@ -26,6 +26,25 @@ FIG_A = StateGraph.from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
 FIG_B = StateGraph.from_edges(3, [(0, 1), (1, 0), (1, 1), (0, 2), (2, 2)])
 
 
+def _comp_succ_by_sets(graph, state_to_comp, count):
+    # the construction with one set per component, all held at once
+    edges = [set() for _ in range(count)]
+    for q in range(graph.num_states):
+        for t in graph.succ[q]:
+            if state_to_comp[q] != state_to_comp[t]:
+                edges[state_to_comp[q]].add(state_to_comp[t])
+    return tuple(tuple(sorted(e)) for e in edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_condensation_matches_one_set_per_component(seed):
+    graph = random_graph(Random(seed), max_states=12)
+    index = build_index(graph)
+    count = len(index.components)
+    assert index.comp_succ == _comp_succ_by_sets(graph, index.state_to_comp, count)
+
+
 def test_components_fig_a():
     index = build_index(FIG_A, initial={0})
     assert index.components == (frozenset({0}), frozenset({1}), frozenset({2}))
