@@ -176,13 +176,18 @@ def state_graph(automaton: Automaton) -> StateGraph:
 
 class Compiled:
     """An automaton's labels compiled once, at load, into decision diagrams
-    in one store (:class:`labels.Diagrams`), for the checks and the runners.
+    in ``store`` (:class:`labels.Diagrams`), for the checks and the runners;
+    a new store when none is given. One store serves a whole run: the
+    labels, state tables and exit cubes that automata share are built in
+    it once, through its caches, and the node budget still holds per
+    build step.
 
     ``edges[q]`` holds the transitions leaving state q, in order, and
     ``tables[q]`` their labels' :class:`labels.LabelTable`, one for the
-    states whose labels are the same objects; its leaves are sets of
-    positions in ``edges[q]``, and ``targets[q]`` maps each to the sorted
-    distinct targets of its transitions, ``unique[t]`` for t alone.
+    states, of any automaton in the store, whose labels are the same
+    objects; its leaves are sets of positions in ``edges[q]``, and
+    ``targets[q]`` maps each to the sorted distinct targets of its
+    transitions, ``unique[t]`` for t alone.
     ``exits[q]`` is the cubes outside which every input leads from q back
     to q: for each label leaving q for another state, its hull, or its
     paths when the hull holds every input. It is None when q's labels
@@ -190,37 +195,36 @@ class Compiled:
     label has more paths than nodes.
     """
 
-    def __init__(self, automaton: Automaton):
+    def __init__(self, automaton: Automaton, store: Diagrams | None = None):
         self.automaton = automaton
-        store = self.diagrams = Diagrams()
+        store = self.diagrams = Diagrams() if store is None else store
         edges: list[list[Transition]] = [[] for _ in range(automaton.num_states)]
         for t in automaton.transitions:
             edges[t.src].append(t)
         self.edges = tuple(tuple(out) for out in edges)
-        memo: dict = {}  # the labels' diagrams, by the ids of their nodes
-        tables: dict[tuple[int, ...], LabelTable] = {}
-        for out in self.edges:
-            key = tuple(id(t.label) for t in out)
+        tables = store.tables
+        keys = [tuple(id(t.label) for t in out) for out in self.edges]
+        for key, out in zip(keys, self.edges):
             if key not in tables:
-                tables[key] = LabelTable(store, (t.label for t in out), memo)
-        self.tables = tuple(tables[tuple(id(t.label) for t in out)] for out in self.edges)
+                tables[key] = LabelTable(store, (t.label for t in out))
+        self.tables = tuple(tables[key] for key in keys)
         self.unique = tuple((q,) for q in range(automaton.num_states))
         self.targets = tuple(
             {leaf: self._targets(out, leaf) for leaf in table.leaves or ()}
             for table, out in zip(self.tables, self.edges)
         )
-        filed: dict = {}  # the cubes filed for a label's node
-        self.exits = tuple(self._exit_cubes(q, filed) for q in range(automaton.num_states))
+        self.exits = tuple(self._exit_cubes(q) for q in range(automaton.num_states))
 
     def _targets(self, out: tuple[Transition, ...], positions: frozenset[int]) -> tuple[int, ...]:
         targets = sorted({out[j].dst for j in positions})
         return self.unique[targets[0]] if len(targets) == 1 else tuple(targets)
 
-    def _exit_cubes(self, q: int, filed: dict) -> tuple[tuple[int, int], ...] | None:
+    def _exit_cubes(self, q: int) -> tuple[tuple[int, int], ...] | None:
         table = self.tables[q]
         if table.leaves is None or not all(table.leaves):
             return None
         store = self.diagrams
+        filed = store.filed
         cubes = []
         for t, (_, node) in zip(self.edges[q], table.labels):
             if t.dst == q or node == store.false:

@@ -13,7 +13,7 @@ import sys
 
 from .automata import Automaton, Compiled, is_complete, is_deterministic, state_graph
 from .hoa import HoaParseError, format_acceptance, parse, serialize
-from .labels import CapacityError
+from .labels import CapacityError, Diagrams
 from .monitoring import MonitorAttachError, Verdict, attach_monitor
 from .records import replace
 from .runtime import (
@@ -176,9 +176,12 @@ def _cmd_run(args) -> int:
     compiled = None  # the automata's compiled labels, made at attach when monitored
     if args.monitor:
         monitored = []
+        store = Diagrams()  # the run's one decision-diagram store, which the runners read
         for automaton in automata:
             try:
-                completed, monitor = attach_monitor(automaton, complete=args.complete)
+                completed, monitor = attach_monitor(
+                    automaton, complete=args.complete, store=store
+                )
             except MonitorAttachError as exc:
                 label = automaton.name or str(len(monitored))
                 print(f"error: cannot monitor {label}: {exc}", file=sys.stderr)

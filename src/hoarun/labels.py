@@ -274,13 +274,28 @@ class Diagrams:
     be anything (the multi-terminal diagrams of Bahar et al., ICCAD
     1993): a label's diagram has the leaves ``false`` and ``true``, a
     table sets of labels (:meth:`table`). No pass recurses, and the
-    passes that may grow large run :meth:`bounded`.
+    passes that may grow large run :meth:`bounded`, so the node budget
+    holds per build step, however many automata share the store.
+
+    One store serves a whole run, every automaton and document it loads,
+    and owns the caches through which a label, state table, exit cube or
+    placement that automata share is built once: ``memo`` (:meth:`label`), and
+    ``tables``, ``filed`` and ``walks``, which ``automata.Compiled`` and
+    ``runtime.Runner`` fill. A refused build leaves none of them naming
+    a node it took back.
     """
 
     def __init__(self) -> None:
         self.nodes: list[tuple] = []
         self._ids: dict[tuple, int] = {}
         self._limit = sys.maxsize  # the length past which node refuses to grow the store
+        # by formula node id, its mask and diagram; _held keeps the formulas
+        # alive, so that no id in it or in tables is reused while it is there
+        self.memo: dict[int, tuple[int, int | None]] = {}
+        self._held: list[LabelExpr] = []
+        self.tables: dict[tuple[int, ...], LabelTable] = {}  # by the ids of their labels
+        self.filed: dict[int, list[Cube] | None] = {}  # exit cubes, by label diagram
+        self.walks: dict[tuple[int, ...], dict] = {}  # placed diagrams, by projection
         self.false = self.leaf(False)
         self.true = self.leaf(True)
 
@@ -338,13 +353,16 @@ class Diagrams:
                 stack += (node, low, high)
         return done[root]
 
-    def label(self, expr: LabelExpr, memo: dict) -> tuple[int, int | None]:
+    def label(self, expr: LabelExpr) -> tuple[int, int | None]:
         """The mask of the propositions in ``expr``, and its diagram, or
         None when a step in building it is over the budget (:meth:`bounded`),
         as it never is within the cap; then every node the label added is
         taken back, with the entries of ``memo`` that held them. ``memo``
-        keeps each formula node's by its id, so give the labels of one
-        automaton one memo, which they outlive."""
+        keeps each formula node's by its id, and the store holds ``expr``."""
+        memo = self.memo
+        if id(expr) in memo:
+            return memo[id(expr)]
+        self._held.append(expr)
         start = len(self.nodes)
         for node in postorder(expr, skip=memo):
             if isinstance(node, Ap):
@@ -512,8 +530,8 @@ def _check_mask(mask: int, ap_count: int) -> None:
 
 
 class LabelTable:
-    """The labels leaving one state, as diagrams in ``store`` converted
-    through ``memo``: ``labels`` holds each one's ``(mask, node)``, in
+    """The labels leaving one state, as diagrams in ``store``
+    (:meth:`Diagrams.label`): ``labels`` holds each one's ``(mask, node)``, in
     order, ``mask`` their union, and ``root`` and ``leaves`` their table
     (:meth:`Diagrams.table`), or None when a label's diagram or the table
     is over the budget (:meth:`Diagrams.bounded`). They are pairwise
@@ -523,9 +541,9 @@ class LabelTable:
     diagrams' shape.
     """
 
-    def __init__(self, store: Diagrams, exprs: Iterable[LabelExpr], memo: dict):
+    def __init__(self, store: Diagrams, exprs: Iterable[LabelExpr]):
         self.store = store
-        self.labels = tuple(store.label(expr, memo) for expr in exprs)
+        self.labels = tuple(store.label(expr) for expr in exprs)
         self.mask = 0
         for mask, _ in self.labels:
             self.mask |= mask
@@ -554,21 +572,6 @@ class LabelTable:
         union mask goes through the cap."""
         _check_mask(self.mask, ap_count)
         return all(self.leaves)
-
-
-def pairwise_disjoint(labels: Iterable[LabelExpr], ap_count: int) -> bool:
-    """True iff no valuation satisfies two of the labels (LabelTable)."""
-    return LabelTable(Diagrams(), labels, {}).disjoint(ap_count)
-
-
-def are_disjoint(a: LabelExpr, b: LabelExpr, ap_count: int) -> bool:
-    """True iff no valuation satisfies both formulas."""
-    return pairwise_disjoint((a, b), ap_count)
-
-
-def covers_all(labels: Iterable[LabelExpr], ap_count: int) -> bool:
-    """True iff every valuation satisfies one of the labels (LabelTable)."""
-    return LabelTable(Diagrams(), labels, {}).covering(ap_count)
 
 
 def minterm(index: int, ap_count: int) -> LabelExpr:

@@ -31,6 +31,7 @@ from .automata import (
     is_deterministic,
     state_graph,
 )
+from .labels import Diagrams
 from .traps import TrapIndex, build_index, is_transient, reach_masks
 # unused here, but perfbench/child.py wraps it under this module's name
 from .traps import min_trap_set_of  # noqa: F401
@@ -225,7 +226,7 @@ class Monitor:
 
 
 def attach_monitor(
-    automaton: Automaton, *, complete: bool = False
+    automaton: Automaton, *, complete: bool = False, store: Diagrams | None = None
 ) -> tuple[Automaton, Monitor]:
     """Validate and monitor an automaton; optionally complete it first.
 
@@ -233,9 +234,10 @@ def attach_monitor(
     refused unless ``complete`` is set, in which case stuttering
     self-loops are added and the completed automaton is returned for the
     caller to execute. The monitor's ``compiled`` holds the returned
-    automaton's compiled labels, for its runner.
+    automaton's compiled labels, for its runner, in ``store``, the run's
+    decision-diagram store (a new one when not given).
     """
-    compiled = Compiled(automaton)
+    compiled = Compiled(automaton, store)
     if not is_deterministic(automaton, compiled):
         raise MonitorAttachError("automaton is nondeterministic")
     if not is_complete(automaton, compiled):
@@ -244,7 +246,7 @@ def attach_monitor(
                 "automaton is incomplete; enable stuttering completion to monitor it"
             )
         automaton = complete_by_stuttering(automaton)
-        compiled = Compiled(automaton)
+        compiled = Compiled(automaton, compiled.diagrams)
     monitor = Monitor(automaton)
     monitor.compiled = compiled
     return automaton, monitor

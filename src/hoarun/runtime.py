@@ -581,7 +581,9 @@ class Runner:
                     f"{automaton.display_id(state)} take a decision diagram of over "
                     f"{NODE_BUDGET} nodes"
                 )
-        placed: dict = {}  # shared by the states, whose tables share nodes
+        # shared by the states, whose tables share nodes, and by the
+        # runners at the same projection
+        placed = compiled.diagrams.walks.setdefault(projection, {})
         self.walks = tuple(
             compiled.diagrams.placed(table.root, projection, placed) for table in compiled.tables
         )
@@ -837,18 +839,21 @@ def prepare_runners(
     compiled: Sequence[Compiled] | None = None,
 ) -> list[Runner]:
     """Create runners, reading ``compiled[i]`` (a monitor's ``compiled``,
-    as attach_monitor leaves it; made here when not given) for
-    ``automata[i]`` at the universe's positions, and attach scoped hooks,
-    with ``cond:`` formulas as diagrams, one per hook that the runners in
-    its scope share, and the HOA text's state ids in ``state:`` and
-    ``goto:`` turned into state numbers."""
+    as attach_monitor leaves it; made here, in one store, when not given)
+    for ``automata[i]`` at the universe's positions, and attach scoped
+    hooks, with ``cond:`` formulas as diagrams in the same store, one per
+    hook that the runners in its scope share, and the HOA text's state
+    ids in ``state:`` and ``goto:`` turned into state numbers."""
     runners = []
     positions = {name: i for i, name in enumerate(universe)}
+    store = compiled[0].diagrams if compiled else Diagrams()
     tests: dict[int, object] = {}  # by hook number, the placed diagram of its condition
     for index, automaton in enumerate(automata):
         label = automaton.name if automaton.name else str(index)
         projection = tuple(positions[name] for name in automaton.aps)
-        runner = Runner(compiled[index] if compiled else Compiled(automaton), label, projection)
+        runner = Runner(
+            compiled[index] if compiled else Compiled(automaton, store), label, projection
+        )
         ids = automaton.display_ids or range(automaton.num_states)
         conditions = []
         for number, hook in enumerate(hooks):
@@ -873,8 +878,7 @@ def prepare_runners(
                             f"hook {hook.ident}: condition references unbound "
                             f"proposition {unbound[0]!r}"
                         )
-                    store = Diagrams()
-                    _, node = store.label(trigger.expr, {})
+                    _, node = store.label(trigger.expr)
                     if node is None:
                         raise ConfigError(
                             f"hook {hook.ident}: condition takes a decision diagram of "

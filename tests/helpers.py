@@ -26,7 +26,9 @@ from hoarun.labels import (
     TRUE,
     And,
     Ap,
+    Diagrams,
     LabelExpr,
+    LabelTable,
     Not,
     Or,
     Valuation,
@@ -306,6 +308,17 @@ def reachable_from(graph: StateGraph, state: int) -> set[int]:
                 seen.add(t)
                 frontier.append(t)
     return seen
+
+
+def pairwise_disjoint(labels, ap_count: int) -> bool:
+    """True iff no valuation satisfies two of the labels: their
+    :class:`LabelTable` in a store of their own answers."""
+    return LabelTable(Diagrams(), labels).disjoint(ap_count)
+
+
+def covers_all(labels, ap_count: int) -> bool:
+    """True iff every valuation satisfies one of the labels, as above."""
+    return LabelTable(Diagrams(), labels).covering(ap_count)
 
 
 def all_valuations(ap_count: int):

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from random import Random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_fixture
 from helpers import (
     all_valuations,
     brute_successors,
@@ -14,6 +16,7 @@ from helpers import (
 from hoarun import replace
 from hoarun.automata import (
     Automaton,
+    Compiled,
     Inf,
     StateGraph,
     Top,
@@ -23,7 +26,10 @@ from hoarun.automata import (
     is_deterministic,
     state_graph,
 )
-from hoarun.labels import TRUE, Ap, Not, Valuation, evaluate, land
+from hoarun.hoa import HoaDocument, parse, serialize
+from hoarun.labels import TRUE, Ap, Diagrams, Not, Valuation, evaluate, land, lor
+from hoarun.locks import emit_monitors
+from hoarun.runtime import Runner
 
 
 def two_state(transitions, *, aps=("p",), initial=frozenset({0}), acc=(frozenset({0}),)):
@@ -248,3 +254,83 @@ def test_unsatisfiable_labels_stay_in_the_graph():
     assert state_graph(aut).succ == ((0, 1), (1,))
     assert brute_successors(aut, 0, Valuation(0, 1)) == frozenset({0})
     assert brute_successors(aut, 0, Valuation(1, 1)) == frozenset({0})
+
+
+# ---------------------------------------------------------------------------
+# One decision-diagram store for many automata
+
+
+def _compiled_view(compiled):
+    # what the checks and the runners read of a compiled automaton, in
+    # terms that do not depend on the store's node numbers
+    return [table.leaves for table in compiled.tables], compiled.targets, compiled.exits
+
+
+def _compile_in_one_store(automata):
+    store = Diagrams()
+    for automaton in automata:
+        assert _compiled_view(Compiled(automaton, store)) == _compiled_view(Compiled(automaton))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_one_store_compiles_the_lock_monitors_as_one_store_each(n):
+    # as built, and as parsed, where equal labels are one object
+    automata = emit_monitors(n).automata
+    _compile_in_one_store(automata + parse(serialize(emit_monitors(n))).automata)
+
+
+def test_one_store_compiles_random_automata_as_one_store_each():
+    rng = Random(21)
+    automata = [parse(load_fixture("wide.hoa")).automata[0]]
+    for _ in range(100):
+        aps = tuple(f"p{i}" for i in range(rng.randint(0, 4)))
+        automata.append(random_labelled_automaton(rng, aps))
+        automata.append(random_det_complete_automaton(rng, max_states=5, max_aps=3))
+    _compile_in_one_store(automata)
+
+
+def _bus_automaton():
+    # p_i & p_(20+i) for each i: about 2 ** 20 nodes in the fixed order
+    bus = lor(*(land(Ap(i), Ap(20 + i)) for i in range(20)))
+    return Automaton(
+        aps=tuple(f"p{i}" for i in range(40)),
+        num_states=1,
+        initial=frozenset({0}),
+        transitions=(Transition(0, bus, 0), Transition(0, Not(bus), 0)),
+        acc_sets=(frozenset({0}),),
+        condition=Inf(0),
+    )
+
+
+def test_a_refused_build_leaves_a_shared_store_as_it_was():
+    first, *_, third = parse(serialize(emit_monitors(2))).automata
+    store = Diagrams()
+    compiled = Compiled(first, store)
+    Runner(compiled, "first", tuple(range(len(first.aps))))  # fills store.walks
+    size = len(store.nodes)
+    assert Compiled(_bus_automaton(), store).tables[0].root is None
+    assert len(store.nodes) == size
+    named = [node for _, node in store.memo.values()]
+    for table in store.tables.values():
+        named += [node for _, node in table.labels] + [table.root]
+    named += list(store.filed) + [node for placed in store.walks.values() for node in placed]
+    assert all(node is None or node < size for node in named)
+    assert _compiled_view(Compiled(third, store)) == _compiled_view(Compiled(third))
+
+
+def test_a_shared_store_outlives_the_documents_compiled_into_it():
+    # the memo is keyed by the ids of formula nodes: a document dropped
+    # after its compile must not free them for the next document's nodes,
+    # whose text is written first so that its parse allocates the most
+    rng = Random(5)
+    aps = tuple(f"p{i}" for i in range(4))
+    others = tuple(random_labelled_automaton(rng, aps, max_states=4) for _ in range(60))
+    text = serialize(HoaDocument(others))
+    del others
+    store = Diagrams()
+    for automaton in parse(serialize(emit_monitors(4))).automata:
+        Compiled(automaton, store)
+    del automaton
+    gc.collect()
+    for automaton in parse(text).automata:
+        assert _compiled_view(Compiled(automaton, store)) == _compiled_view(Compiled(automaton))

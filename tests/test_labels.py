@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import same_labels
+from helpers import covers_all, pairwise_disjoint, same_labels
 from hoarun.automata import Automaton, Inf, Transition, is_complete, is_deterministic
 from hoarun.cli import main
 from hoarun.hoa import parse
@@ -18,14 +18,11 @@ from hoarun.labels import (
     Or,
     Valuation,
     ValuationWidthError,
-    are_disjoint,
-    covers_all,
     evaluate,
     land,
     lor,
     minterm,
     occurring_aps,
-    pairwise_disjoint,
     walk,
 )
 
@@ -64,9 +61,9 @@ def test_evaluate_width_error():
 
 
 def test_are_disjoint_examples():
-    assert are_disjoint(Ap(0), Not(Ap(0)), 1) is True
-    assert are_disjoint(Ap(0), land(Ap(0), Ap(1)), 2) is False
-    assert are_disjoint(FALSE, land(Ap(0), Ap(1)), 2) is True
+    assert pairwise_disjoint((Ap(0), Not(Ap(0))), 1) is True
+    assert pairwise_disjoint((Ap(0), land(Ap(0), Ap(1))), 2) is False
+    assert pairwise_disjoint((FALSE, land(Ap(0), Ap(1))), 2) is True
 
 
 def test_covers_all_examples():
@@ -79,7 +76,7 @@ def test_covers_all_examples():
 def test_capacity_cap():
     wide = land(*(Ap(i) for i in range(17)))
     with pytest.raises(CapacityError):
-        are_disjoint(wide, TRUE, 20)
+        pairwise_disjoint((wide, TRUE), 20)
     with pytest.raises(CapacityError):
         covers_all([wide], 20)
     # the automaton checks enumerate through the same cap
@@ -146,24 +143,22 @@ def _bus(n):
 def test_diagrams_past_the_node_budget_are_refused():
     store = Diagrams()
     size = len(store.nodes)
-    memo: dict = {}
-    mask, node = store.label(_bus(20), memo)
+    mask, node = store.label(_bus(20))
     assert mask == (1 << 40) - 1 and node is None
     # every node the label added is taken back, with the memo entries that
     # held them, and the store stays hash-consed
     assert len(store.nodes) == size
-    assert all(n is None or n < size for _, n in memo.values())
+    assert all(n is None or n < size for _, n in store.memo.values())
     assert all(store.node(*key) == n for n, key in enumerate(store.nodes) if key[2] is not None)
     # within the cap no operation reaches the budget
-    assert store.label(_bus(8), {})[1] is not None
+    assert store.label(_bus(8))[1] is not None
     # twenty labels of one proposition each meet in 2 ** 20 ways; the
     # table gives back its nodes, the labels' stay
     singles = [Ap(i) for i in range(20)]
-    memo = {}
     for single in singles:
-        store.label(single, memo)
+        store.label(single)
     size = len(store.nodes)
-    table = LabelTable(store, singles, memo)
+    table = LabelTable(store, singles)
     assert table.root is None and table.leaves is None
     assert len(store.nodes) == size
 
@@ -187,7 +182,7 @@ def test_checks_past_the_node_budget_answer_through_the_cap():
 
 def test_precondition_on_ap_count():
     with pytest.raises(ValueError):
-        are_disjoint(Ap(4), TRUE, 2)
+        pairwise_disjoint((Ap(4), TRUE), 2)
 
 
 @given(exprs(), valuations())
@@ -201,7 +196,7 @@ def test_disjointness_matches_enumeration(a, b):
         evaluate(a, v) and evaluate(b, v)
         for v in (Valuation(bits, 5) for bits in range(32))
     )
-    assert are_disjoint(a, b, 5) == expected
+    assert pairwise_disjoint((a, b), 5) == expected
 
 
 @given(st.lists(exprs(), max_size=4))
@@ -224,7 +219,7 @@ def test_hull_is_the_smallest_cube_holding_a_label(expr):
     # the bits that every valuation satisfying the label shares, with
     # their values; an unsatisfiable label has no hull
     store = Diagrams()
-    _, node = store.label(expr, {})
+    _, node = store.label(expr)
     satisfying = [bits for bits in range(32) if evaluate(expr, Valuation(bits, 5))]
     if not satisfying:
         assert node == store.false
@@ -253,7 +248,7 @@ def test_a_state_table_holds_the_labels_that_evaluate_true(labels, bits, order, 
     # wider input whose other bits are noise, reaches the set of the
     # positions of the labels that hold
     store = Diagrams()
-    table = LabelTable(store, labels, {})
+    table = LabelTable(store, labels)
     valuation = Valuation(bits, 5)
     holding = frozenset(j for j, label in enumerate(labels) if evaluate(label, valuation))
     positions = tuple(order[:5])
@@ -283,9 +278,9 @@ def test_deep_negation_chain():
     for _ in range(300):
         expr = Not(expr)
     store = Diagrams()
-    mask, node = store.label(expr, {})
+    mask, node = store.label(expr)
     assert (mask, node) == (1, store.node(0, store.false, store.true))
-    assert store.label(Not(expr), {}) == (1, store.node(0, store.true, store.false))
+    assert store.label(Not(expr)) == (1, store.node(0, store.true, store.false))
 
 
 def test_deep_alternation_through_aliases(tmp_path, capsys):
@@ -305,7 +300,7 @@ def test_deep_alternation_through_aliases(tmp_path, capsys):
     )
     (automaton,) = parse(text).automata
     store = Diagrams()
-    table = LabelTable(store, [t.label for t in automaton.transitions], {})
+    table = LabelTable(store, [t.label for t in automaton.transitions])
     placed = store.placed(table.root, (0, 1), {})
     for bits in range(4):
         p, q = bits & 1, bits >> 1 & 1
@@ -371,5 +366,5 @@ def test_valuation_bit_string():
 def test_enumeration_only_over_occurring_props():
     # 30 declared propositions but only two occur: must not hit the cap
     a = land(Ap(7), Not(Ap(23)))
-    assert are_disjoint(a, Not(a), 30) is True
+    assert pairwise_disjoint((a, Not(a)), 30) is True
     assert covers_all([a, Not(a)], 30) is True

@@ -14,10 +14,10 @@ from conftest import load_fixture
 from helpers import brute_successors, random_det_complete_automaton, random_labelled_automaton
 from hoarun import replace, runtime
 from hoarun.automata import Automaton, Inf, Top, Transition
-from hoarun.hoa import parse
+from hoarun.hoa import parse, serialize
 from hoarun.labels import TRUE, Ap, Diagrams, Not, Valuation, evaluate, land, lor
 from hoarun.locks import LockScenario, emit_monitors, generate_trace, replay_check
-from hoarun.monitoring import Monitor, Verdict
+from hoarun.monitoring import Monitor, Verdict, attach_monitor
 from hoarun.runtime import (
     LINE_CAP,
     MEMO_CAP,
@@ -618,7 +618,7 @@ def test_step_walks_wide_labels():
     names = tuple(f"p{i}" for i in range(20))
     label = land(*(lor(Ap(2 * i), Ap(2 * i + 1)) for i in range(10)))
     store = Diagrams()
-    mask, node = store.label(label, {})
+    mask, node = store.label(label)
     inner: dict = {}
     store.fold(node, lambda value: 0, lambda var, low, high: 1 + low + high, inner)
     assert (mask, len(inner)) == ((1 << 20) - 1, 22)  # and the two leaves
@@ -1407,6 +1407,22 @@ def test_runners_in_scope_share_their_condition_diagram():
     hooks = (HookSpec("watch", CondTrigger(*parse_condition("!p")), LogAction("quiet")),)
     first, second = prepare_runners(automata, build_universe(automata), hooks)
     assert first.conditions[0][0] is second.conditions[0][0]
+
+
+def test_runners_at_one_projection_share_their_placed_walks():
+    # automata built or parsed apart over the same propositions: in one
+    # store their tables are one diagram, placed once for them all
+    automata = [pq_automaton("first"), pq_automaton("second")]
+    first, second = prepare_runners(automata, build_universe(automata))
+    assert all(a is b for a, b in zip(first.walks, second.walks, strict=True))
+    text = serialize(emit_monitors(2))
+    automata = parse(text).automata + parse(text).automata
+    store = Diagrams()
+    compiled = [attach_monitor(automaton, store=store)[1].compiled for automaton in automata]
+    runners = prepare_runners(automata, build_universe(automata), (), compiled)
+    half = len(runners) // 2
+    for one, other in zip(runners[:half], runners[half:], strict=True):
+        assert all(a is b for a, b in zip(one.walks, other.walks, strict=True))
 
 
 def test_runners_refuse_diagrams_past_the_node_budget():
