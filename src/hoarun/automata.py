@@ -7,8 +7,6 @@ Fin/Inf atoms over acceptance-set indices.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .labels import (
     TRUE,
     Diagrams,
@@ -143,17 +141,6 @@ class StateGraph:
     num_states: int
     succ: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_edges(cls, num_states: int, edges: Iterable[tuple[int, int]]) -> "StateGraph":
-        out: list[set[int]] = [set() for _ in range(num_states)]
-        for src, dst in edges:
-            out[src].add(dst)
-        return cls(num_states, tuple(tuple(sorted(s)) for s in out))
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.succ)
-
 
 def state_graph(automaton: Automaton) -> StateGraph:
     """Graph with an edge (q, q') iff some transition connects q to q'.
@@ -176,11 +163,12 @@ def state_graph(automaton: Automaton) -> StateGraph:
 
 class Compiled:
     """An automaton's labels compiled once, at load, into decision diagrams
-    in ``store`` (:class:`labels.Diagrams`), for the checks and the runners;
-    a new store when none is given. One store serves a whole run: the
-    labels, state tables and exit cubes that automata share are built in
-    it once, through its caches, and the node budget still holds per
-    build step.
+    in ``store`` (:class:`labels.Diagrams`), a new one when none is
+    given: the one form that the checks, completion, the monitor's attach
+    and the runners read. One store serves a whole ``run`` or ``check``
+    invocation: the labels, state tables and exit cubes that automata
+    share are built in it once, through its caches, and the node budget
+    still holds per build step.
 
     ``edges[q]`` holds the transitions leaving state q, in order, and
     ``tables[q]`` their labels' :class:`labels.LabelTable`, one for the
@@ -238,32 +226,33 @@ class Compiled:
         return tuple(dict.fromkeys(cubes))
 
 
-def is_deterministic(automaton: Automaton, compiled: Compiled | None = None) -> bool:
+def is_deterministic(compiled: Compiled) -> bool:
     """Single initial state and pairwise-disjoint labels leaving every
-    state (:meth:`labels.LabelTable.disjoint`), state by state; read from
-    ``compiled``, the automaton's :class:`Compiled`, made when not given."""
+    state (:meth:`labels.LabelTable.disjoint`), state by state, read from
+    the automaton's :class:`Compiled`."""
+    automaton = compiled.automaton
     if len(automaton.initial) != 1:
         return False
-    tables = (compiled or Compiled(automaton)).tables
-    return all(table.disjoint(len(automaton.aps)) for table in tables)
+    return all(table.disjoint(len(automaton.aps)) for table in compiled.tables)
 
 
-def is_complete(automaton: Automaton, compiled: Compiled | None = None) -> bool:
+def is_complete(compiled: Compiled) -> bool:
     """The labels leaving each state jointly cover every valuation
     (:meth:`labels.LabelTable.covering`), state by state; as above."""
-    tables = (compiled or Compiled(automaton)).tables
-    return all(table.covering(len(automaton.aps)) for table in tables)
+    ap_count = len(compiled.automaton.aps)
+    return all(table.covering(ap_count) for table in compiled.tables)
 
 
-def complete_by_stuttering(automaton: Automaton) -> Automaton:
+def complete_by_stuttering(compiled: Compiled) -> Compiled:
     """Add a self-loop on the uncovered inputs of each incomplete state.
 
     The loop label is the complement of the disjunction of the labels
     leaving the state (plain ``t`` when there are none), so the result is
-    complete and determinism is preserved. Returns the input unchanged
-    when it is already complete.
+    complete and determinism is preserved. Returns ``compiled`` itself
+    when its automaton is already complete, and otherwise the completed
+    automaton compiled in the same store.
     """
-    compiled = Compiled(automaton)
+    automaton = compiled.automaton
     added: list[Transition] = []
     for state, (table, out) in enumerate(zip(compiled.tables, compiled.edges)):
         if table.covering(len(automaton.aps)):
@@ -271,5 +260,6 @@ def complete_by_stuttering(automaton: Automaton) -> Automaton:
         label = TRUE if not out else Not(lor(*(t.label for t in out)))
         added.append(Transition(state, label, state))
     if not added:
-        return automaton
-    return replace(automaton, transitions=automaton.transitions + tuple(added))
+        return compiled
+    completed = replace(automaton, transitions=automaton.transitions + tuple(added))
+    return Compiled(completed, compiled.diagrams)

@@ -173,32 +173,29 @@ def _cmd_run(args) -> int:
         )
         return EXIT_ERROR
 
-    compiled = None  # the automata's compiled labels, made at attach when monitored
-    if args.monitor:
-        monitored = []
-        store = Diagrams()  # the run's one decision-diagram store, which the runners read
-        for automaton in automata:
-            try:
-                completed, monitor = attach_monitor(
-                    automaton, complete=args.complete, store=store
-                )
-            except MonitorAttachError as exc:
-                label = automaton.name or str(len(monitored))
-                print(f"error: cannot monitor {label}: {exc}", file=sys.stderr)
-                return EXIT_ATTACH_REFUSED
-            except CapacityError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_ERROR
-            monitored.append((completed, monitor))
-        automata = [aut for aut, _ in monitored]
-        compiled = [monitor.compiled for _, monitor in monitored]
+    store = Diagrams()  # the run's one decision-diagram store, which the runners read
+    compiled, monitors = [], []
+    for automaton in automata:
+        if not args.monitor:
+            compiled.append(Compiled(automaton, store))
+            continue
+        try:
+            item, monitor = attach_monitor(automaton, complete=args.complete, store=store)
+        except MonitorAttachError as exc:
+            label = automaton.name or str(len(monitors))
+            print(f"error: cannot monitor {label}: {exc}", file=sys.stderr)
+            return EXIT_ATTACH_REFUSED
+        except CapacityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        compiled.append(item)
+        monitors.append(monitor)
 
-    universe = build_universe(automata)
+    universe = build_universe(item.automaton for item in compiled)
     try:
-        runners = prepare_runners(automata, universe, config.hooks, compiled)
-        if args.monitor:
-            for runner, (_, monitor) in zip(runners, monitored):
-                runner.monitor = monitor
+        runners = prepare_runners(compiled, universe, config.hooks)
+        for runner, monitor in zip(runners, monitors):
+            runner.monitor = monitor
         sources = resolve_bindings(universe, config, seed=seed)
     except (ConfigError, CapacityError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -259,6 +256,7 @@ def _yes_no(value: bool) -> str:
 
 def _cmd_check(args) -> int:
     failed = False
+    store = Diagrams()  # one store for every automaton of the invocation
     for path in args.hoa:
         try:
             automata = _read_documents([path], args.allow_empty_accsets)
@@ -271,10 +269,10 @@ def _cmd_check(args) -> int:
             label = f"{path}[{idx}]"
             if automaton.name:
                 label += f" {automaton.name!r}"
-            compiled = Compiled(automaton)
+            compiled = Compiled(automaton, store)
             try:
-                deterministic = _yes_no(is_deterministic(automaton, compiled))
-                complete = _yes_no(is_complete(automaton, compiled))
+                deterministic = _yes_no(is_deterministic(compiled))
+                complete = _yes_no(is_complete(compiled))
             except CapacityError:
                 deterministic = complete = "capacity-exceeded"
             index = build_index(state_graph(automaton), automaton.initial)

@@ -185,15 +185,6 @@ class Valuation:
     bits: int
     width: int
 
-    @classmethod
-    def from_bools(cls, values: Iterable[bool]) -> "Valuation":
-        bits = 0
-        width = 0
-        for width, value in enumerate(values, start=1):
-            if value:
-                bits |= 1 << (width - 1)
-        return cls(bits, width)
-
     def __getitem__(self, index: int) -> bool:
         if not 0 <= index < self.width:
             raise ValuationWidthError(

@@ -12,7 +12,7 @@ in one pass over the condensation, and then only looks it up.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .automata import (
     AccAnd,
@@ -172,20 +172,6 @@ def condition_verdict(
     return component_verdicts(index, graph, cond, acc_sets)[index.state_to_comp[state]]
 
 
-def verdict_inf(
-    index: TrapIndex, graph: StateGraph, state: int, acc_states: Iterable[int]
-) -> Verdict:
-    """One-step verdict for "visit ``acc_states`` infinitely often"."""
-    return condition_verdict(index, graph, Inf(0), (frozenset(acc_states),), state)
-
-
-def verdict_fin(
-    index: TrapIndex, graph: StateGraph, state: int, acc_states: Iterable[int]
-) -> Verdict:
-    """One-step verdict for "eventually avoid ``acc_states`` forever"."""
-    return condition_verdict(index, graph, Fin(0), (frozenset(acc_states),), state)
-
-
 class MonitorAttachError(Exception):
     """The automaton does not meet the monitoring preconditions."""
 
@@ -203,7 +189,6 @@ class Monitor:
 
     def __init__(self, automaton: Automaton) -> None:
         self.automaton = automaton
-        self.compiled: Compiled | None = None  # set by attach_monitor
         graph = state_graph(automaton)
         index = build_index(graph, automaton.initial)
         by_comp = component_verdicts(index, graph, automaton.condition, automaton.acc_sets)
@@ -227,29 +212,25 @@ class Monitor:
 
 def attach_monitor(
     automaton: Automaton, *, complete: bool = False, store: Diagrams | None = None
-) -> tuple[Automaton, Monitor]:
-    """Validate and monitor an automaton; optionally complete it first.
+) -> tuple[Compiled, Monitor]:
+    """Compile, validate and monitor an automaton; optionally complete it first.
 
     Refuses nondeterministic automata outright. Incomplete automata are
     refused unless ``complete`` is set, in which case stuttering
-    self-loops are added and the completed automaton is returned for the
-    caller to execute. The monitor's ``compiled`` holds the returned
-    automaton's compiled labels, for its runner, in ``store``, the run's
-    decision-diagram store (a new one when not given).
+    self-loops are added. Returns the :class:`Compiled` of the automaton
+    to execute, the completed one if it was completed, in ``store`` (a
+    new one when not given), and its monitor.
     """
     compiled = Compiled(automaton, store)
-    if not is_deterministic(automaton, compiled):
+    if not is_deterministic(compiled):
         raise MonitorAttachError("automaton is nondeterministic")
-    if not is_complete(automaton, compiled):
+    if not is_complete(compiled):
         if not complete:
             raise MonitorAttachError(
                 "automaton is incomplete; enable stuttering completion to monitor it"
             )
-        automaton = complete_by_stuttering(automaton)
-        compiled = Compiled(automaton, compiled.diagrams)
-    monitor = Monitor(automaton)
-    monitor.compiled = compiled
-    return automaton, monitor
+        compiled = complete_by_stuttering(compiled)
+    return compiled, Monitor(compiled.automaton)
 
 
 class VerdictOracle:

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .automata import Automaton, Compiled
 from .hoa import HoaParseError, parse_named_label
-from .labels import NODE_BUDGET, CapacityError, Diagrams, LabelExpr, Valuation, walk
+from .labels import NODE_BUDGET, CapacityError, LabelExpr, Valuation, walk
 from .monitoring import Monitor, Verdict
 from .records import record, replace, set_field
 
@@ -833,27 +833,23 @@ def resolve_bindings(
 
 
 def prepare_runners(
-    automata: Sequence[Automaton],
+    compiled: Sequence[Compiled],
     universe: Sequence[str],
     hooks: Sequence[HookSpec] = (),
-    compiled: Sequence[Compiled] | None = None,
 ) -> list[Runner]:
-    """Create runners, reading ``compiled[i]`` (a monitor's ``compiled``,
-    as attach_monitor leaves it; made here, in one store, when not given)
-    for ``automata[i]`` at the universe's positions, and attach scoped
-    hooks, with ``cond:`` formulas as diagrams in the same store, one per
-    hook that the runners in its scope share, and the HOA text's state
-    ids in ``state:`` and ``goto:`` turned into state numbers."""
+    """Create a runner for each automaton's :class:`Compiled`, at the
+    universe's positions, and attach scoped hooks, with ``cond:`` formulas
+    as diagrams in the store of the first runner in scope, one per hook
+    that the runners in its scope share, and the HOA text's state ids in
+    ``state:`` and ``goto:`` turned into state numbers."""
     runners = []
     positions = {name: i for i, name in enumerate(universe)}
-    store = compiled[0].diagrams if compiled else Diagrams()
     tests: dict[int, object] = {}  # by hook number, the placed diagram of its condition
-    for index, automaton in enumerate(automata):
+    for index, item in enumerate(compiled):
+        automaton = item.automaton
         label = automaton.name if automaton.name else str(index)
         projection = tuple(positions[name] for name in automaton.aps)
-        runner = Runner(
-            compiled[index] if compiled else Compiled(automaton, store), label, projection
-        )
+        runner = Runner(item, label, projection)
         ids = automaton.display_ids or range(automaton.num_states)
         conditions = []
         for number, hook in enumerate(hooks):
@@ -878,14 +874,14 @@ def prepare_runners(
                             f"hook {hook.ident}: condition references unbound "
                             f"proposition {unbound[0]!r}"
                         )
-                    _, node = store.label(trigger.expr)
+                    _, node = item.diagrams.label(trigger.expr)
                     if node is None:
                         raise ConfigError(
                             f"hook {hook.ident}: condition takes a decision diagram of "
                             f"over {NODE_BUDGET} nodes"
                         )
                     places = tuple(positions[n] for n in trigger.ap_names)
-                    tests[number] = store.placed(node, places, {})
+                    tests[number] = item.diagrams.placed(node, places, {})
                 conditions.append((tests[number], hook))
             runner.triggered.setdefault(type(trigger), []).append(hook)
         runner.conditions = tuple(conditions)

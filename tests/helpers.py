@@ -8,6 +8,7 @@ independent references.
 from __future__ import annotations
 
 from random import Random
+from typing import Iterable
 
 from hoarun.automata import (
     AccAnd,
@@ -15,6 +16,7 @@ from hoarun.automata import (
     AcceptanceCond,
     Automaton,
     Bot,
+    Compiled,
     Fin,
     Inf,
     StateGraph,
@@ -36,6 +38,47 @@ from hoarun.labels import (
     lor,
     minterm,
 )
+
+
+# ---------------------------------------------------------------------------
+# Small constructors and readings that the package does not need
+
+
+def graph_from_edges(num_states: int, edges: Iterable[tuple[int, int]]) -> StateGraph:
+    """The graph with exactly ``edges``, built with one set per state at
+    once: the reference for :func:`hoarun.automata.state_graph`."""
+    out: list[set[int]] = [set() for _ in range(num_states)]
+    for src, dst in edges:
+        out[src].add(dst)
+    return StateGraph(num_states, tuple(tuple(sorted(s)) for s in out))
+
+
+def edge_count(graph: StateGraph) -> int:
+    return sum(len(s) for s in graph.succ)
+
+
+def valuation_from_bools(values: Iterable[bool]) -> Valuation:
+    """The valuation whose bit i is ``values``' element i."""
+    bits = width = 0
+    for width, value in enumerate(values, start=1):
+        if value:
+            bits |= 1 << (width - 1)
+    return Valuation(bits, width)
+
+
+def atom_verdict(atom, index, graph: StateGraph, state: int, acc_states: Iterable[int]):
+    """One-step verdict at ``state`` for ``atom(0)``, ``Inf(0)`` or
+    ``Fin(0)``, over the one acceptance set ``acc_states``."""
+    from hoarun.monitoring import condition_verdict
+
+    return condition_verdict(index, graph, atom(0), (frozenset(acc_states),), state)
+
+
+def compiled_in_one_store(automata: Iterable[Automaton]) -> list[Compiled]:
+    """Each automaton's :class:`Compiled`, all in one new store, as ``run``
+    compiles them for its runners."""
+    store = Diagrams()
+    return [Compiled(automaton, store) for automaton in automata]
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +230,7 @@ def random_graph(rng: Random, max_states: int = 10) -> StateGraph:
     edges = [
         (q, t) for q in range(n) for t in range(n) if rng.random() < density
     ]
-    return StateGraph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 def random_condition(rng: Random, set_count: int, depth: int) -> AcceptanceCond:

@@ -13,13 +13,15 @@ from random import Random
 
 from conftest import FIXTURES, load_fixture
 from helpers import (
+    atom_verdict,
     brute_least_trap_containing,
     brute_minimal_traps,
+    compiled_in_one_store,
     random_det_complete_automaton,
     random_graph,
     reachable_from,
 )
-from hoarun.automata import state_graph
+from hoarun.automata import Fin, Inf, state_graph
 from hoarun.hoa import HoaParseError, parse, serialize
 from hoarun.locks import (
     FAULT_DOUBLE_ACQUIRE,
@@ -38,8 +40,6 @@ from hoarun.monitoring import (
     combine_or,
     condition_verdict,
     swap_good_bad,
-    verdict_fin,
-    verdict_inf,
 )
 from hoarun.runtime import (
     Config,
@@ -123,9 +123,9 @@ def test_criterion_4_bscc_states_are_conclusive_for_elementary_conditions():
         for comp in bsccs(index):
             for q in comp:
                 for members in automaton.acc_sets:
-                    if not verdict_inf(index, graph, q, members).conclusive:
+                    if not atom_verdict(Inf, index, graph, q, members).conclusive:
                         failures.append((seed, q, "inf", members))
-                    if not verdict_fin(index, graph, q, members).conclusive:
+                    if not atom_verdict(Fin, index, graph, q, members).conclusive:
                         failures.append((seed, q, "fin", members))
     report(4, "bottom-SCC states always get a verdict", failures)
 
@@ -235,7 +235,7 @@ def _count_monitor_violations(trace_text: str, n: int) -> int:
     automata = list(emit_monitors(n).automata)
     universe = build_universe(automata)
     hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
-    runners = prepare_runners(automata, universe, hooks)
+    runners = prepare_runners(compiled_in_one_store(automata), universe, hooks)
     for runner in runners:
         runner.monitor = Monitor(runner.automaton)
     sources = resolve_bindings(
@@ -292,7 +292,7 @@ def _timed_lock_run(length: int) -> float:
     trace = generate_trace(LockScenario(n=2, length=length, violations=0, seed=1))
     automata = list(emit_monitors(2).automata)
     universe = build_universe(automata)
-    runners = prepare_runners(automata, universe, ())
+    runners = prepare_runners(compiled_in_one_store(automata), universe, ())
     for runner in runners:
         runner.monitor = Monitor(runner.automaton)
     sources = resolve_bindings(

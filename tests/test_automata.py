@@ -1,5 +1,4 @@
 import gc
-from collections import Counter
 from random import Random
 
 import pytest
@@ -10,6 +9,8 @@ from conftest import load_fixture
 from helpers import (
     all_valuations,
     brute_successors,
+    edge_count,
+    graph_from_edges,
     random_det_complete_automaton,
     random_labelled_automaton,
 )
@@ -18,7 +19,6 @@ from hoarun.automata import (
     Automaton,
     Compiled,
     Inf,
-    StateGraph,
     Top,
     Transition,
     complete_by_stuttering,
@@ -57,42 +57,45 @@ def test_successors_deadlock_is_empty_set():
 
 def test_is_deterministic_cases():
     det = two_state([Transition(0, Ap(0), 1), Transition(0, Not(Ap(0)), 0), Transition(1, TRUE, 1)])
-    assert is_deterministic(det)
+    assert is_deterministic(Compiled(det))
     overlap = two_state(
         [Transition(0, Ap(0), 1), Transition(0, land(Ap(0), Ap(1)), 0)],
         aps=("p", "q"),
     )
-    assert not is_deterministic(overlap)
+    assert not is_deterministic(Compiled(overlap))
     two_initial = two_state(
         [Transition(0, TRUE, 0), Transition(1, TRUE, 1)],
         initial=frozenset({0, 1}),
     )
-    assert not is_deterministic(two_initial)
+    assert not is_deterministic(Compiled(two_initial))
 
 
 def test_is_complete_cases():
     complete = two_state(
         [Transition(0, Ap(0), 1), Transition(0, Not(Ap(0)), 0), Transition(1, TRUE, 1)]
     )
-    assert is_complete(complete)
+    assert is_complete(Compiled(complete))
     partial = two_state([Transition(0, Ap(0), 1), Transition(1, TRUE, 1)])
-    assert not is_complete(partial)
+    assert not is_complete(Compiled(partial))
     deadlock = two_state([Transition(0, Ap(0), 1)])
-    assert not is_complete(deadlock)
+    assert not is_complete(Compiled(deadlock))
 
 
 def test_stuttering_adds_complement_loop():
     aut = two_state([Transition(0, Ap(0), 1), Transition(1, TRUE, 1)])
-    done = complete_by_stuttering(aut)
-    added = set(done.transitions) - set(aut.transitions)
+    compiled = Compiled(aut)
+    done = complete_by_stuttering(compiled)
+    added = set(done.automaton.transitions) - set(aut.transitions)
     assert added == {Transition(0, Not(Ap(0)), 0)}
     assert is_complete(done)
+    # compiled in the caller's store
+    assert done.diagrams is compiled.diagrams
 
 
 def test_stuttering_deadlock_state_gets_true_loop():
     aut = two_state([Transition(0, Ap(0), 1)])
-    done = complete_by_stuttering(aut)
-    assert Transition(1, TRUE, 1) in done.transitions
+    done = complete_by_stuttering(Compiled(aut))
+    assert Transition(1, TRUE, 1) in done.automaton.transitions
     assert is_complete(done)
 
 
@@ -100,8 +103,8 @@ def test_stuttering_identity_on_complete():
     aut = two_state(
         [Transition(0, Ap(0), 1), Transition(0, Not(Ap(0)), 0), Transition(1, TRUE, 1)]
     )
-    done = complete_by_stuttering(aut)
-    assert Counter(done.transitions) == Counter(aut.transitions)
+    compiled = Compiled(aut)
+    assert complete_by_stuttering(compiled) is compiled
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,11 +112,10 @@ def test_stuttering_identity_on_complete():
 def test_stuttering_idempotent_and_preserves_determinism(seed):
     rng = Random(seed)
     aut = _random_partial_automaton(rng)
-    once = complete_by_stuttering(aut)
-    twice = complete_by_stuttering(once)
-    assert Counter(once.transitions) == Counter(twice.transitions)
+    once = complete_by_stuttering(Compiled(aut))
+    assert complete_by_stuttering(once) is once
     assert is_complete(once)
-    if is_deterministic(aut):
+    if is_deterministic(Compiled(aut)):
         assert is_deterministic(once)
 
 
@@ -136,14 +138,15 @@ def test_checks_agree_with_brute_force_evaluate(seed):
     complete = all(
         any(evaluate(label, v) for label in labels) for labels in leaving for v in valuations
     )
-    assert is_deterministic(aut) == deterministic
-    assert is_complete(aut) == complete
-    done = complete_by_stuttering(aut)
-    assert (done is aut) == complete
+    compiled = Compiled(aut)
+    assert is_deterministic(compiled) == deterministic
+    assert is_complete(compiled) == complete
+    done = complete_by_stuttering(compiled)
+    assert (done is compiled) == complete
     for state in range(aut.num_states):
         for v in valuations:
             taken = brute_successors(aut, state, v)
-            assert brute_successors(done, state, v) == (taken or frozenset({state}))
+            assert brute_successors(done.automaton, state, v) == (taken or frozenset({state}))
 
 
 def _random_partial_automaton(rng: Random) -> Automaton:
@@ -185,7 +188,7 @@ def test_state_graph_erases_labels_and_dedupes():
     )
     graph = state_graph(aut)
     assert graph.succ == ((1,), (1,))
-    assert graph.edge_count == 2
+    assert edge_count(graph) == 2
 
 
 def test_validation_rejects_bad_structures():
@@ -228,7 +231,7 @@ def test_validation_rejects_bad_structures():
 
 
 def test_graph_from_edges():
-    graph = StateGraph.from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2), (0, 1)])
+    graph = graph_from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2), (0, 1)])
     assert graph.succ == ((1,), (1, 2), (2,))
 
 
@@ -240,9 +243,9 @@ def test_graph_matches_one_set_per_state(seed):
     shuffled = list(aut.transitions)
     rng.shuffle(shuffled)
     aut = replace(aut, transitions=tuple(shuffled))
-    # from_edges holds one set per state, all at once
+    # graph_from_edges holds one set per state, all at once
     edges = [(t.src, t.dst) for t in aut.transitions]
-    assert state_graph(aut) == StateGraph.from_edges(aut.num_states, edges)
+    assert state_graph(aut) == graph_from_edges(aut.num_states, edges)
 
 
 def test_unsatisfiable_labels_stay_in_the_graph():

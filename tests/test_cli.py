@@ -7,9 +7,10 @@ from random import Random
 import pytest
 
 from conftest import FIXTURES, load_fixture
+from hoarun.automata import Compiled
 from hoarun.cli import main
 from hoarun.hoa import parse
-from hoarun.labels import Valuation, evaluate
+from hoarun.labels import Diagrams, Valuation, evaluate
 
 FIG1A = str(FIXTURES / "fig1a.hoa")
 FIG1B = str(FIXTURES / "fig1b.hoa")
@@ -51,6 +52,27 @@ def test_check_multiple_files(capsys):
     out = capsys.readouterr().out
     assert out.count("states=3") == 2
     assert "complete=yes" in out
+
+
+def test_check_compiles_every_document_in_one_store(monkeypatch, capsys):
+    # two documents, three automata: one decision-diagram store for them all
+    stores, made = [], []
+    real_store, real_compiled = Diagrams.__init__, Compiled.__init__
+
+    def store_init(self):
+        stores.append(self)
+        real_store(self)
+
+    def compiled_init(self, automaton, store=None):
+        real_compiled(self, automaton, store)
+        made.append(self)
+
+    monkeypatch.setattr(Diagrams, "__init__", store_init)
+    monkeypatch.setattr(Compiled, "__init__", compiled_init)
+    assert main(["check", str(FIXTURES / "multi.hoa"), FIG1A]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(made) == 3
+    assert len(stores) == 1
+    assert all(compiled.diagrams is stores[0] for compiled in made)
 
 
 def test_check_output_is_pinned(tmp_path, monkeypatch, capsys):

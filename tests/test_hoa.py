@@ -311,9 +311,9 @@ def test_properties_are_stored_not_trusted():
     doc = parse(text)
     aut = doc.automata[0]
     assert aut.properties == ("deterministic", "complete")
-    from hoarun.automata import is_deterministic
+    from hoarun.automata import Compiled, is_deterministic
 
-    assert not is_deterministic(aut)
+    assert not is_deterministic(Compiled(aut))
 
 
 def test_unknown_lowercase_header_warns():

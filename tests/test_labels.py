@@ -2,8 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import covers_all, pairwise_disjoint, same_labels
-from hoarun.automata import Automaton, Inf, Transition, is_complete, is_deterministic
+from helpers import covers_all, pairwise_disjoint, same_labels, valuation_from_bools
+from hoarun.automata import (
+    Automaton,
+    Compiled,
+    Inf,
+    Transition,
+    is_complete,
+    is_deterministic,
+)
 from hoarun.cli import main
 from hoarun.hoa import parse
 from hoarun.labels import (
@@ -49,7 +56,7 @@ def valuations(width: int = 5):
 
 
 def test_evaluate_examples():
-    v10 = Valuation.from_bools([True, False])
+    v10 = valuation_from_bools([True, False])
     assert evaluate(land(Ap(0), Not(Ap(1))), v10) is True
     assert evaluate(TRUE, Valuation(0, 0)) is True
     assert evaluate(lor(Ap(0), Not(Ap(0))), Valuation(0, 1)) is True
@@ -89,19 +96,21 @@ def test_capacity_cap():
         condition=Inf(0),
     )
     with pytest.raises(CapacityError):
-        is_deterministic(aut)
+        is_deterministic(Compiled(aut))
     with pytest.raises(CapacityError):
-        is_complete(aut)
+        is_complete(Compiled(aut))
 
 
 def _one_state(labels, ap_count):
-    return Automaton(
-        aps=tuple(f"p{i}" for i in range(ap_count)),
-        num_states=1,
-        initial=frozenset({0}),
-        transitions=tuple(Transition(0, label, 0) for label in labels),
-        acc_sets=(frozenset({0}),),
-        condition=Inf(0),
+    return Compiled(
+        Automaton(
+            aps=tuple(f"p{i}" for i in range(ap_count)),
+            num_states=1,
+            initial=frozenset({0}),
+            transitions=tuple(Transition(0, label, 0) for label in labels),
+            acc_sets=(frozenset({0}),),
+            condition=Inf(0),
+        )
     )
 
 
@@ -360,7 +369,7 @@ def test_occurring_aps():
 
 
 def test_valuation_bit_string():
-    assert Valuation.from_bools([True, False, True]).bit_string() == "101"
+    assert valuation_from_bools([True, False, True]).bit_string() == "101"
 
 
 def test_enumeration_only_over_occurring_props():

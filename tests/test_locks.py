@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from conftest import load_fixture
-from helpers import brute_successors
-from hoarun.automata import is_complete, is_deterministic
+from helpers import brute_successors, compiled_in_one_store
+from hoarun.automata import Compiled, is_complete, is_deterministic
 from hoarun.hoa import parse, serialize
 from hoarun.labels import Valuation
 from hoarun.locks import (
@@ -40,7 +40,7 @@ def monitored_runners(trace_text: str, n: int):
     automata = list(emit_monitors(n).automata)
     universe = build_universe(automata)
     hooks = (HookSpec("reset", VerdictTrigger("conclusive"), ResetAction()),)
-    runners = prepare_runners(automata, universe, hooks)
+    runners = prepare_runners(compiled_in_one_store(automata), universe, hooks)
     for runner in runners:
         runner.monitor = Monitor(runner.automaton)
     sources = resolve_bindings(
@@ -171,8 +171,9 @@ def test_emit_monitor_counts_and_shape():
     for automaton in doc.automata:
         assert automaton.num_states == 3
         assert len(automaton.transitions) == 6
-        assert is_deterministic(automaton)
-        assert is_complete(automaton)
+        compiled = Compiled(automaton)
+        assert is_deterministic(compiled)
+        assert is_complete(compiled)
     assert len(emit_monitors(4).automata) == 32
 
 

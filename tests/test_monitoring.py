@@ -5,18 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_trap_verdict, random_det_complete_automaton, reachable_from
+from conftest import load_fixture
+from helpers import (
+    atom_verdict,
+    brute_trap_verdict,
+    graph_from_edges,
+    random_det_complete_automaton,
+    reachable_from,
+)
 from hoarun.automata import (
     Automaton,
+    Compiled,
     Fin,
     Inf,
     Top,
     Transition,
     acc_and,
     acc_or,
+    is_complete,
     state_graph,
 )
-from hoarun.labels import TRUE, Ap, Not
+from hoarun.hoa import parse
+from hoarun.labels import TRUE, Ap, Diagrams, Not
 from hoarun.monitoring import (
     Monitor,
     MonitorAttachError,
@@ -28,18 +38,14 @@ from hoarun.monitoring import (
     condition_verdict,
     oracle_verdict,
     swap_good_bad,
-    verdict_fin,
-    verdict_inf,
 )
 from hoarun.traps import build_index
 
-from hoarun.automata import StateGraph
-
-FIG_A = StateGraph.from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
+FIG_A = graph_from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
 FIG_A_INDEX = build_index(FIG_A, initial={0})
 
 # one bottom SCC {u, v}: u -> v, v -> v, v -> u
-UV = StateGraph.from_edges(2, [(0, 1), (1, 1), (1, 0)])
+UV = graph_from_edges(2, [(0, 1), (1, 1), (1, 0)])
 UV_INDEX = build_index(UV, initial={0})
 
 VERDICTS = (Verdict.GOOD, Verdict.BAD, Verdict.UGLY, Verdict.UNKNOWN)
@@ -61,16 +67,16 @@ def uv_automaton(condition, acc_sets=(frozenset({0}),)) -> Automaton:
 
 
 def test_verdict_inf_examples():
-    assert verdict_inf(FIG_A_INDEX, FIG_A, 1, {0}) is Verdict.BAD
-    assert verdict_inf(FIG_A_INDEX, FIG_A, 2, {2}) is Verdict.GOOD
-    assert verdict_inf(UV_INDEX, UV, 0, {0}) is Verdict.UGLY
-    assert verdict_inf(FIG_A_INDEX, FIG_A, 1, {2}) is Verdict.UNKNOWN
+    assert atom_verdict(Inf, FIG_A_INDEX, FIG_A, 1, {0}) is Verdict.BAD
+    assert atom_verdict(Inf, FIG_A_INDEX, FIG_A, 2, {2}) is Verdict.GOOD
+    assert atom_verdict(Inf, UV_INDEX, UV, 0, {0}) is Verdict.UGLY
+    assert atom_verdict(Inf, FIG_A_INDEX, FIG_A, 1, {2}) is Verdict.UNKNOWN
 
 
 def test_verdict_fin_examples():
-    assert verdict_fin(FIG_A_INDEX, FIG_A, 1, {0}) is Verdict.GOOD
-    assert verdict_fin(FIG_A_INDEX, FIG_A, 2, {2}) is Verdict.BAD
-    assert verdict_fin(UV_INDEX, UV, 0, {0}) is Verdict.UGLY
+    assert atom_verdict(Fin, FIG_A_INDEX, FIG_A, 1, {0}) is Verdict.GOOD
+    assert atom_verdict(Fin, FIG_A_INDEX, FIG_A, 2, {2}) is Verdict.BAD
+    assert atom_verdict(Fin, UV_INDEX, UV, 0, {0}) is Verdict.UGLY
 
 
 def test_uv_ugly_confirmed_by_oracle():
@@ -101,9 +107,9 @@ def test_fig_a_unknown_is_resolvable_per_oracle():
 
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
-        verdict_inf(FIG_A_INDEX, FIG_A, 0, set())
+        atom_verdict(Inf, FIG_A_INDEX, FIG_A, 0, set())
     with pytest.raises(ValueError):
-        verdict_fin(FIG_A_INDEX, FIG_A, 0, set())
+        atom_verdict(Fin, FIG_A_INDEX, FIG_A, 0, set())
 
 
 def test_combine_and_table():
@@ -142,8 +148,8 @@ def test_two_uglies_may_hide_a_contradiction():
     assert oracle_verdict(either, 0) is Verdict.GOOD
     graph = state_graph(both)
     index = build_index(graph, both.initial)
-    assert verdict_inf(index, graph, 0, {0}) is Verdict.UGLY
-    assert verdict_fin(index, graph, 0, {0}) is Verdict.UGLY
+    assert atom_verdict(Inf, index, graph, 0, {0}) is Verdict.UGLY
+    assert atom_verdict(Fin, index, graph, 0, {0}) is Verdict.UGLY
     assert combine_and(Verdict.UGLY, Verdict.UGLY) is Verdict.UNKNOWN
     assert combine_or(Verdict.UGLY, Verdict.UGLY) is Verdict.UNKNOWN
 
@@ -179,8 +185,8 @@ def test_fin_is_swap_of_inf_exhaustively():
         index = build_index(graph, aut.initial)
         for members in aut.acc_sets:
             for q in range(aut.num_states):
-                assert verdict_fin(index, graph, q, members) is swap_good_bad(
-                    verdict_inf(index, graph, q, members)
+                assert atom_verdict(Fin, index, graph, q, members) is swap_good_bad(
+                    atom_verdict(Inf, index, graph, q, members)
                 )
 
 
@@ -263,12 +269,34 @@ def test_attach_monitor_refusals():
     )
     with pytest.raises(MonitorAttachError):
         attach_monitor(partial)
-    completed, monitor = attach_monitor(partial, complete=True)
+    compiled, monitor = attach_monitor(partial, complete=True)
+    completed = compiled.automaton
     assert len(completed.transitions) == 2
     assert monitor.automaton is completed
     # the labels the runner reads are the completed automaton's
-    assert monitor.compiled.automaton is completed
-    assert monitor.compiled.tables[0].leaves == {frozenset({0}), frozenset({1})}
+    assert compiled.tables[0].leaves == {frozenset({0}), frozenset({1})}
+
+
+def test_completing_at_attach_compiles_twice_in_the_callers_store(monkeypatch):
+    # once for the checks and once for the completed automaton: completion
+    # finds the uncovered states in the tables the checks read
+    made = []
+    real = Compiled.__init__
+
+    def counted(self, automaton, store=None):
+        made.append(automaton)
+        real(self, automaton, store)
+
+    monkeypatch.setattr(Compiled, "__init__", counted)
+    (automaton,) = parse(load_fixture("deadlock.hoa")).automata
+    store = Diagrams()
+    compiled, monitor = attach_monitor(automaton, complete=True, store=store)
+    assert len(made) == 2
+    assert made[0] is automaton
+    assert made[1] is compiled.automaton is monitor.automaton
+    assert compiled.diagrams is store
+    assert len(compiled.automaton.transitions) == 3
+    assert is_complete(compiled)
 
 
 def test_oracle_good_needs_all_infinity_sets():
@@ -309,8 +337,8 @@ def test_bsccs_always_conclusive_for_elementary_conditions():
         for comp in bsccs(index):
             for q in comp:
                 for members in aut.acc_sets:
-                    assert verdict_inf(index, graph, q, members).conclusive
-                    assert verdict_fin(index, graph, q, members).conclusive
+                    assert atom_verdict(Inf, index, graph, q, members).conclusive
+                    assert atom_verdict(Fin, index, graph, q, members).conclusive
 
 
 def test_compound_condition_verdicts():
@@ -321,6 +349,6 @@ def test_compound_condition_verdicts():
     graph = state_graph(aut)
     index = build_index(graph, aut.initial)
     # Fin({0}) at state 0 is ugly; Inf({1}) holds on every run from 0
-    assert verdict_fin(index, graph, 0, aut.acc_sets[0]) is Verdict.UGLY
-    assert verdict_inf(index, graph, 0, aut.acc_sets[1]) is Verdict.GOOD
+    assert atom_verdict(Fin, index, graph, 0, aut.acc_sets[0]) is Verdict.UGLY
+    assert atom_verdict(Inf, index, graph, 0, aut.acc_sets[1]) is Verdict.GOOD
     assert condition_verdict(index, graph, aut.condition, aut.acc_sets, 0) is Verdict.GOOD

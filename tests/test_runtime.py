@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
-from helpers import brute_successors, random_det_complete_automaton, random_labelled_automaton
+from helpers import (
+    brute_successors,
+    compiled_in_one_store,
+    random_det_complete_automaton,
+    random_labelled_automaton,
+    valuation_from_bools,
+)
 from hoarun import replace, runtime
 from hoarun.automata import Automaton, Inf, Top, Transition
 from hoarun.hoa import parse, serialize
@@ -529,7 +535,7 @@ def test_parse_condition_nesting_limit():
 def test_step_outcomes():
     aut = pq_automaton()
     universe = build_universe([aut])
-    (runner,) = prepare_runners([aut], universe)
+    (runner,) = prepare_runners(compiled_in_one_store([aut]), universe)
     assert step(runner, 0) == (0,)
     assert runner.step_count == 1
     assert step(runner, 1) == (1,)
@@ -543,7 +549,7 @@ def test_step_outcomes():
         acc_sets=(frozenset({1}),),
         condition=Inf(0),
     )
-    (runner,) = prepare_runners([nd], build_universe([nd]))
+    (runner,) = prepare_runners(compiled_in_one_store([nd]), build_universe([nd]))
     assert step(runner, 0) == (0, 1)
     assert runner.current_state == 0 and runner.step_count == 0
 
@@ -555,7 +561,7 @@ def test_step_outcomes():
         acc_sets=(frozenset({0}),),
         condition=Inf(0),
     )
-    (runner,) = prepare_runners([dead], build_universe([dead]))
+    (runner,) = prepare_runners(compiled_in_one_store([dead]), build_universe([dead]))
     assert step(runner, 0) == ()
     assert runner.current_state == 0
 
@@ -578,7 +584,7 @@ def test_step_matches_brute_successors(seed):
     rng.shuffle(names)
     second = random_labelled_automaton(rng, tuple(names))
     universe = build_universe([first, second])
-    runners = prepare_runners([first, second], universe)
+    runners = prepare_runners(compiled_in_one_store([first, second]), universe)
     for _ in range(30):
         bits = rng.randrange(1 << len(universe))
         for runner in runners:
@@ -636,7 +642,7 @@ def test_step_walks_wide_labels():
     )
     first = Automaton(names, 1, frozenset({0}), (Transition(0, TRUE, 0),), (), Top())
     universe = build_universe([first, toggle])
-    _, runner = prepare_runners([first, toggle], universe)
+    _, runner = prepare_runners(compiled_in_one_store([first, toggle]), universe)
     rng = Random(3)
     moved = 0
     for _ in range(200):
@@ -670,7 +676,7 @@ def test_memo_stays_under_cap_on_wide_inputs():
         acc_sets=(frozenset({0}),),
         condition=Inf(0),
     )
-    (runner,) = prepare_runners([aut], names)
+    (runner,) = prepare_runners(compiled_in_one_store([aut]), names)
     sources = resolve_bindings(names, parse_config("[drivers]\ndefault = random()\n"), seed=5)
     events = []
     steps = MEMO_CAP + 2_000
@@ -841,7 +847,7 @@ def test_parked_lock_monitors_match_replayed_monitors(n, length):
     expected_states = []
     for step_index, row in enumerate(rows):
         for i, aut in enumerate(automata):
-            valuation = Valuation.from_bools(row[c] for c in columns[i])
+            valuation = valuation_from_bools(row[c] for c in columns[i])
             (states[i],) = brute_successors(aut, states[i], valuation)
             monitor = replayed[i]
             before = monitor.current_verdict
@@ -924,7 +930,7 @@ def test_a_run_ended_part_way_through_a_step_counts_the_parked_runners_before_it
 def test_a_malformed_row_leaves_every_runner_counting_the_rows_read(make, text, rows):
     automata = [make(name) for name in ("first", "middle", "last")]
     universe = build_universe(automata)
-    runners = prepare_runners(automata, universe)
+    runners = prepare_runners(compiled_in_one_store(automata), universe)
     with pytest.raises(TraceError, match="expected 0 or 1"):
         run_loop(runners, trace_sources(universe, text))
     assert [r.step_count for r in runners] == [rows] * 3
@@ -958,7 +964,7 @@ def test_runners_that_cannot_be_parked_step_as_replayed(automaton, text, reason)
     state = min(automaton.initial)
     expected = []
     for row in rows:
-        found = brute_successors(automaton, state, Valuation.from_bools(row))
+        found = brute_successors(automaton, state, valuation_from_bools(row))
         if not found:
             break
         (state,) = found
@@ -1044,7 +1050,7 @@ def test_a_runner_woken_by_two_of_its_cubes_steps_once():
         condition=Top(),
     )
     universe = build_universe([automaton])
-    (runner,) = prepare_runners([automaton], universe)
+    (runner,) = prepare_runners(compiled_in_one_store([automaton]), universe)
     assert runner.exits[0] == ((1, 1), (6, 6))
     runner.memo = _ProbeCountingMemo()
     events = []
@@ -1077,7 +1083,7 @@ def test_a_group_left_by_an_ended_parking_wakes_nobody():
         condition=Top(),
     )
     universe = build_universe([automaton])
-    (runner,) = prepare_runners([automaton], universe)
+    (runner,) = prepare_runners(compiled_in_one_store([automaton]), universe)
     assert len(runner.exits[0]) == 2
     runner.memo = _ProbeCountingMemo()
     events = []
@@ -1097,7 +1103,7 @@ def test_a_memo_hit_leaves_a_runner_with_several_cubes_unparked():
     # probed at steps 4 and 5
     automaton = _over_pq("back", [(0, lor(P, Q), 1), (0, land(Not(P), Not(Q)), 0), (1, TRUE, 0)])
     universe = build_universe([automaton])
-    (runner,) = prepare_runners([automaton], universe)
+    (runner,) = prepare_runners(compiled_in_one_store([automaton]), universe)
     runner.memo = _ProbeCountingMemo()
     text = "p q\n0 0\n0 0\n1 0\n0 0\n0 0\n0 0\n"
     events = []
@@ -1123,7 +1129,7 @@ def test_a_state_past_the_checks_cap_is_parked_by_its_diagram():
         name="wide",
     )
     universe = build_universe([automaton])
-    (runner,) = prepare_runners([automaton], universe)
+    (runner,) = prepare_runners(compiled_in_one_store([automaton]), universe)
     runner.memo = _ProbeCountingMemo()
     text = " ".join(names) + "\n" + ("0 " * 17 + "\n") * 50
     report = run_loop([runner], trace_sources(universe, text))
@@ -1170,7 +1176,7 @@ def test_parked_runners_keep_run_loop_memory_flat_in_trace_length(tmp_path):
         path = tmp_path / f"{length}.trace"
         path.write_text(generate_trace(LockScenario(n=4, length=length, violations=4, seed=1)))
         universe = build_universe(automata)
-        runners = prepare_runners(automata, universe, hooks)
+        runners = prepare_runners(compiled_in_one_store(automata), universe, hooks)
         for runner, automaton in zip(runners, automata):
             runner.monitor = Monitor(automaton)
         sources = resolve_bindings(universe, Config(default_driver=FileSpec(str(path))), seed=0)
@@ -1229,7 +1235,7 @@ def test_a_memo_hit_advances_as_a_miss_does(monkeypatch):
 
 def _run_with_trace(automata, trace_text, hooks=(), seed=0, max_steps=None, monitors=None):
     universe = build_universe(automata)
-    runners = prepare_runners(automata, universe, hooks)
+    runners = prepare_runners(compiled_in_one_store(automata), universe, hooks)
     if monitors:
         for runner, monitor in zip(runners, monitors):
             runner.monitor = monitor
@@ -1388,16 +1394,16 @@ def test_goto_validation_against_scope():
     aut = pq_automaton("m")
     hooks = (HookSpec("jump", StateTrigger(1), GotoAction(9)),)
     with pytest.raises(ConfigError):
-        prepare_runners([aut], build_universe([aut]), hooks)
+        prepare_runners(compiled_in_one_store([aut]), build_universe([aut]), hooks)
 
 
 def test_cond_trigger_validation_against_universe():
     aut = pq_automaton("m")
     unbound = (HookSpec("watch", CondTrigger(Ap(0), ("q",)), LogAction("q seen")),)
     with pytest.raises(ConfigError, match="'q'"):
-        prepare_runners([aut], build_universe([aut]), unbound)
+        prepare_runners(compiled_in_one_store([aut]), build_universe([aut]), unbound)
     bound = (HookSpec("watch", CondTrigger(Ap(0), ("p",)), LogAction("p seen")),)
-    (runner,) = prepare_runners([aut], build_universe([aut]), bound)
+    (runner,) = prepare_runners(compiled_in_one_store([aut]), build_universe([aut]), bound)
     assert runner.triggered == {CondTrigger: list(bound)}
     assert [hook for _, hook in runner.conditions] == list(bound)
 
@@ -1405,7 +1411,8 @@ def test_cond_trigger_validation_against_universe():
 def test_runners_in_scope_share_their_condition_diagram():
     automata = [pq_automaton("first"), pq_automaton("second")]
     hooks = (HookSpec("watch", CondTrigger(*parse_condition("!p")), LogAction("quiet")),)
-    first, second = prepare_runners(automata, build_universe(automata), hooks)
+    compiled = compiled_in_one_store(automata)
+    first, second = prepare_runners(compiled, build_universe(automata), hooks)
     assert first.conditions[0][0] is second.conditions[0][0]
 
 
@@ -1413,13 +1420,13 @@ def test_runners_at_one_projection_share_their_placed_walks():
     # automata built or parsed apart over the same propositions: in one
     # store their tables are one diagram, placed once for them all
     automata = [pq_automaton("first"), pq_automaton("second")]
-    first, second = prepare_runners(automata, build_universe(automata))
+    first, second = prepare_runners(compiled_in_one_store(automata), build_universe(automata))
     assert all(a is b for a, b in zip(first.walks, second.walks, strict=True))
     text = serialize(emit_monitors(2))
     automata = parse(text).automata + parse(text).automata
     store = Diagrams()
-    compiled = [attach_monitor(automaton, store=store)[1].compiled for automaton in automata]
-    runners = prepare_runners(automata, build_universe(automata), (), compiled)
+    compiled = [attach_monitor(automaton, store=store)[0] for automaton in automata]
+    runners = prepare_runners(compiled, build_universe(automata))
     half = len(runners) // 2
     for one, other in zip(runners[:half], runners[half:], strict=True):
         assert all(a is b for a, b in zip(one.walks, other.walks, strict=True))
@@ -1437,11 +1444,11 @@ def test_runners_refuse_diagrams_past_the_node_budget():
         condition=Inf(0),
     )
     with pytest.raises(runtime.CapacityError, match="cannot run m: .* state 0 "):
-        prepare_runners([replace(aut, name="m")], build_universe([aut]))
+        prepare_runners(compiled_in_one_store([replace(aut, name="m")]), build_universe([aut]))
     small = pq_automaton("m")
     watch = (HookSpec("watch", CondTrigger(bus, aut.aps), LogAction("seen")),)
     with pytest.raises(ConfigError, match="hook watch: condition takes a decision diagram"):
-        prepare_runners([small], build_universe([small, aut]), watch)
+        prepare_runners(compiled_in_one_store([small]), build_universe([small, aut]), watch)
 
 
 def test_resolve_bindings_requires_default():
@@ -1483,7 +1490,7 @@ def test_prompt_action_reads_choice():
     hooks = (HookSpec("ask", NondetTrigger(), PromptAction()),)
 
     def run(answers):
-        runners = prepare_runners([nd], universe, hooks)
+        runners = prepare_runners(compiled_in_one_store([nd]), universe, hooks)
         shown = io.StringIO()
         report = run_loop(
             runners,

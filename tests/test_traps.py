@@ -11,6 +11,7 @@ from helpers import (
     brute_minimal_traps,
     brute_successors,
     brute_trap_sets,
+    graph_from_edges,
     kosaraju_sccs,
     random_det_complete_automaton,
     random_graph,
@@ -22,8 +23,8 @@ from hoarun.traps import build_index, bsccs, is_transient, min_trap_set_of
 # Graph shapes mirroring the two worked examples: a chain of three states
 # with self-loops on the last two, and a two-state cycle with an escape to
 # a sink.
-FIG_A = StateGraph.from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
-FIG_B = StateGraph.from_edges(3, [(0, 1), (1, 0), (1, 1), (0, 2), (2, 2)])
+FIG_A = graph_from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
+FIG_B = graph_from_edges(3, [(0, 1), (1, 0), (1, 1), (0, 2), (2, 2)])
 
 
 def _comp_succ_by_sets(graph, state_to_comp, count):
@@ -58,7 +59,7 @@ def test_components_fig_b():
 
 
 def test_single_state_no_edges():
-    index = build_index(StateGraph.from_edges(1, []))
+    index = build_index(graph_from_edges(1, []))
     assert index.components == (frozenset({0}),)
     assert index.comp_succ == ((),)
 
@@ -92,7 +93,7 @@ def test_min_trap_set_unknown_state():
 def test_bsccs_examples():
     assert bsccs(build_index(FIG_A)) == [frozenset({2})]
     assert bsccs(build_index(FIG_B)) == [frozenset({2})]
-    complete3 = StateGraph.from_edges(3, [(i, j) for i in range(3) for j in range(3)])
+    complete3 = graph_from_edges(3, [(i, j) for i in range(3) for j in range(3)])
     assert bsccs(build_index(complete3)) == [frozenset({0, 1, 2})]
 
 
