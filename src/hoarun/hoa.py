@@ -13,19 +13,20 @@ Edge and state labels, `Alias:` bodies, `cond:` formulas (through
 grammar, `|`-chains of `&`-chains nested at most 200 levels, and written
 by one printer; each kind brings only its atoms.
 
-Each distinct text between a body label's `[` and `]` is parsed once per
-document; later occurrences take the label it parsed to from a memo,
-which is the object a second parse would build, since the parser shares
-equal nodes. A text holding a comment (`/*`, which may hide a `]`), a
-string (`"`) or an alias (`@`, which means what its own automaton
-defines) is never kept, nor is one that fails to parse, so every
-diagnostic is raised where it always was.
+Each distinct run of tokens between a body label's `[` and `]` is parsed
+once per document, whatever the blanks and comments between them; later
+occurrences take the label it parsed to from a memo, which is the object
+a second parse would build, since the parser shares equal nodes. A run
+holding a string (`"`) or an alias (`@`, which means what its own
+automaton defines) is never kept, nor is one that fails to parse, so
+every diagnostic is raised where it always was.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice
 
 from .automata import (
     AccAnd,
@@ -85,93 +86,116 @@ class HoaDocument:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexer
 #
-# One regex, matched at the current offset, skips blanks and reads one token.
-# Tokens carry their offset; a diagnostic turns it into a 1-based line and
-# column, where only "\n" ends a line and every other character, "\r" and
-# tab included, is one column.
+# One `findall` lexes a document, nested comments cut out first, into its
+# tokens as written; a token's kind is its first character, or a trailing
+# ":" for a header. A token of no kind (a stray character, a bare `@`, an
+# unterminated string or comment) is refused only once the parser reaches
+# it. Offsets serve diagnostics only: the text is lexed again up to the
+# tokens named, and an offset, mapped back past the comments, becomes a
+# 1-based line and column, where only "\n" ends a line and every other
+# character, "\r" and tab included, is one column.
 
-
-class _Token:
-    __slots__ = ("kind", "value", "offset")
-
-    def __init__(self, kind: str, value: str, offset: int):
-        self.kind = kind
-        self.value = value
-        self.offset = offset
-
-
-# m.lastgroup names the token's kind and its group holds the value; the
-# empty group "at" marks where the token begins, after blanks
 _TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*(?P<at>)(?:
-        (?P<header>[A-Za-z_][A-Za-z0-9_-]*):
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_-]*)
-      | (?P<int>[0-9]+)
-      | (?P<punct>[][{}()!&|])
-      | "(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"
-      | (?P<body>--BODY--) | (?P<end>--END--) | (?P<abort>--ABORT--)
-      | @(?P<aname>[A-Za-z0-9_-]*)
-      | (?P<comment>/\*)
-      | (?P<eof>\Z)
-      | (?P<other>.)
-    )""",
-    re.VERBOSE | re.DOTALL,
+    r"""[][{}()!&|]|[0-9]+|[A-Za-z_][A-Za-z0-9_-]*:?|"[^"\\]*(?:\\.[^"\\]*)*"|@[A-Za-z0-9_-]+"""
+    r"|--(?:BODY|END|ABORT)--|/\*|[^ \t\r\n]",
+    re.DOTALL,
 )
+_SKIP_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|"|/\*', re.DOTALL)  # strings, comment openers
 _COMMENT_DELIM_RE = re.compile(r"/\*|\*/")
 _ESCAPE_RE = re.compile(r'\\(["\\])')
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE_CHAR = frozenset("[]{}()!&|0123456789") | _IDENT_START  # the tokens of one character
+_KINDS = dict.fromkeys(_IDENT_START, "ident") | dict.fromkeys("0123456789", "int")
+_KINDS.update({"": "eof", '"': "string", "@": "aname"})
+_REFUSALS = {"/*": "unterminated comment", '"': "unterminated string", "@": "malformed alias name"}
+
+
+def _kind(tok: str) -> str:
+    """``int``, ``ident``, ``header``, ``string``, ``aname`` or ``eof``;
+    punctuation and the `--` markers are kinds of their own."""
+    kind = _KINDS.get(tok[:1], tok)
+    return "header" if kind == "ident" and tok[-1] == ":" else kind
+
+
+def _value(tok: str) -> str:
+    """What a token stands for: a string's text, an alias's name."""
+    if tok[:1] == '"':
+        return _ESCAPE_RE.sub(r"\1", tok[1:-1]) if "\\" in tok else tok[1:-1]
+    return tok[1:] if tok[:1] == "@" else tok
+
+
+def _uncomment(text: str) -> tuple[str, list[int], list[int]]:
+    """``text`` with each comment cut down to one blank, and the way back:
+    from each offset in the second list on, the third list's shift to the
+    offset in ``text``. Strings are skipped whole; nothing is cut after an
+    unterminated string, nor kept after an unterminated comment's `/*`."""
+    pieces: list[str] = []
+    starts, shifts = [0], [0]
+    done = at = size = 0  # text[:done] is in pieces, size characters long
+    while (m := _SKIP_RE.search(text, at)) is not None and m.group() != '"':
+        at = m.end()
+        if m.group() != "/*":  # a string
+            continue
+        depth = 0
+        for delim in _COMMENT_DELIM_RE.finditer(text, m.start()):
+            depth += 1 if delim.group() == "/*" else -1
+            if depth == 0:
+                break
+        else:
+            return "".join(pieces) + text[done:at], starts, shifts
+        pieces += (text[done : m.start()], " ")
+        size += m.start() - done + 1
+        done = at = delim.end()
+        starts.append(size)
+        shifts.append(done - size)
+    return "".join(pieces) + text[done:], starts, shifts
 
 
 class _Abort(Exception):
-    def __init__(self, diagnostic: ParseDiagnostic):
-        self.diagnostic = diagnostic
-        super().__init__(str(diagnostic))
+    """A parse error at token index ``at``; no ``message`` refuses that token."""
+
+    def __init__(self, at: int, message: str | None):
+        self.at = at
+        self.message = message
 
 
-class _Tokenizer:
+class _Source:
+    """A document's tokens, with the end of input as a final ``""``, the
+    index of the first token of no kind (-1 if none), and the way back from
+    a token's index to its line and column."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self._newlines: list[int] | None = None
+        cut = _uncomment(text) if "/*" in text else (text, [0], [0])
+        self.lexed, self._starts, self._shifts = cut
+        toks = self.toks = _TOKEN_RE.findall(self.lexed)
+        odd = {t for t in set(toks) if len(t) == 1 and t not in _ONE_CHAR or t == "/*"}
+        self.refused = next((i for i, t in enumerate(toks) if t in odd), -1) if odd else -1
+        toks.append("")
 
-    def diagnostic(self, offset: int, message: str, severity: str = "error") -> ParseDiagnostic:
-        if self._newlines is None:
-            self._newlines = [m.start() for m in re.finditer("\n", self.text)]
-        line = bisect_left(self._newlines, offset)
-        column = offset - self._newlines[line - 1] if line else offset + 1
-        return ParseDiagnostic(line + 1, column, message, severity)
-
-    def _fail(self, message: str, offset: int):
-        raise _Abort(self.diagnostic(offset, message))
-
-    def next_token(self) -> _Token:
-        text = self.text
-        m = _TOKEN_RE.match(text, self.pos)
-        while m.lastgroup == "comment":
-            # comments nest: go on after the "*/" that closes this one
-            depth = 0
-            for delim in _COMMENT_DELIM_RE.finditer(text, m.start("at")):
-                depth += 1 if delim.group() == "/*" else -1
-                if depth == 0:
-                    break
-            else:
-                self._fail("unterminated comment", m.start("at"))
-            m = _TOKEN_RE.match(text, delim.end())
-        self.pos = m.end()
-        kind = m.lastgroup
-        value = m.group(kind)
-        if kind == "punct":
-            kind = value
-        elif kind == "string":
-            value = _ESCAPE_RE.sub(r"\1", value)
-        elif kind == "aname" and not value:
-            self._fail("malformed alias name", m.start("at"))
-        elif kind == "other":
-            if value == '"':
-                self._fail("unterminated string", m.start("at"))
-            self._fail(f"unexpected character {value!r}", m.start("at"))
-        return _Token(kind, value, m.start("at"))
+    def diagnostics(self, found: list[tuple[int, str | None, str]]) -> list[ParseDiagnostic]:
+        """Each ``(token index, message, severity)`` of ``found`` placed at
+        its token, in one pass over the text."""
+        if not found:
+            return []
+        wanted = {at for at, _, _ in found}
+        offsets = dict.fromkeys(wanted, len(self.lexed))  # the end of input
+        for at, m in enumerate(islice(_TOKEN_RE.finditer(self.lexed), max(wanted) + 1)):
+            if at in wanted:
+                offsets[at] = m.start()
+        newlines = [m.start() for m in re.finditer("\n", self.text)]
+        placed = []
+        for at, message, severity in found:
+            offset = offsets[at] + self._shifts[bisect_right(self._starts, offsets[at]) - 1]
+            if message is None:
+                char = "/*" if self.text.startswith("/*", offset) else self.text[offset]
+                message = _REFUSALS.get(char, f"unexpected character {char!r}")
+            line = bisect_left(newlines, offset)
+            column = offset - newlines[line - 1] if line else offset + 1
+            placed.append(ParseDiagnostic(line + 1, column, message, severity))
+        return placed
 
 
 # ---------------------------------------------------------------------------
@@ -179,313 +203,331 @@ class _Tokenizer:
 
 class _Parser:
     """Recursive-descent reader of a document, or with ``names`` of one
-    named formula. Formula nodes are made once per document
-    (:meth:`_shared`), so equal labels are one object. ``_texts`` maps the
-    text between a body label's brackets to that label
-    (:meth:`_parse_bracketed`), for texts that parsed up to their first
-    `]` and hold no `/*`, `"` or `@`; it holds at most one entry per
-    distinct label text and goes with the parser."""
+    named formula; ``tok`` is the token at index ``i``. Formula nodes are
+    made once per document (:meth:`_shared`), so equal labels are one
+    object, and ``_texts`` maps each run of tokens between a body label's
+    brackets to its label (:meth:`_parse_bracketed`)."""
 
     def __init__(self, text: str, allow_empty_acc_sets: bool, names: list[str] | None = None):
-        self._tz = _Tokenizer(text)
-        self.tok = self._tz.next_token()
+        self._source = _Source(text)
+        self.toks, self._refused = self._source.toks, self._source.refused
+        self.i, self.tok = -1, ""  # before the first token, which _take reads
         self.allow_empty_acc_sets = allow_empty_acc_sets
         # a named formula's table of proposition names, in first-use order;
         # None for HOA text, whose label atoms are proposition indices
         self.names = names
-        self.warnings: list[ParseDiagnostic] = []
+        self.warnings: list[tuple[int, str]] = []  # (token index, message)
         self._labels: dict[tuple, LabelExpr] = {}
-        self._texts: dict[str, LabelExpr] = {}
+        self._atoms: dict[str, LabelExpr] = {"t": TRUE, "f": FALSE}
+        self._negated: dict[str, LabelExpr] = {}  # by atom token, "!" and that atom
+        self._texts: dict[tuple[str, ...], LabelExpr] = {}
 
-    def _take(self) -> _Token:
+    def _take(self) -> str:
+        """The current token; the next one becomes current."""
         tok = self.tok
-        self.tok = self._tz.next_token()
+        i = self.i = self.i + 1
+        if i == self._refused:
+            raise _Abort(i, None)
+        self.tok = self.toks[i]
         return tok
 
-    def _fail(self, message: str, tok: _Token | None = None):
-        raise _Abort(self._tz.diagnostic((tok or self.tok).offset, message))
+    def _fail(self, message: str, at: int | None = None):
+        raise _Abort(self.i if at is None else at, message)
 
-    def _warn(self, message: str, tok: _Token) -> None:
-        self.warnings.append(self._tz.diagnostic(tok.offset, message, "warning"))
+    def _warn(self, message: str, at: int) -> None:
+        self.warnings.append((at, message))
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        if self.tok.kind != kind:
+    def diagnostics(self, abort: _Abort | None = None) -> list[ParseDiagnostic]:
+        """The warnings so far, then ``abort``'s error, each at its token."""
+        found = [(at, message, "warning") for at, message in self.warnings]
+        if abort is not None:
+            found.append((abort.at, abort.message, "error"))
+        return self._source.diagnostics(found)
+
+    def _expect(self, kind: str, what: str) -> str:
+        if self.tok != kind and _kind(self.tok) != kind:
             self._fail_expected(what)
         return self._take()
 
     def _fail_expected(self, what: str):
-        """Refuse the current token, quoted as written: ``q:`` for a header
-        token, ``"p"`` for a string, ``@a`` for an alias."""
-        written = _TOKEN_RE.match(self._tz.text, self.tok.offset).group()
-        self._fail(f"expected {what}, found {written!r}")
+        self._fail(f"expected {what}, found {self.tok!r}")  # as written
 
-    def _expect_int(self, what: str) -> tuple[int, _Token]:
-        tok = self._expect("int", what)
-        return int(tok.value), tok
+    def _expect_int(self, what: str) -> int:
+        if not self.tok.isdigit():
+            self._fail_expected(what)
+        return int(self._take())
 
-    def parse_document(self) -> tuple[list[Automaton], list[ParseDiagnostic]]:
+    def parse_document(self) -> list[Automaton]:
+        self._take()
         automata = []
-        while self.tok.kind != "eof":
+        while self.tok:
             automata.append(self._parse_automaton())
-        return automata, self.warnings
+        return automata
 
     # -- headers
 
     def _parse_automaton(self) -> Automaton:
-        head = self.tok
-        if self.tok.kind != "header" or self.tok.value != "HOA":
+        head = self.i
+        if self.tok != "HOA:":
             self._fail("expected 'HOA: v1' at start of automaton")
         self._take()
-        version = self._expect("ident", "format version")
-        if version.value != "v1":
-            self._fail(f"unsupported format version {version.value!r}", version)
+        version = _value(self._expect("ident", "format version"))
+        if version != "v1":
+            self._fail(f"unsupported format version {version!r}", self.i - 1)
 
         num_states: int | None = None
-        starts: list[tuple[int, _Token]] = []
-        aps: list[str] | None = None
+        starts: list[int] = []
+        aps: list[str] = []
         acc_count: int | None = None
         condition: AcceptanceCond | None = None
-        acc_tok: _Token | None = None
+        acc_at = head
         aliases: dict[str, LabelExpr] = {}
-        name: str | None = None
-        acc_name: str | None = None
-        tool: tuple[str, ...] | None = None
         properties: list[str] = []
+        stored: dict[str, object] = {}  # name, tool and acc-name, as Automaton takes them
         seen: set[str] = set()
 
-        while self.tok.kind != "body":
-            if self.tok.kind == "eof":
+        while self.tok != "--BODY--":
+            if not self.tok:
                 self._fail("missing --BODY--", head)
-            if self.tok.kind == "abort":
+            if self.tok == "--ABORT--":
                 self._fail("automaton aborted by --ABORT--")
-            if self.tok.kind != "header":
+            if _kind(self.tok) != "header":
                 self._fail_expected("header item")
-            htok = self._take()
-            hname = htok.value
+            at = self.i
+            hname = self._take()[:-1]
             if hname in ("States", "AP", "Acceptance", "name", "acc-name", "tool"):
                 if hname in seen:
-                    self._fail(f"duplicate header {hname}:", htok)
+                    self._fail(f"duplicate header {hname}:", at)
                 seen.add(hname)
             if hname == "States":
-                num_states, _ = self._expect_int("state count")
+                num_states = self._expect_int("state count")
             elif hname == "Start":
-                value, vtok = self._expect_int("initial state")
-                if self.tok.kind == "&":
+                value = self._expect_int("initial state")
+                if self.tok == "&":
                     self._fail("universal branching is not supported")
-                if self.tok.kind == "int":
+                if self.tok.isdigit():
                     self._fail("malformed Start: header (one state per line)")
-                starts.append((value, vtok))
+                starts.append(value)
             elif hname == "AP":
-                count, _ = self._expect_int("proposition count")
-                aps = []
-                for _ in range(count):
-                    stok = self._expect("string", "proposition name")
-                    if stok.value in aps:
-                        self._fail(f"duplicate proposition name {stok.value!r}", stok)
-                    aps.append(stok.value)
+                for _ in range(self._expect_int("proposition count")):
+                    if self.tok[:1] != '"':
+                        self._fail_expected("proposition name")
+                    ap = _value(self._take())
+                    if ap in aps:
+                        self._fail(f"duplicate proposition name {ap!r}", self.i - 1)
+                    aps.append(ap)
             elif hname == "Acceptance":
-                acc_count, _ = self._expect_int("acceptance set count")
-                acc_tok = htok
+                acc_count = self._expect_int("acceptance set count")
+                acc_at = at
                 condition = self._parse_formula(_ACCEPTANCE, acc_count)
             elif hname == "Alias":
-                atok = self._expect("aname", "alias name")
-                if atok.value in aliases:
-                    self._fail(f"duplicate alias @{atok.value}", atok)
-                aliases[atok.value] = self._parse_formula(_LABEL, aliases)
+                alias = _value(self._expect("aname", "alias name"))
+                if alias in aliases:
+                    self._fail(f"duplicate alias @{alias}", self.i - 1)
+                aliases[alias] = self._parse_formula(_LABEL, aliases)
             elif hname == "name":
-                name = self._expect("string", "automaton name").value
+                stored["name"] = _value(self._expect("string", "automaton name"))
             elif hname == "tool":
-                first = self._expect("string", "tool name")
-                if self.tok.kind == "string":
-                    tool = (first.value, self._take().value)
-                else:
-                    tool = (first.value,)
+                tool = (_value(self._expect("string", "tool name")),)
+                stored["tool"] = tool + (_value(self._take()),) if self.tok[:1] == '"' else tool
             elif hname == "acc-name":
                 parts = []
-                while self.tok.kind in ("ident", "int"):
-                    parts.append(self._take().value)
-                acc_name = " ".join(parts)
+                while _kind(self.tok) in ("ident", "int"):
+                    parts.append(self._take())
+                stored["acc_name"] = " ".join(parts)
             elif hname == "properties":
-                while self.tok.kind == "ident":
-                    properties.append(self._take().value)
+                while _kind(self.tok) == "ident":
+                    properties.append(self._take())
             elif hname == "HOA":
-                self._fail("duplicate HOA: header (missing --END--?)", htok)
+                self._fail("duplicate HOA: header (missing --END--?)", at)
             elif hname[0].isupper():
-                self._fail(f"unsupported header {hname}:", htok)
+                self._fail(f"unsupported header {hname}:", at)
             else:
-                self._warn(f"ignoring unknown header {hname}:", htok)
-                while self.tok.kind in ("ident", "int", "string", "aname", "!", "&", "|", "(", ")"):
+                self._warn(f"ignoring unknown header {hname}:", at)
+                while _kind(self.tok) in ("ident", "int", "string", "aname", *"!&|()"):
                     self._take()
-        body_tok = self._take()
+        body_at = self.i
+        self._take()
 
         if condition is None or acc_count is None:
             self._fail("missing Acceptance: header", head)
             raise AssertionError
-        ap_count = len(aps) if aps is not None else 0
-
-        states, marks = self._parse_body(aliases, ap_count, acc_count)
+        states, marks = self._parse_body(aliases, len(aps), acc_count)
+        if not self.tok:  # the last automaton: free its tokens, the parse's peak, first
+            self.toks.clear()
+        stored.update(aps=tuple(aps), properties=tuple(properties))
         return self._build(
-            head,
-            body_tok,
-            num_states,
-            starts,
-            tuple(aps or ()),
-            acc_count,
-            condition,
-            acc_tok,
-            states,
-            marks,
-            name,
-            acc_name,
-            tool,
-            tuple(properties),
+            head, body_at, acc_at, num_states, starts, acc_count, condition, states, marks, stored
         )
 
     # -- body
 
     def _parse_body(self, aliases, ap_count, acc_count):
-        states: list[tuple[int, LabelExpr | None, _Token]] = []
-        defined: set[int] = set()
-        # edges: source id -> list of (label or None, target, token)
-        edges: dict[int, list[tuple[LabelExpr | None, int, _Token]]] = {}
+        states: list[tuple[int, LabelExpr | None, int]] = []  # with the State: token's index
+        edges: dict[int, list[tuple[LabelExpr | None, int]]] = {}  # source -> (label, target)
         marks: dict[int, frozenset[int]] = {}
         current: int | None = None
-        while self.tok.kind != "end":
-            if self.tok.kind in ("eof", "header") and not (
-                self.tok.kind == "header" and self.tok.value == "State"
-            ):
-                self._fail("missing --END--")
-            if self.tok.kind == "abort":
-                self._fail("automaton aborted by --ABORT--")
-            if self.tok.kind == "header":  # State:
-                stok = self._take()
-                label = self._parse_bracketed(aliases) if self.tok.kind == "[" else None
-                sid, _ = self._expect_int("state id")
-                if sid in defined:
-                    self._fail(f"state {sid} defined twice", stok)
-                defined.add(sid)
-                if self.tok.kind == "string":
-                    ntok = self._take()
-                    self._warn("state display names are ignored", ntok)
-                if self.tok.kind == "{":
-                    marks[sid] = frozenset(self._parse_acc_sig(acc_count))
-                states.append((sid, label, stok))
-                current = sid
-                edges.setdefault(sid, [])
-            elif self.tok.kind in ("[", "int"):
+        while (tok := self.tok) != "--END--":
+            if tok == "[" or tok.isdigit():
                 if current is None:
                     self._fail("edge before any State: definition")
-                etok = self.tok
-                label = self._parse_bracketed(aliases) if self.tok.kind == "[" else None
-                target, _ = self._expect_int("target state")
-                if self.tok.kind == "&":
+                label = self._parse_bracketed(aliases) if tok == "[" else None
+                target = self._expect_int("target state")
+                if self.tok == "&":
                     self._fail("universal branching is not supported")
-                if self.tok.kind == "{":
+                if self.tok == "{":
                     self._fail(
                         f"transition-based acceptance unsupported "
                         f"(edge of state {current} to {target})"
                     )
-                edges[current].append((label, target, etok))
+                out.append((label, target))
+            elif tok == "State:":
+                at = self.i
+                self._take()
+                label = self._parse_bracketed(aliases) if self.tok == "[" else None
+                current = self._expect_int("state id")
+                if current in edges:
+                    self._fail(f"state {current} defined twice", at)
+                if self.tok[:1] == '"':
+                    self._take()
+                    self._warn("state display names are ignored", self.i - 1)
+                if self.tok == "{":
+                    self._take()
+                    indices = []
+                    while self.tok.isdigit():
+                        indices.append(self._expect_int("acceptance set index"))
+                        if indices[-1] >= acc_count:
+                            self._fail(f"acceptance set {indices[-1]} not declared", self.i - 1)
+                    self._expect("}", "'}'")
+                    marks[current] = frozenset(indices)
+                states.append((current, label, at))
+                out = edges[current] = []
+            elif not tok or tok[-1] == ":":
+                self._fail("missing --END--")
+            elif tok == "--ABORT--":
+                self._fail("automaton aborted by --ABORT--")
             else:
-                self._fail(f"unexpected token {self.tok.value!r} in body")
+                self._fail(f"unexpected token {_value(tok)!r} in body")
         self._take()  # --END--
 
-        resolved: dict[int, list[tuple[LabelExpr, int]]] = {}
         minterms: list[LabelExpr] = []  # the implicit labels, one object per input for all states
-        for sid, state_label, stok in states:
+        for sid, state_label, at in states:
             out = edges[sid]
             if state_label is not None:
-                if any(lbl is not None for lbl, _, _ in out):
-                    self._fail(
-                        f"state {sid} mixes a state label with edge labels", stok
-                    )
-                resolved[sid] = [(state_label, tgt) for _, tgt, _ in out]
-            elif all(lbl is not None for lbl, _, _ in out):
-                resolved[sid] = [(lbl, tgt) for lbl, tgt, _ in out]
-            elif any(lbl is not None for lbl, _, _ in out):
-                self._fail(f"state {sid} mixes labeled and unlabeled edges", stok)
-            else:  # implicit labels, one edge per valuation
-                if len(out) != 1 << ap_count:
+                if any(lbl is not None for lbl, _ in out):
+                    self._fail(f"state {sid} mixes a state label with edge labels", at)
+                edges[sid] = [(state_label, tgt) for _, tgt in out]
+            elif any(lbl is None for lbl, _ in out):
+                if any(lbl is not None for lbl, _ in out):
+                    self._fail(f"state {sid} mixes labeled and unlabeled edges", at)
+                if len(out) != 1 << ap_count:  # implicit labels, one edge per valuation
                     self._fail(
                         f"state {sid} lists {len(out)} implicit edges, "
                         f"expected {1 << ap_count}",
-                        stok,
+                        at,
                     )
                 if not minterms:
                     minterms.extend(minterm(i, ap_count) for i in range(len(out)))
-                resolved[sid] = [(minterms[i], tgt) for i, (_, tgt, _) in enumerate(out)]
-        return resolved, marks
+                edges[sid] = [(minterms[i], tgt) for i, (_, tgt) in enumerate(out)]
+        return edges, marks
 
     def _parse_bracketed(self, aliases: dict[str, LabelExpr]) -> LabelExpr:
-        """The label from the current ``[`` to its ``]``, taking both. A
-        text between them that the document has parsed before is not read
-        again: its label comes from ``_texts`` and the tokenizer goes on
-        past the ``]``."""
-        tz = self._tz
-        start = tz.pos  # just after the "["
-        close = tz.text.find("]", start)
-        text = tz.text[start:close]
-        label = self._texts.get(text) if close >= 0 else None
-        if label is not None:
-            tz.pos = close + 1
-            self.tok = tz.next_token()
+        """The label from the current ``[`` to its ``]``, taking both; tokens
+        between them that were parsed before are not read again."""
+        toks = self.toks
+        start = self.i + 1
+        try:
+            close = toks.index("]", start)
+        except ValueError:  # refused below
+            close = start
+        key = tuple(toks[start:close])
+        label = self._texts.get(key)
+        if label is not None:  # the same tokens parsed before: none is refused
+            self.i = close
+            self._take()
             return label
         self._take()
         label = self._parse_formula(_LABEL, aliases)
-        # a comment may hide a "]", a string is no label atom, and an
-        # alias means what its own automaton defines
-        if self.tok.offset == close and not ("/*" in text or '"' in text or "@" in text):
-            self._texts[text] = label
+        # a string is no label atom, and an alias means what its own
+        # automaton defines
+        written = "".join(key)
+        if self.i == close and '"' not in written and "@" not in written:
+            self._texts[key] = label
         self._expect("]", "']'")
         return label
-
-    def _parse_acc_sig(self, acc_count: int) -> list[int]:
-        self._expect("{", "'{'")
-        indices = []
-        while self.tok.kind == "int":
-            value, tok = self._expect_int("acceptance set index")
-            if value >= acc_count:
-                self._fail(f"acceptance set {value} not declared", tok)
-            indices.append(value)
-        self._expect("}", "'}'")
-        return indices
 
     # -- expressions
     #
     # Labels, `cond:` formulas and acceptance conditions share one grammar:
     # a `|`-chain of `&`-chains of operands, each a formula in parentheses or
-    # an atom. A grammar (_LABEL, _ACCEPTANCE) names its kind's atom reader,
-    # its chain node classes and what a diagnostic calls it.
+    # an atom, or for labels a `!` and an operand. A grammar (_LABEL,
+    # _ACCEPTANCE) names its kind's atom reader, its chain and negation node
+    # classes and what a diagnostic calls it.
 
-    def _parse_formula(self, grammar, context, depth: int = 0, operand: bool = False):
-        """One formula, or with ``operand`` one operand, of ``grammar``;
-        ``context`` goes to its atom reader. An operator chain becomes one
-        n-ary node; a parenthesized or aliased subtree stays a node of its
-        own, so that serialized text reparses to a structurally equal tree."""
-        atom, and_cls, or_cls, what = grammar
-        terms = []
-        factors = []
+    def _parse_formula(self, grammar, context):
+        """One formula of ``grammar``; ``context`` goes to its atom reader,
+        which leaves the atom's last token current. An operator chain
+        becomes one n-ary node; a parenthesized, negated or aliased subtree
+        stays a node of its own, so that serialized text reparses to a
+        structurally equal tree. The `(` and `!` open around an operand are
+        a stack, whose height is its depth. A label atom of one token,
+        negated or not, comes from ``_atoms`` or ``_negated`` once read."""
+        atom, and_cls, or_cls, negation, what = grammar
+        shared, toks, refused = self._shared, self.toks, self._refused
+        atoms, negated = self._atoms, self._negated
+        if not negation or self.names is not None:  # only index atoms are kept
+            atoms = negated = {}
+        opened: list = []  # per open "(" the chains it interrupts, per "!" None
+        terms: list = []
+        factors: list = []
+        operand = True  # an operand is due at token i, not an operator
+        i, tok = self.i, self.tok
         while True:
-            if depth > _MAX_NESTING:
-                self._fail(f"{what} nested too deeply")
-            if self.tok.kind == "(":
-                self._take()
-                node = self._parse_formula(grammar, context, depth + 1)
-                self._expect(")", "')'")
-            else:
-                node = atom(self, context, depth)
+            node = None
             if operand:
-                return node
-            factors.append(node)
-            kind = self.tok.kind
-            if kind == "&":
-                self._take()
-                continue
-            terms.append(factors[0] if len(factors) == 1 else self._shared(and_cls, tuple(factors)))
-            if kind != "|":
-                return terms[0] if len(terms) == 1 else self._shared(or_cls, tuple(terms))
-            self._take()
-            factors = []
+                if len(opened) > _MAX_NESTING:
+                    self._fail(f"{what} nested too deeply", i)
+                node = atoms.get(tok)
+                if node is None and tok == "!" and len(opened) < _MAX_NESTING:
+                    node = negated.get(toks[i + 1])
+                    if node is not None:
+                        i += 1
+                if node is not None:
+                    pass
+                elif tok == "(":
+                    opened.append((terms, factors))
+                    terms, factors = [], []
+                elif tok == "!" and negation:
+                    opened.append(None)
+                else:
+                    self.i, self.tok = i, tok
+                    node = atom(self, context)
+                    i = self.i
+            elif tok == "&":
+                operand = True
+            else:  # the operand before token i ends its chains
+                terms.append(factors[0] if len(factors) == 1 else shared(and_cls, tuple(factors)))
+                factors = []
+                if tok == "|":
+                    operand = True
+                else:
+                    node = terms[0] if len(terms) == 1 else shared(or_cls, tuple(terms))
+                    self.i, self.tok = i, tok
+                    if not opened:
+                        return node
+                    if tok != ")":
+                        self._fail_expected("')'")
+                    terms, factors = opened.pop()
+            if node is not None:  # an operand ends at token i
+                while opened and opened[-1] is None:
+                    opened.pop()
+                    node = shared(Not, node)
+                factors.append(node)
+                operand = False
+            i += 1
+            if i == refused:
+                raise _Abort(i, None)
+            tok = toks[i]
 
     def _shared(self, cls: type, arg):
         """The document's one node ``cls(arg)``, so that equal labels are
@@ -501,150 +543,109 @@ class _Parser:
             node = self._labels[key] = cls(arg)
         return node
 
-    def _parse_label_atom(self, aliases: dict[str, LabelExpr], depth: int) -> LabelExpr:
+    def _parse_label_atom(self, aliases: dict[str, LabelExpr]) -> LabelExpr:
         tok = self.tok
-        if tok.kind == "!":
-            self._take()
-            return self._shared(Not, self._parse_formula(_LABEL, aliases, depth + 1, True))
-        if tok.kind == "int" and self.names is None:
-            self._take()
-            return self._shared(Ap, int(tok.value))
-        if tok.kind == "aname":
-            self._take()
-            expr = aliases.get(tok.value)
+        if self.names is None and tok.isdigit():
+            node = self._atoms[tok] = self._shared(Ap, int(tok))
+            self._negated[tok] = self._shared(Not, node)
+            return node
+        if tok[:1] == "@":
+            expr = aliases.get(tok[1:])
             if expr is None:
-                self._fail(f"undefined alias @{tok.value}", tok)
+                self._take()  # a token refused after it comes first
+                self._fail(f"undefined alias {tok}", self.i - 1)
             return expr
-        if tok.kind == "ident" and tok.value in ("t", "f"):
-            self._take()
-            return TRUE if tok.value == "t" else FALSE
-        if tok.kind in ("ident", "string") and self.names is not None:
-            self._take()
-            if tok.value not in self.names:
-                self.names.append(tok.value)
-            return self._shared(Ap, self.names.index(tok.value))
+        if tok == "t" or tok == "f":
+            return TRUE if tok == "t" else FALSE
+        if self.names is not None and _kind(tok) in ("ident", "string"):
+            name = _value(tok)
+            if name not in self.names:
+                self.names.append(name)
+            return self._shared(Ap, self.names.index(name))
         self._fail_expected("label expression")
         raise AssertionError
 
-    def _parse_acceptance_atom(self, set_count: int, depth: int) -> AcceptanceCond:
+    def _parse_acceptance_atom(self, set_count: int) -> AcceptanceCond:
         tok = self.tok
-        if tok.kind == "ident" and tok.value in ("t", "f"):
-            self._take()
-            return Top() if tok.value == "t" else Bot()
-        if tok.kind == "ident" and tok.value in ("Fin", "Inf"):
+        if tok == "t" or tok == "f":
+            return Top() if tok == "t" else Bot()
+        if tok == "Fin" or tok == "Inf":
             self._take()
             self._expect("(", "'('")
-            if self.tok.kind == "!":
+            if self.tok == "!":
                 self._fail("negated acceptance-set references are not supported")
-            index, itok = self._expect_int("acceptance set index")
+            at = self.i
+            index = self._expect_int("acceptance set index")
             if index >= set_count:
-                self._fail(f"acceptance set {index} not declared", itok)
-            self._expect(")", "')'")
-            return Fin(index) if tok.value == "Fin" else Inf(index)
+                self._fail(f"acceptance set {index} not declared", at)
+            if self.tok != ")":
+                self._fail_expected("')'")
+            return Fin(index) if tok == "Fin" else Inf(index)
         self._fail_expected("acceptance condition")
         raise AssertionError
 
     # -- construction
 
     def _build(
-        self,
-        head,
-        body_tok,
-        num_states,
-        starts,
-        aps,
-        acc_count,
-        condition,
-        acc_tok,
-        states,
-        marks,
-        name,
-        acc_name,
-        tool,
-        properties,
-    ) -> Automaton:
-        mentioned: list[int] = []
-        seen_ids: set[int] = set()
-        for sid in states:
-            if sid not in seen_ids:
-                seen_ids.add(sid)
-                mentioned.append(sid)
-        for sid in states:
-            for _, tgt in states[sid]:
-                if tgt not in seen_ids:
-                    seen_ids.add(tgt)
-                    mentioned.append(tgt)
-        for value, _ in starts:
-            if value not in seen_ids:
-                seen_ids.add(value)
-                mentioned.append(value)
-
+        self, head, body_at, acc_at, num_states, starts, acc_count, condition, states, marks, stored
+    ):
+        """The automaton of a parsed body; ``stored`` holds the keyword
+        arguments of :class:`Automaton` that the headers give as they are."""
+        # state ids in order of first mention: sources, targets, then starts
+        mentioned = chain(states, (tgt for out in states.values() for _, tgt in out), starts)
+        display = None
         if num_states is not None:
-            for sid in mentioned:
-                if sid >= num_states:
-                    self._fail(
-                        f"state id {sid} out of declared range 0..{num_states - 1}",
-                        body_tok,
-                    )
+            beyond = next((q for q in mentioned if q >= num_states), None)
+            if beyond is not None:
+                self._fail(f"state id {beyond} out of declared range 0..{num_states - 1}", body_at)
             count = num_states
-            renumber = {i: i for i in range(count)}
-            display = None
         else:
+            mentioned = list(dict.fromkeys(mentioned))
             count = len(mentioned)
             if count == 0:
-                self._fail("automaton has no states", body_tok)
-            if sorted(mentioned) == list(range(count)):
-                renumber = {i: i for i in range(count)}
-                display = None
-            else:
-                renumber = {orig: i for i, orig in enumerate(mentioned)}
+                self._fail("automaton has no states", body_at)
+            if sorted(mentioned) != list(range(count)):
                 display = tuple(mentioned)
-
+        # one int object per state, for all transitions
+        number = list(range(count)) if display is None else {q: i for i, q in enumerate(display)}
         if not starts:
             self._fail("at least one initial state is required (Start: missing)", head)
-        initial = frozenset(renumber[value] for value, _ in starts)
-
-        transitions = []
-        for sid in sorted(states, key=lambda s: renumber[s]):
-            for label, tgt in states[sid]:
-                transitions.append(Transition(renumber[sid], label, renumber[tgt]))
-
+        transitions = tuple(
+            Transition(number[q], lbl, number[tgt])
+            for q in sorted(states, key=number.__getitem__)
+            for lbl, tgt in states[q]
+        )
         acc_sets: list[set[int]] = [set() for _ in range(acc_count)]
         for sid, indices in marks.items():
             for k in indices:
-                acc_sets[k].add(renumber[sid])
-
-        refs = acc_set_refs(condition)
-        empty_refs = sorted(k for k in refs if not acc_sets[k])
+                acc_sets[k].add(number[sid])
+        empty = [k for k, members in enumerate(acc_sets) if not members]
+        empty_refs = sorted(acc_set_refs(condition).intersection(empty)) if empty else []
         if empty_refs:
             if not self.allow_empty_acc_sets:
                 self._fail(
                     f"acceptance set {empty_refs[0]} is referenced but empty "
                     "(no state belongs to it)",
-                    acc_tok or head,
+                    acc_at,
                 )
             condition = _drop_empty_sets(condition, frozenset(empty_refs))
 
         try:
             return Automaton(
-                aps=aps,
                 num_states=count,
-                initial=initial,
-                transitions=tuple(transitions),
+                initial=frozenset(number[q] for q in starts),
+                transitions=transitions,
                 acc_sets=tuple(frozenset(s) for s in acc_sets),
                 condition=condition,
-                name=name,
-                acc_name=acc_name,
-                tool=tool,
-                properties=properties,
                 display_ids=display,
+                **stored,
             )
         except ValueError as exc:
             self._fail(str(exc), head)
 
 
-_LABEL = (_Parser._parse_label_atom, And, Or, "label expression")
-_ACCEPTANCE = (_Parser._parse_acceptance_atom, AccAnd, AccOr, "acceptance condition")
+_LABEL = (_Parser._parse_label_atom, And, Or, Not, "label expression")
+_ACCEPTANCE = (_Parser._parse_acceptance_atom, AccAnd, AccOr, None, "acceptance condition")
 
 
 def _drop_empty_sets(cond: AcceptanceCond, empty: frozenset[int]) -> AcceptanceCond:
@@ -662,27 +663,26 @@ def _drop_empty_sets(cond: AcceptanceCond, empty: frozenset[int]) -> AcceptanceC
 
 def parse(text: str, *, allow_empty_acc_sets: bool = False) -> HoaDocument:
     """Parse one or more automata; raises :class:`HoaParseError` on failure."""
-    parser = None
+    parser = _Parser(text, allow_empty_acc_sets)
     try:
-        parser = _Parser(text, allow_empty_acc_sets)
-        automata, warnings = parser.parse_document()
+        automata = parser.parse_document()
     except _Abort as abort:
-        earlier = list(parser.warnings) if parser is not None else []
-        raise HoaParseError(earlier + [abort.diagnostic]) from None
-    return HoaDocument(tuple(automata), tuple(warnings))
+        raise HoaParseError(parser.diagnostics(abort)) from None
+    return HoaDocument(tuple(automata), tuple(parser.diagnostics()))
 
 
 def parse_named_label(text: str) -> tuple[LabelExpr, tuple[str, ...]]:
     """Parse an HOA label whose atoms are proposition names, bare or quoted,
     in place of indices; returns it with the name table its ``Ap`` indices
     refer to, in first-use order. Raises :class:`HoaParseError` on failure."""
+    parser = _Parser(text, False, [])
     try:
-        parser = _Parser(text, False, [])
+        parser._take()
         expr = parser._parse_formula(_LABEL, {})
-        if parser.tok.kind != "eof":
+        if parser.tok:
             parser._fail_expected("end of formula")
     except _Abort as abort:
-        raise HoaParseError([abort.diagnostic]) from None
+        raise HoaParseError(parser.diagnostics(abort)) from None
     return expr, tuple(parser.names)
 
 

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, load_fixture
 from helpers import same_labels
 from hoarun.automata import BOT, TOP, AccAnd, AccOr, Fin, Inf, Top, acc_and, acc_or
-from hoarun.hoa import HoaParseError, format_acceptance, format_label, parse, serialize
+from hoarun.hoa import (
+    HoaParseError,
+    _Parser,
+    format_acceptance,
+    format_label,
+    parse,
+    serialize,
+)
 from hoarun.labels import Ap, Not, land, lor, minterm
 
 GOOD_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.hoa"))
@@ -225,6 +232,36 @@ _HEAD = 'HOA: v1\nStates: 1\nStart: 0\nAP: 1 "p"\nAcceptance: 1 Inf(0)\n'
         (
             MINIMAL.replace("1 Inf(0)", "1 !Inf(0)"),
             ["5:15: error: expected acceptance condition, found '!'"],
+        ),
+        # a token of no kind is refused only when the parse reaches it: an
+        # error earlier in the text, in the headers or the body, wins
+        (_HEAD.replace("States: 1", "States: x") + "$\n", ["2:9: error: expected state count, found 'x'"]),
+        ('HOA: v2\nname: "abc', ["1:6: error: unsupported format version 'v2'"]),
+        (_HEAD + "--BODY--\nState: 0\nState: 0 {0}\n/* open\n", ["8:1: error: state 0 defined twice"]),
+        # with the warnings before it
+        (
+            _HEAD + 'note: 1\n--BODY--\nState: 0 "zero" {0}\n[0] 0 {0} $ "open\n',
+            [
+                "6:1: warning: ignoring unknown header note:",
+                "8:10: warning: state display names are ignored",
+                "9:7: error: transition-based acceptance unsupported (edge of state 0 to 0)",
+            ],
+        ),
+        # reached, it is refused as soon as it follows the token read, before
+        # what that token would lead to: a warning, an undefined alias
+        (
+            _HEAD + 'note:\n--BODY--\nState: 0 "zero" $\n',
+            ["6:1: warning: ignoring unknown header note:", "8:17: error: unexpected character '$'"],
+        ),
+        (_HEAD + "--BODY--\nState: 0 {0}\n[@x$] 0\n", ["8:4: error: unexpected character '$'"]),
+        # in a second automaton, after the first's warnings
+        (
+            _HEAD + 'note: 1\n--BODY--\nState: 0 "zero" {0}\n[t] 0\n--END--\nHOA: v1\nStates: 2 "x\n',
+            [
+                "6:1: warning: ignoring unknown header note:",
+                "8:10: warning: state display names are ignored",
+                "12:11: error: unterminated string",
+            ],
         ),
     ],
 )
@@ -626,12 +663,27 @@ def test_a_comment_may_hide_a_closing_bracket():
         ("[0 & 1] 0\n[0 & 1]\n", "10:1: error: expected target state, found '--END--'"),
         ("[0 & 1] 0\n[0 & 1] 0 {0}\n", "9:11: error: transition-based acceptance unsupported (edge of state 0 to 0)"),
         ("[0 & 1] 0\n[0 & 1 0\n", "9:8: error: expected ']', found '0'"),
+        # after a comment that spans a line and hides a `]`
+        ("[0 & 1] 0\n[0 & 1] 0\n[0 /* a\n] */ & $] 1\n", "11:8: error: unexpected character '$'"),
+        (
+            "[0 /* a\n] */ & 1] 0\n[0 /* b\n] */ & 1] 0\n[0 & 1] 0 {0}\n",
+            "12:11: error: transition-based acceptance unsupported (edge of state 0 to 0)",
+        ),
     ],
 )
 def test_diagnostics_after_a_memo_hit_are_unchanged(body, expected):
     with pytest.raises(HoaParseError) as err:
         parse(_automaton(body))
     assert str(err.value) == expected
+
+
+def test_label_tokens_are_one_memo_entry_whatever_the_blanks_and_comments():
+    text = _automaton("[0&1] 0\n[0 & 1] 0\n[0 /* c */ & 1] 0\n[\t0\n&\n1 ] 0\n")
+    parser = _Parser(text, False)
+    (automaton,) = parser.parse_document()
+    labels = [t.label for t in automaton.transitions]
+    assert labels == [land(Ap(0), Ap(1))] * 4 and all(label is labels[0] for label in labels)
+    assert list(parser._texts) == [("0", "&", "1")]
 
 
 def test_a_label_out_of_range_in_one_automaton_only_is_refused():

@@ -442,6 +442,11 @@ def test_config_rejects_unknown_bits():
     # a bad cond: formula names its hook, as every other hook error does
     with pytest.raises(ConfigError, match=r"^hook watch: bad condition: 1:5: "):
         parse_config("[hooks.watch]\ntrigger = cond: p &\naction = reset\n")
+    # a character of no token, refused where the formula reaches it; the
+    # column counts from the blank after "cond:"
+    with pytest.raises(ConfigError) as info:
+        parse_config("[hooks.watch]\ntrigger = cond: p & $ | q\naction = reset\n")
+    assert str(info.value) == "hook watch: bad condition: 1:6: error: unexpected character '$'"
 
 
 def test_config_rejects_negative_step_bound():
@@ -487,7 +492,8 @@ WELL_FORMED_CONDITIONS = [
 ]
 
 MALFORMED_CONDITIONS = [
-    "p &", "(p", "p)", "p q", "&p", "0", "@a", "p:", "", "  ", '"p', 'p & "q', "p & q:", "a:b"
+    "p &", "(p", "p)", "p q", "&p", "0", "@a", "p:", "", "  ", '"p', 'p & "q', "p & q:", "a:b",
+    "p & $", "p /* x", "(p | q) $",
 ]
 
 # a name directly followed by ':' is read as one token, which the
@@ -496,6 +502,15 @@ QUOTED_AS_WRITTEN = {
     "p:": "1:1: error: expected label expression, found 'p:'",
     "p & q:": "1:5: error: expected label expression, found 'q:'",
     "a:b": "1:1: error: expected label expression, found 'a:'",
+}
+
+# a character that starts no token, an unterminated string or comment is
+# refused where the formula reaches it
+REFUSED_WHERE_REACHED = {
+    "p & $": "1:5: error: unexpected character '$'",
+    'p & "q': "1:5: error: unterminated string",
+    "p /* x": "1:3: error: unterminated comment",
+    "(p | q) $": "1:9: error: unexpected character '$'",
 }
 
 
@@ -513,8 +528,9 @@ def test_parse_condition_table(text, names, holds):
 def test_parse_condition_rejects(text):
     with pytest.raises(ConfigError) as info:
         parse_condition(text)
-    if text in QUOTED_AS_WRITTEN:
-        assert str(info.value) == f"bad condition: {QUOTED_AS_WRITTEN[text]}"
+    pinned = QUOTED_AS_WRITTEN.get(text) or REFUSED_WHERE_REACHED.get(text)
+    if pinned is not None:
+        assert str(info.value) == f"bad condition: {pinned}"
 
 
 def test_parse_condition_nesting_limit():
