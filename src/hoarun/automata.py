@@ -14,9 +14,9 @@ from .labels import (
     LabelTable,
     Not,
     chain,
+    gathered,
     lor,
     occurring_aps,
-    postorder,
 )
 from .records import Uncompared, record, replace, set_field
 
@@ -71,7 +71,7 @@ def acc_or(*children: AcceptanceCond) -> AcceptanceCond:
 
 def acc_set_refs(cond: AcceptanceCond) -> frozenset[int]:
     """All acceptance-set indices referenced by a condition."""
-    return frozenset(node.set_index for node in postorder(cond) if isinstance(node, (Fin, Inf)))
+    return gathered((cond,), (Fin, Inf), "set_index")
 
 
 @record

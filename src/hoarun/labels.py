@@ -5,10 +5,12 @@ proposition index, and :func:`evaluate` is the tree-walking reference.
 The checks and the runtime use one compiled form, decision diagrams
 (:class:`Diagrams`): one per label, and per state a table of the labels
 that hold on each input (:class:`LabelTable`), which determinism and
-completeness are read off. The checks refuse more than
-``DEFAULT_ENUM_CAP`` occurring propositions, as a rule, and no step in
-building a diagram adds more than ``NODE_BUDGET`` nodes, which within
-the cap none reaches.
+completeness are read off. One store holds the diagrams that a run
+builds, with a computed table (Brace, Rudell and Bryant, DAC 1990) of
+the operations' results, so that two sub-diagrams are combined once per
+run. The checks refuse more than ``DEFAULT_ENUM_CAP`` occurring
+propositions, as a rule, and no step in building a diagram adds more
+than ``NODE_BUDGET`` nodes, which within the cap none reaches.
 """
 
 from __future__ import annotations
@@ -243,7 +245,25 @@ def _children(node) -> tuple:
 
 def occurring_aps(*exprs: LabelExpr) -> frozenset[int]:
     """Indices of all propositions occurring in the given formulas."""
-    return frozenset(node.index for node in postorder(*exprs) if isinstance(node, Ap))
+    return gathered(exprs, Ap, "index")
+
+
+def gathered(roots, kind, field: str) -> frozenset:
+    """The ``field`` of every node of class ``kind`` in the trees ``roots``,
+    whose other nodes have a ``child`` or ``children`` (formulas, and
+    acceptance conditions), from an explicit stack: any depth is walked
+    without recursion, and a shared node once, in no order."""
+    values, seen, stack = set(), set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, kind):
+            values.add(getattr(node, field))
+        else:
+            stack += _children(node)
+    return frozenset(values)
 
 
 # a cube (care, value) holds on the valuation bits b with b & care == value
@@ -274,6 +294,14 @@ class Diagrams:
     ``tables``, ``filed`` and ``walks``, which ``automata.Compiled`` and
     ``runtime.Runner`` fill. A refused build leaves none of them naming
     a node it took back.
+
+    ``computed`` is the computed table of BDD packages (Brace, Rudell and
+    Bryant, DAC 1990): the node that :meth:`apply` made for a pair of
+    sub-diagrams and an operation, and a node's complement, kept for every
+    later operation. A cache hit returns a node that is there already, so
+    the budget still counts only new nodes. :meth:`truncate` empties it,
+    as it may name the nodes taken back, and so does an operation that
+    starts with more than NODE_BUDGET entries in it.
     """
 
     def __init__(self) -> None:
@@ -287,6 +315,9 @@ class Diagrams:
         self.tables: dict[tuple[int, ...], LabelTable] = {}  # by the ids of their labels
         self.filed: dict[int, list[Cube] | None] = {}  # exit cubes, by label diagram
         self.walks: dict[tuple[int, ...], dict] = {}  # placed diagrams, by projection
+        # apply's nodes by (x, y, op), and complements by node (join's x is a
+        # label, added's a table, so their keys never meet)
+        self.computed: dict = {}
         self.false = self.leaf(False)
         self.true = self.leaf(True)
 
@@ -307,10 +338,18 @@ class Diagrams:
         return node
 
     def truncate(self, length: int) -> None:
-        """Take back every node past the first ``length``."""
+        """Take back every node past the first ``length``, and empty the
+        computed table, which may name them."""
         for key in self.nodes[length:]:
             del self._ids[key]
         del self.nodes[length:]
+        self.computed.clear()
+
+    def _computed(self) -> dict:
+        """The computed table, emptied first past NODE_BUDGET entries."""
+        if len(self.computed) > NODE_BUDGET:
+            self.computed.clear()
+        return self.computed
 
     def bounded(self, build: Callable, *args):
         """``build(*args)``, or None, with the store as it was, when that
@@ -361,8 +400,9 @@ class Diagrams:
             elif isinstance(node, Not):
                 mask, child = memo[id(node.child)]
                 if child is not None:
+                    done = self._computed()  # complements by node
                     child = self.bounded(
-                        self.fold, child, lambda value: self.leaf(not value), self.node, {}
+                        self.fold, child, lambda value: self.leaf(not value), self.node, done
                     )
                 memo[id(node)] = mask, child
             elif isinstance(node, (And, Or, TrueLabel, FalseLabel)):
@@ -392,26 +432,30 @@ class Diagrams:
                 break
         return mask, result
 
-    def apply(self, a: int, b: int, known: Callable) -> int:
-        """The diagram that combines ``a`` and ``b`` input by input:
-        ``known(x, y, done)`` is the node for a pair of their subdiagrams,
-        from ``done`` if the pass has made it, or None where both are
-        expanded on the least proposition either tests."""
-        nodes, done = self.nodes, {}
-        stack = [(a, b)]
-        while known(a, b, done) is None:
-            x, y = stack[-1]
+    def apply(self, a: int, b: int, op, known: Callable) -> int:
+        """The diagram that combines ``a`` and ``b`` input by input by the
+        operation ``op``: ``known(x, y, done)`` is the node for a pair of
+        their subdiagrams, from the computed table ``done`` at ``(x, y,
+        op)`` if an operation has made it, or None where both are expanded
+        on the least proposition either tests."""
+        nodes, done = self.nodes, self._computed()
+        root = known(a, b, done)
+        if root is not None:
+            return root
+        stack = [(a, b, op)]
+        while stack:
+            x, y, _ = stack[-1]
             var = min(nodes[x][0], nodes[y][0])
             x0, x1 = nodes[x][1:] if nodes[x][0] == var else (x, x)
             y0, y1 = nodes[y][1:] if nodes[y][0] == var else (y, y)
             low, high = known(x0, y0, done), known(x1, y1, done)
             if low is None:
-                stack.append((x0, y0))
+                stack.append((x0, y0, op))
             if high is None:
-                stack.append((x1, y1))
+                stack.append((x1, y1, op))
             if low is not None and high is not None:
                 done[stack.pop()] = self.node(var, low, high)
-        return known(a, b, done)
+        return done[a, b, op]
 
     def join(self, a: int, b: int, both: bool) -> int:
         """The label diagram of ``a & b`` when ``both``, else of ``a | b``."""
@@ -422,9 +466,9 @@ class Diagrams:
                 return stop
             if x == unit or x == y:
                 return y
-            return x if y == unit else done.get((x, y))
+            return x if y == unit else done.get((x, y, both))
 
-        return self.apply(a, b, known)
+        return self.apply(a, b, both, known)
 
     def table(self, roots: Sequence[int]) -> tuple[int, frozenset] | None:
         """The diagram that maps each input to the frozenset of the
@@ -455,9 +499,9 @@ class Diagrams:
                 return x
             if y == true and nodes[x][0] == _LEAF:
                 return self.leaf(nodes[x][1] | {j})
-            return done.get((x, y))
+            return done.get((x, y, j))
 
-        return self.apply(table, label, known)
+        return self.apply(table, label, j, known)
 
     def hull(self, root: int) -> Cube:
         """The smallest cube holding the inputs on which the label diagram

@@ -549,8 +549,8 @@ class Runner:
     monitor, a latched verdict, or an unknown verdict at q), and otherwise
     an object no memo entry is, as when the loop starts, or after a hook
     moved the runner. The loop counts a step whose entry is ``resting``;
-    the others go to ``_advance``, or on a miss or with no or several
-    candidates to ``_step_in_full``.
+    the others go to ``_advance``, on a miss to ``step``, and with no or
+    several candidates to the resolution hooks.
 
     ``exits[q]`` is q's exit cubes (``Compiled.exits``) at the global
     bits, or None where the runner is never parked. A step that leaves
@@ -921,7 +921,7 @@ def run_loop(
     A runner that is not parked is probed in its memo once per step. A
     hit with one candidate is advanced by one call, :func:`_advance`; a
     miss goes through :func:`step`, and no or several candidates to the
-    hooks (``_step_in_full``).
+    resolution hooks, which stop the run when none resolves them.
 
     A runner parked by the rule of ``Runner`` is filed under
     ``watch[care][value]`` for each of its exit cubes, with the step its
@@ -980,10 +980,14 @@ def run_loop(
                     if cubes is None or len(cubes) > 1:
                         continue
                 else:
-                    if found is not None and len(found) == 1:
+                    if found is None:
+                        walked = step(runner, bits, ctx)
+                        if len(walked) != 1:
+                            _fire_resolution_hooks(runner, walked, ctx)
+                    elif len(found) == 1:
                         _advance(runner, found[0], ctx)
                     else:
-                        _step_in_full(runner, bits, found, ctx)
+                        _fire_resolution_hooks(runner, found, ctx)
                     states[upto] = runner.current_state
                     if runner.resting is not runner.unique[state]:
                         continue
@@ -1027,19 +1031,6 @@ def run_loop(
     )
 
 
-def _step_in_full(
-    runner: Runner, bits: int, found: tuple[int, ...] | None, ctx: _LoopContext
-) -> None:
-    """A step that is not a memo hit with one candidate: a miss, which
-    :func:`step` walks, or no or several candidates, which hooks resolve."""
-    if found is None:
-        found = step(runner, bits, ctx)
-        if len(found) == 1:
-            return
-    if not _fire_resolution_hooks(runner, found, ctx):
-        raise _Fatal("nondeterminism" if found else "deadlock", runner.label)
-
-
 def _emit_verdict_change(runner: Runner, ctx: _LoopContext) -> None:
     """Report the runner's latch, which has just moved, if it is conclusive."""
     now = runner.monitor.current_verdict
@@ -1068,15 +1059,15 @@ def _fire_poststep_hooks(runner: Runner, ctx: _LoopContext) -> None:
 
 def _fire_resolution_hooks(
     runner: Runner, candidates: tuple[int, ...], ctx: _LoopContext
-) -> bool:
+) -> None:
     """First matching hook resolves a deadlock (no candidates) or
-    nondeterminism (several); log actions observe and fall through.
-    Returns False when nothing resolved it."""
+    nondeterminism (several); log actions observe and fall through. When
+    nothing resolves it, the run stops."""
     trigger = NondetTrigger if candidates else DeadlockTrigger
     for hook in runner.triggered.get(trigger, ()):
         if _apply_action(runner, hook, candidates, ctx):
-            return True
-    return False
+            return
+    raise _Fatal("nondeterminism" if candidates else "deadlock", runner.label)
 
 
 def _apply_action(

@@ -1,20 +1,29 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import load_fixture
 from helpers import covers_all, pairwise_disjoint, same_labels, valuation_from_bools
 from hoarun.automata import (
+    AccAnd,
+    AccOr,
     Automaton,
     Compiled,
+    Fin,
     Inf,
     Transition,
+    acc_set_refs,
     is_complete,
     is_deterministic,
 )
 from hoarun.cli import main
-from hoarun.hoa import parse
+from hoarun.hoa import parse, serialize
 from hoarun.labels import (
     FALSE,
+    NODE_BUDGET,
     TRUE,
     And,
     Ap,
@@ -32,6 +41,8 @@ from hoarun.labels import (
     occurring_aps,
     walk,
 )
+from hoarun.locks import emit_monitors
+from hoarun.monitoring import attach_monitor
 
 
 def exprs(max_aps: int = 5):
@@ -368,6 +379,22 @@ def test_occurring_aps():
     assert occurring_aps(expr) == frozenset({0, 3})
 
 
+def test_occurring_aps_and_set_refs_past_the_recursion_limit():
+    # a chain deeper than the recursion limit, and a node shared by both
+    # children at each of 60 levels, which a walk without its seen set
+    # would visit 2 ** 60 times
+    depth = 5 * sys.getrecursionlimit()
+    chain, cond = Ap(1), Fin(2)
+    for level in range(depth):
+        chain = Not(chain) if level % 2 else land(chain, Ap(level % 7))
+        cond = AccOr((cond, Inf(level % 3))) if level % 2 else AccAnd((cond,))
+    shared = Ap(9)
+    for _ in range(60):
+        shared = Or((shared, shared))
+    assert occurring_aps(chain, shared) == frozenset({*range(7), 9})
+    assert acc_set_refs(cond) == frozenset({0, 1, 2})
+
+
 def test_valuation_bit_string():
     assert valuation_from_bools([True, False, True]).bit_string() == "101"
 
@@ -377,3 +404,105 @@ def test_enumeration_only_over_occurring_props():
     a = land(Ap(7), Not(Ap(23)))
     assert pairwise_disjoint((a, Not(a)), 30) is True
     assert covers_all([a, Not(a)], 30) is True
+
+
+# ---------------------------------------------------------------------------
+# The store's computed table
+
+
+def _shape(store, root):
+    # a diagram as nested tuples, which do not depend on the node numbers
+    return store.fold(root, lambda value: value, lambda var, low, high: (var, low, high), {})
+
+
+def _computed_names(store):
+    # every node an entry of the computed table names: its operands, or the
+    # node it complements, and its result
+    for key, node in store.computed.items():
+        yield node
+        yield from key[:2] if isinstance(key, tuple) else (key,)
+
+
+def test_a_refused_build_amid_shared_ones_leaves_the_computed_table_clean():
+    monitors = parse(serialize(emit_monitors(2))).automata
+    store = Diagrams()
+    for automaton in monitors[:4]:
+        Compiled(automaton, store)
+    assert store.computed
+    size = len(store.nodes)
+    assert store.label(_bus(20))[1] is None and len(store.nodes) == size
+    assert all(node < size for node in _computed_names(store))
+    singles = [Ap(i) for i in range(20)]
+    assert LabelTable(store, singles).root is None
+    size = len(store.nodes)
+    assert all(node < size for node in _computed_names(store))
+    # what the store builds next is what a fresh store builds
+    fresh = Diagrams()
+    for expr in (_bus(8), Not(_bus(8)), land(Ap(3), Not(Ap(1)))):
+        assert _shape(store, store.label(expr)[1]) == _shape(fresh, fresh.label(expr)[1])
+    for automaton in monitors:
+        ours, theirs = Compiled(automaton, store), Compiled(automaton, fresh)
+        for table, other in zip(ours.tables, theirs.tables):
+            assert _shape(store, table.root) == _shape(fresh, other.root)
+            assert table.leaves == other.leaves
+        assert ours.exits == theirs.exits
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 176), (8, 3572)])
+def test_the_lock_monitors_share_what_their_operations_combine(monkeypatch, n, nodes):
+    # as many nodes as each operation building its own pairs made; at n = 8
+    # that took 13,245 calls of Diagrams.node
+    calls = [0]
+    node = Diagrams.node
+
+    def counted(self, var, low, high):
+        calls[0] += 1
+        return node(self, var, low, high)
+
+    monitors = parse(serialize(emit_monitors(n))).automata
+    monkeypatch.setattr(Diagrams, "node", counted)
+    store = Diagrams()
+    for automaton in monitors:
+        attach_monitor(automaton, store=store)
+    assert len(store.nodes) == nodes
+    if n == 8:
+        assert calls[0] <= 6000
+
+
+def test_the_computed_table_is_emptied_past_the_cap():
+    # entries that no operation reads: an operation that starts with more
+    # than NODE_BUDGET of them empties the table first
+    filler = {(-1, -1, i): 0 for i in range(NODE_BUDGET + 1)}
+    fresh = Diagrams()
+    for build in (
+        lambda store: store.label(land(Ap(0), Ap(2)))[1],
+        lambda store: store.label(Not(Ap(3)))[1],
+        lambda store: LabelTable(store, [Ap(0), Ap(1)]).root,
+    ):
+        store = Diagrams()
+        store.computed.update(filler)
+        assert _shape(store, build(store)) == _shape(fresh, build(fresh))
+        assert 0 < len(store.computed) <= NODE_BUDGET
+
+
+def _layered():
+    sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+    try:
+        import layered
+    finally:
+        del sys.path[0]
+    return parse(layered.generate(3000, 1).hoa_text()).automata
+
+
+def test_the_exit_cubes_filed_in_one_store_are_those_of_a_store_each():
+    # the lock monitors for n = 2 to 16, layered and wide.hoa, one after
+    # another in one store
+    automata = [
+        automaton
+        for n in (2, 4, 8, 16)
+        for automaton in parse(serialize(emit_monitors(n))).automata
+    ]
+    automata += _layered() + parse(load_fixture("wide.hoa")).automata
+    store = Diagrams()
+    for automaton in automata:
+        assert Compiled(automaton, store).exits == Compiled(automaton).exits
