@@ -33,7 +33,7 @@ from .runtime import (
     resolve_bindings,
     run_loop,
 )
-from .traps import bsccs, build_index
+from .traps import bsccs
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -275,12 +275,11 @@ def _cmd_check(args) -> int:
                 complete = _yes_no(is_complete(compiled))
             except CapacityError:
                 deterministic = complete = "capacity-exceeded"
-            index = build_index(state_graph(automaton), automaton.initial)
             print(
                 f"{label}: states={automaton.num_states} "
                 f"edges={len(automaton.transitions)} "
                 f"deterministic={deterministic} complete={complete} "
-                f"bsccs={len(bsccs(index))} "
+                f"bsccs={len(bsccs(state_graph(automaton)))} "
                 f"acceptance={format_acceptance(automaton.condition)}"
             )
     return EXIT_ERROR if failed else EXIT_OK

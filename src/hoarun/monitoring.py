@@ -6,7 +6,7 @@ unknown; compound conditions fold elementary verdicts through sound
 combination tables. Good, bad, and ugly are final; unknown means "keep
 monitoring". The trap set, and so the verdict, depends only on the
 state, so a :class:`Monitor` computes the verdict at every state once,
-in one pass over the condensation, and then only looks it up.
+in the pass that finds the components, and then only looks it up.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .automata import (
     state_graph,
 )
 from .labels import Diagrams
-from .traps import TrapIndex, build_index, is_transient, reach_masks
+from .traps import build_index, is_transient
 # unused here, but perfbench/child.py wraps it under this module's name
 from .traps import min_trap_set_of  # noqa: F401
 
@@ -92,38 +92,61 @@ def combine_or(a: Verdict, b: Verdict) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def component_verdicts(
-    index: TrapIndex,
-    graph: StateGraph,
-    cond: AcceptanceCond,
-    acc_sets: Sequence[frozenset[int]],
-) -> list[Verdict]:
-    """Verdict of ``cond`` at every component of ``index``, by component number.
+def state_verdicts(
+    graph: StateGraph, cond: AcceptanceCond, acc_sets: Sequence[frozenset[int]]
+) -> tuple[Verdict, ...]:
+    """Verdict of ``cond`` at every state of ``graph``, by state number.
 
     A Fin/Inf atom is judged against the smallest trap set T of the
-    component, read from :func:`reach_masks`: T inside the set is good for
-    Inf, T disjoint from it is bad; when T is a single bottom SCC the
-    remainder decides between good (transient) and ugly. Fin is the
-    good/bad swap of Inf. Compound conditions fold their children through
-    :func:`combine_and` and :func:`combine_or`. Raises ``ValueError`` if
-    the condition references an empty acceptance set.
+    state: T inside the set is good for Inf, T disjoint from it is bad;
+    when T is a single bottom SCC the remainder decides between good
+    (transient) and ugly. Fin is the good/bad swap of Inf. Compound
+    conditions fold their children through :func:`combine_and` and
+    :func:`combine_or`. Components are judged as :func:`build_index` emits
+    them, sinks first, each from its own states and the components its
+    edges lead to. Raises ``ValueError`` if the condition references an
+    empty acceptance set.
     """
     refs = acc_set_refs(cond)
     if any(not acc_sets[k] for k in refs):
         raise ValueError("acceptance set must be non-empty")
-    every, some = reach_masks(index, acc_sets)
-    verdicts = []
-    for c, comp in enumerate(index.components):
-        bottom = not index.comp_succ[c]
+    member = [0] * graph.num_states
+    for k, states in enumerate(acc_sets):
+        for q in states:
+            member[q] |= 1 << k
+    full = (1 << len(acc_sets)) - 1
+    succ = graph.succ
+    comp_of = [-1] * graph.num_states
+    every: list[int] = []
+    some: list[int] = []
+    verdicts = [_UNKNOWN] * graph.num_states
+    for c, comp in enumerate(build_index(graph)):
+        for q in comp:
+            comp_of[q] = c
+        all_in, any_in = full, 0
+        bottom = True
+        for q in comp:
+            all_in &= member[q]
+            any_in |= member[q]
+            for t in succ[q]:
+                d = comp_of[t]
+                if d != c:
+                    bottom = False
+                    all_in &= every[d]
+                    any_in |= some[d]
+        every.append(all_in)
+        some.append(any_in)
         transient = 0
         if bottom:
             for k in refs:
                 bit = 1 << k
-                partial = some[c] & bit and not every[c] & bit
-                if partial and is_transient(graph, comp - acc_sets[k]):
+                partial = any_in & bit and not all_in & bit
+                if partial and is_transient(graph, [q for q in comp if q not in acc_sets[k]]):
                     transient |= bit
-        verdicts.append(_fold(cond, every[c], some[c], bottom, transient))
-    return verdicts
+        verdict = _fold(cond, all_in, any_in, bottom, transient)
+        for q in comp:
+            verdicts[q] = verdict
+    return tuple(verdicts)
 
 
 def _fold(cond: AcceptanceCond, every: int, some: int, bottom: bool, transient: int) -> Verdict:
@@ -156,20 +179,16 @@ def _fold(cond: AcceptanceCond, every: int, some: int, bottom: bool, transient: 
 
 
 def condition_verdict(
-    index: TrapIndex,
-    graph: StateGraph,
-    cond: AcceptanceCond,
-    acc_sets: tuple[frozenset[int], ...],
-    state: int,
+    graph: StateGraph, cond: AcceptanceCond, acc_sets: Sequence[frozenset[int]], state: int
 ) -> Verdict:
     """Fold a full acceptance condition into one verdict at ``state``.
 
-    Builds the whole :func:`component_verdicts` table for one answer; a
+    Builds the whole :func:`state_verdicts` table for one answer; a
     :class:`Monitor` keeps that table instead of asking per state.
     """
     if not 0 <= state < graph.num_states:
         raise ValueError(f"unknown state {state}")
-    return component_verdicts(index, graph, cond, acc_sets)[index.state_to_comp[state]]
+    return state_verdicts(graph, cond, acc_sets)[state]
 
 
 class MonitorAttachError(Exception):
@@ -190,9 +209,7 @@ class Monitor:
     def __init__(self, automaton: Automaton) -> None:
         self.automaton = automaton
         graph = state_graph(automaton)
-        index = build_index(graph, automaton.initial)
-        by_comp = component_verdicts(index, graph, automaton.condition, automaton.acc_sets)
-        self.verdicts = tuple(by_comp[c] for c in index.state_to_comp)
+        self.verdicts = state_verdicts(graph, automaton.condition, automaton.acc_sets)
         self.current_verdict = Verdict.UNKNOWN
 
     def observe(self, state: int) -> Verdict:

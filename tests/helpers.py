@@ -66,12 +66,12 @@ def valuation_from_bools(values: Iterable[bool]) -> Valuation:
     return Valuation(bits, width)
 
 
-def atom_verdict(atom, index, graph: StateGraph, state: int, acc_states: Iterable[int]):
+def atom_verdict(atom, graph: StateGraph, state: int, acc_states: Iterable[int]):
     """One-step verdict at ``state`` for ``atom(0)``, ``Inf(0)`` or
     ``Fin(0)``, over the one acceptance set ``acc_states``."""
     from hoarun.monitoring import condition_verdict
 
-    return condition_verdict(index, graph, atom(0), (frozenset(acc_states),), state)
+    return condition_verdict(graph, atom(0), (frozenset(acc_states),), state)
 
 
 def compiled_in_one_store(automata: Iterable[Automaton]) -> list[Compiled]:

@@ -53,7 +53,7 @@ from hoarun.runtime import (
     resolve_bindings,
     run_loop,
 )
-from hoarun.traps import bsccs, build_index
+from hoarun.traps import bsccs, min_trap_set_of
 
 
 def report(number: int, name: str, failures: list) -> None:
@@ -67,7 +67,7 @@ def test_criterion_1_bsccs_are_minimal_trap_sets():
     started = time.perf_counter()
     for seed in range(500):
         graph = random_graph(Random(seed), max_states=10)
-        got = set(bsccs(build_index(graph)))
+        got = set(bsccs(graph))
         expected = brute_minimal_traps(graph)
         if got != expected:
             failures.append((seed, got, expected))
@@ -81,11 +81,8 @@ def test_criterion_2_min_trap_set_exactness():
     failures = []
     for seed in range(500):
         graph = random_graph(Random(seed), max_states=8)
-        index = build_index(graph)
         for q in range(graph.num_states):
-            from hoarun.traps import min_trap_set_of
-
-            got = min_trap_set_of(index, q).states
+            got = min_trap_set_of(graph, q)
             expected = brute_least_trap_containing(graph, q)
             if got != expected:
                 failures.append((seed, q, got, expected))
@@ -99,19 +96,16 @@ def _soundness_corpus(count: int = 1000):
             rng, max_states=8, max_aps=3, cond_depth=3
         )
         graph = state_graph(automaton)
-        index = build_index(graph, automaton.initial)
         reachable = reachable_from(graph, next(iter(automaton.initial)))
-        yield seed, automaton, graph, index, reachable
+        yield seed, automaton, graph, reachable
 
 
 def test_criterion_3_one_step_monitor_sound_vs_oracle():
     failures = []
-    for seed, automaton, graph, index, reachable in _soundness_corpus():
+    for seed, automaton, graph, reachable in _soundness_corpus():
         oracle = VerdictOracle(automaton)
         for q in reachable:
-            mine = condition_verdict(
-                index, graph, automaton.condition, automaton.acc_sets, q
-            )
+            mine = condition_verdict(graph, automaton.condition, automaton.acc_sets, q)
             if mine.conclusive and oracle.verdict(q) is not mine:
                 failures.append((seed, q, mine, oracle.verdict(q)))
     report(3, "conclusive verdicts agree with the oracle", failures)
@@ -119,13 +113,13 @@ def test_criterion_3_one_step_monitor_sound_vs_oracle():
 
 def test_criterion_4_bscc_states_are_conclusive_for_elementary_conditions():
     failures = []
-    for seed, automaton, graph, index, _ in _soundness_corpus():
-        for comp in bsccs(index):
+    for seed, automaton, graph, _ in _soundness_corpus():
+        for comp in bsccs(graph):
             for q in comp:
                 for members in automaton.acc_sets:
-                    if not atom_verdict(Inf, index, graph, q, members).conclusive:
+                    if not atom_verdict(Inf, graph, q, members).conclusive:
                         failures.append((seed, q, "inf", members))
-                    if not atom_verdict(Fin, index, graph, q, members).conclusive:
+                    if not atom_verdict(Fin, graph, q, members).conclusive:
                         failures.append((seed, q, "fin", members))
     report(4, "bottom-SCC states always get a verdict", failures)
 

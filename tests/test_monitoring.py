@@ -37,16 +37,15 @@ from hoarun.monitoring import (
     combine_or,
     condition_verdict,
     oracle_verdict,
+    state_verdicts,
     swap_good_bad,
 )
-from hoarun.traps import build_index
+from hoarun.traps import bsccs, min_trap_set_of
 
 FIG_A = graph_from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 2)])
-FIG_A_INDEX = build_index(FIG_A, initial={0})
 
 # one bottom SCC {u, v}: u -> v, v -> v, v -> u
 UV = graph_from_edges(2, [(0, 1), (1, 1), (1, 0)])
-UV_INDEX = build_index(UV, initial={0})
 
 VERDICTS = (Verdict.GOOD, Verdict.BAD, Verdict.UGLY, Verdict.UNKNOWN)
 
@@ -67,16 +66,16 @@ def uv_automaton(condition, acc_sets=(frozenset({0}),)) -> Automaton:
 
 
 def test_verdict_inf_examples():
-    assert atom_verdict(Inf, FIG_A_INDEX, FIG_A, 1, {0}) is Verdict.BAD
-    assert atom_verdict(Inf, FIG_A_INDEX, FIG_A, 2, {2}) is Verdict.GOOD
-    assert atom_verdict(Inf, UV_INDEX, UV, 0, {0}) is Verdict.UGLY
-    assert atom_verdict(Inf, FIG_A_INDEX, FIG_A, 1, {2}) is Verdict.UNKNOWN
+    assert atom_verdict(Inf, FIG_A, 1, {0}) is Verdict.BAD
+    assert atom_verdict(Inf, FIG_A, 2, {2}) is Verdict.GOOD
+    assert atom_verdict(Inf, UV, 0, {0}) is Verdict.UGLY
+    assert atom_verdict(Inf, FIG_A, 1, {2}) is Verdict.UNKNOWN
 
 
 def test_verdict_fin_examples():
-    assert atom_verdict(Fin, FIG_A_INDEX, FIG_A, 1, {0}) is Verdict.GOOD
-    assert atom_verdict(Fin, FIG_A_INDEX, FIG_A, 2, {2}) is Verdict.BAD
-    assert atom_verdict(Fin, UV_INDEX, UV, 0, {0}) is Verdict.UGLY
+    assert atom_verdict(Fin, FIG_A, 1, {0}) is Verdict.GOOD
+    assert atom_verdict(Fin, FIG_A, 2, {2}) is Verdict.BAD
+    assert atom_verdict(Fin, UV, 0, {0}) is Verdict.UGLY
 
 
 def test_uv_ugly_confirmed_by_oracle():
@@ -105,11 +104,37 @@ def test_fig_a_unknown_is_resolvable_per_oracle():
     assert oracle_verdict(aut, 2) is Verdict.GOOD
 
 
+def test_state_verdicts_fig_a():
+    # the components are judged sinks first: {2}, then {1}, then {0}
+    unknown, good, bad = Verdict.UNKNOWN, Verdict.GOOD, Verdict.BAD
+    assert state_verdicts(FIG_A, Inf(0), (frozenset({2}),)) == (unknown, unknown, good)
+    assert state_verdicts(FIG_A, Inf(0), (frozenset({0}),)) == (unknown, bad, bad)
+    assert state_verdicts(FIG_A, Fin(0), (frozenset({0}),)) == (unknown, good, good)
+    assert state_verdicts(UV, Inf(0), (frozenset({0}),)) == (Verdict.UGLY,) * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_condition_verdict_reads_the_state_verdicts_table(seed):
+    aut = random_det_complete_automaton(Random(seed), max_states=7, max_aps=2, cond_depth=3)
+    graph = state_graph(aut)
+    table = state_verdicts(graph, aut.condition, aut.acc_sets)
+    assert Monitor(aut).verdicts == table
+    for q in range(aut.num_states):
+        assert condition_verdict(graph, aut.condition, aut.acc_sets, q) is table[q]
+
+
+def test_condition_verdict_unknown_state():
+    for state in (-1, FIG_A.num_states):
+        with pytest.raises(ValueError, match="unknown state"):
+            condition_verdict(FIG_A, Inf(0), (frozenset({2}),), state)
+
+
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
-        atom_verdict(Inf, FIG_A_INDEX, FIG_A, 0, set())
+        atom_verdict(Inf, FIG_A, 0, set())
     with pytest.raises(ValueError):
-        atom_verdict(Fin, FIG_A_INDEX, FIG_A, 0, set())
+        atom_verdict(Fin, FIG_A, 0, set())
 
 
 def test_combine_and_table():
@@ -147,9 +172,8 @@ def test_two_uglies_may_hide_a_contradiction():
     either = uv_automaton(acc_or(Inf(0), Fin(0)))
     assert oracle_verdict(either, 0) is Verdict.GOOD
     graph = state_graph(both)
-    index = build_index(graph, both.initial)
-    assert atom_verdict(Inf, index, graph, 0, {0}) is Verdict.UGLY
-    assert atom_verdict(Fin, index, graph, 0, {0}) is Verdict.UGLY
+    assert atom_verdict(Inf, graph, 0, {0}) is Verdict.UGLY
+    assert atom_verdict(Fin, graph, 0, {0}) is Verdict.UGLY
     assert combine_and(Verdict.UGLY, Verdict.UGLY) is Verdict.UNKNOWN
     assert combine_or(Verdict.UGLY, Verdict.UGLY) is Verdict.UNKNOWN
 
@@ -182,11 +206,10 @@ def test_fin_is_swap_of_inf_exhaustively():
     for _ in range(50):
         aut = random_det_complete_automaton(rng, max_states=6, max_aps=2)
         graph = state_graph(aut)
-        index = build_index(graph, aut.initial)
         for members in aut.acc_sets:
             for q in range(aut.num_states):
-                assert atom_verdict(Fin, index, graph, q, members) is swap_good_bad(
-                    atom_verdict(Inf, index, graph, q, members)
+                assert atom_verdict(Fin, graph, q, members) is swap_good_bad(
+                    atom_verdict(Inf, graph, q, members)
                 )
 
 
@@ -318,27 +341,23 @@ def test_one_step_verdicts_sound_vs_oracle(seed):
     rng = Random(seed)
     aut = random_det_complete_automaton(rng, max_states=6, max_aps=2)
     graph = state_graph(aut)
-    index = build_index(graph, aut.initial)
     oracle = VerdictOracle(aut)
     for q in reachable_from(graph, next(iter(aut.initial))):
-        mine = condition_verdict(index, graph, aut.condition, aut.acc_sets, q)
+        mine = condition_verdict(graph, aut.condition, aut.acc_sets, q)
         if mine.conclusive:
             assert oracle.verdict(q) is mine
 
 
 def test_bsccs_always_conclusive_for_elementary_conditions():
     rng = Random(2024)
-    from hoarun.traps import bsccs
-
     for _ in range(40):
         aut = random_det_complete_automaton(rng, max_states=6, max_aps=2)
         graph = state_graph(aut)
-        index = build_index(graph, aut.initial)
-        for comp in bsccs(index):
+        for comp in bsccs(graph):
             for q in comp:
                 for members in aut.acc_sets:
-                    assert atom_verdict(Inf, index, graph, q, members).conclusive
-                    assert atom_verdict(Fin, index, graph, q, members).conclusive
+                    assert atom_verdict(Inf, graph, q, members).conclusive
+                    assert atom_verdict(Fin, graph, q, members).conclusive
 
 
 def test_compound_condition_verdicts():
@@ -347,8 +366,42 @@ def test_compound_condition_verdicts():
         acc_sets=(frozenset({0}), frozenset({1})),
     )
     graph = state_graph(aut)
-    index = build_index(graph, aut.initial)
     # Fin({0}) at state 0 is ugly; Inf({1}) holds on every run from 0
-    assert atom_verdict(Fin, index, graph, 0, aut.acc_sets[0]) is Verdict.UGLY
-    assert atom_verdict(Inf, index, graph, 0, aut.acc_sets[1]) is Verdict.GOOD
-    assert condition_verdict(index, graph, aut.condition, aut.acc_sets, 0) is Verdict.GOOD
+    assert atom_verdict(Fin, graph, 0, aut.acc_sets[0]) is Verdict.UGLY
+    assert atom_verdict(Inf, graph, 0, aut.acc_sets[1]) is Verdict.GOOD
+    assert condition_verdict(graph, aut.condition, aut.acc_sets, 0) is Verdict.GOOD
+
+
+def _no_proposition_automaton(succ, accepting) -> Automaton:
+    return Automaton(
+        aps=(),
+        num_states=len(succ),
+        initial=frozenset({0}),
+        transitions=tuple(Transition(q, TRUE, t) for q, t in enumerate(succ)),
+        acc_sets=(frozenset(accepting),),
+        condition=Inf(0),
+    )
+
+
+# 100,000 states, far deeper than a recursive SCC search could go
+DEEP = 100_000
+
+
+def test_verdicts_on_a_chain_past_the_recursion_limit():
+    n = DEEP
+    chain = _no_proposition_automaton([min(q + 1, n - 1) for q in range(n)], {n - 1})
+    graph = state_graph(chain)
+    assert Monitor(chain).verdicts == (Verdict.UNKNOWN,) * (n - 1) + (Verdict.GOOD,)
+    assert bsccs(graph) == [frozenset({n - 1})]
+    assert min_trap_set_of(graph, 0) == frozenset(range(n))
+
+
+def test_verdicts_on_a_cycle_past_the_recursion_limit():
+    # one bottom SCC whose part outside {0} is acyclic: every run visits 0
+    # infinitely often
+    n = DEEP
+    cycle = _no_proposition_automaton([(q + 1) % n for q in range(n)], {0})
+    graph = state_graph(cycle)
+    assert Monitor(cycle).verdicts == (Verdict.GOOD,) * n
+    assert bsccs(graph) == [frozenset(range(n))]
+    assert min_trap_set_of(graph, 0) == frozenset(range(n))

@@ -44,7 +44,6 @@ from hoarun.runtime import (
     VerdictEvent,
     VerdictTrigger,
 )
-from hoarun.traps import TrapSet
 
 
 def _automaton(**changes):
@@ -134,11 +133,6 @@ RECORDS = [
         lambda: ExitReport("halt", 5, (), 0, halt_code=2),
         "ExitReport(reason='halt', steps=5, runners=(), bad_verdicts=0, halt_code=2, "
         "fatal_runner=None)",
-    ),
-    (
-        lambda: TrapSet(frozenset({1}), (frozenset({1}),), True, False),
-        "TrapSet(states=frozenset({1}), components=(frozenset({1}),), minimal=True, "
-        "trivial=False)",
     ),
 ]
 
